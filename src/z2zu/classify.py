@@ -394,6 +394,14 @@ class TwoWeightReport:
         return self.quadratic_ok and self.counts_ok
 
 
+def _two_weight_quadratic(n: int, size: int, m1: int, m2: int) -> Fraction:
+    return (
+        Fraction(n * n)
+        - n * (2 * m1 + 2 * m2 - 1)
+        + m1 * m2 * (4 - Fraction(4, size))
+    )
+
+
 def verify_two_weight_relations(
     code: AdditiveCode, dual: DualSummary | None = None
 ) -> TwoWeightReport:
@@ -413,11 +421,7 @@ def verify_two_weight_relations(
     m1, m2 = weights
     size = code.cardinality
     n = code.shape.big_n
-    quad = (
-        Fraction(n * n)
-        - n * (2 * m1 + 2 * m2 - 1)
-        + m1 * m2 * (4 - Fraction(4, size))
-    )
+    quad = _two_weight_quadratic(n, size, m1, m2)
     pred_a1 = Fraction(Fraction(size, 2) * n - m2 * (size - 1), m1 - m2)
     pred_a2 = Fraction(Fraction(size, 2) * n - m1 * (size - 1), m2 - m1)
     counts_ok = pred_a1 == enum.count(m1) and pred_a2 == enum.count(m2)

@@ -31,7 +31,6 @@ from .core import (
     MAX_BRUTE_AMBIENT_BITS,
     AdditiveCode,
     additive_span,
-    dual_brute,
     format_row,
     gray_image,
     gray_parameters,
@@ -76,9 +75,10 @@ def _dump(obj) -> str:
 def _load(path: str) -> tuple[AdditiveCode, bool]:
     """Span of a matrix file, plus whether the rows were u-closed."""
     shape, rows = parse_matrix_file(path)
-    code = span(shape, rows)
     subgroup = additive_span(shape, rows)
-    return code, subgroup.cardinality == code.cardinality
+    if subgroup.is_module():
+        return subgroup, True
+    return span(shape, rows), False
 
 
 def _enum_obj(enum) -> dict:
@@ -88,10 +88,9 @@ def _enum_obj(enum) -> dict:
 # ---------------------------------------------------------------- analyze
 
 
-def _theorem_checks(code, enum, dual) -> dict:
+def _theorem_checks(code, enum, dual, profile) -> dict:
     """The verifications that apply to this code, name -> outcome."""
     checks: dict[str, object] = {}
-    profile = column_profile(code)
     if profile.has_zero_column:
         checks["weight_sum_identity"] = "skipped: zero column present"
     else:
@@ -136,7 +135,8 @@ def cmd_analyze(args) -> int:
     dual = dual_summary(code, enum)
     report = classify(code, dual)
     gp = gray_parameters(code)
-    checks = _theorem_checks(code, enum, dual)
+    profile = column_profile(code)
+    checks = _theorem_checks(code, enum, dual, profile)
     warnings = []
     if not u_closed:
         warnings.append(
@@ -144,7 +144,6 @@ def cmd_analyze(args) -> int:
             "u-multiplication, which is strictly larger than the subgroup "
             "they generate"
         )
-    profile = column_profile(code)
     if profile.has_zero_column:
         warnings.append(
             f"zero columns present (binary {list(profile.zero_binary_columns)}, "
@@ -204,31 +203,25 @@ def cmd_analyze(args) -> int:
 
 def cmd_dual(args) -> int:
     code, _ = _load(args.file)
-    enum = lee_enumerator(code)
-    transformed = macwilliams(enum, code.cardinality)
-    if code.shape.big_n > MAX_BRUTE_AMBIENT_BITS:
+    summary = dual_summary(code)
+    enum, dual = summary.enumerator, summary.dual_code
+    if dual is None:
         if args.json:
             print(_dump({"source": "macwilliams",
-                         "dual": _enum_obj(transformed),
+                         "dual": _enum_obj(enum),
                          "generators": None}))
         else:
             _say(args, f"note: ambient exceeds 2^{MAX_BRUTE_AMBIENT_BITS}; "
                        "enumerator only, no explicit generators")
-            print(f"dual enumerator: {transformed.poly_str()}")
+            print(f"dual enumerator: {enum.poly_str()}")
         return 0
-    dual = dual_brute(code)
-    scanned = lee_enumerator(dual)
-    if scanned != transformed:
-        raise InternalVerificationFailure(
-            "scan and transform disagree on the dual distribution"
-        )
     sf = standard_form(dual)
     rows = [format_row(v) for v in sf.unpermuted_rows]
     gp = gray_parameters(dual)
     if args.json:
         print(_dump({
             "source": "brute+macwilliams",
-            "dual": _enum_obj(scanned),
+            "dual": _enum_obj(enum),
             "cardinality": dual.cardinality,
             "type": sf.code_type.compact(),
             "generators": rows,
@@ -240,7 +233,7 @@ def cmd_dual(args) -> int:
     print("dual generators:")
     for r in rows:
         print(f"  {r}")
-    print(f"dual enumerator: {scanned.poly_str()}")
+    print(f"dual enumerator: {enum.poly_str()}")
     print(f"dual gray image: [{gp[0]},{gp[1]},{gp[2]}]")
     return 0
 
@@ -534,8 +527,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="suppress notes and passing lines")
     common.add_argument("--seed", type=int, default=argparse.SUPPRESS,
                         help="RNG seed for random search")
-    common.add_argument("--threads", type=int, default=argparse.SUPPRESS,
-                        help="advisory; operations are vectorised already")
 
     parser = argparse.ArgumentParser(
         prog="z2zu",
@@ -604,8 +595,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     # Global flags are accepted both before and after the subcommand.  The
     # shared option objects carry SUPPRESS defaults so a subparser never
     # clobbers a value parsed at the top level; fill the gaps here instead.
-    for name, default in (("json", False), ("quiet", False),
-                          ("seed", 0), ("threads", None)):
+    for name, default in (("json", False), ("quiet", False), ("seed", 0)):
         if not hasattr(args, name):
             setattr(args, name, default)
     try:

@@ -457,21 +457,30 @@ def additive_span(
     return AdditiveCode(shape, tuple(rows), tuple(sorted(words)))
 
 
-def _extract_generators(
-    shape: AmbientShape, words: Sequence[int]
-) -> tuple[MixedVector, ...]:
-    """Greedy generating rows (an XOR basis) from a full codeword set."""
-    total = len(words)
-    seen: set[int] = {0}
-    gens: list[MixedVector] = []
-    for w in words:
-        if len(seen) == total:
-            break
-        if w in seen:
-            continue
-        gens.append(MixedVector.from_packed(shape, w))
-        _close_under(shape, seen, w, u_closed=False)
-    return tuple(gens)
+def _reduced_basis(words: Sequence[int]) -> tuple[int, ...]:
+    """Reduced echelon XOR basis of a sorted codeword set of size 2^k.
+
+    It is words[1], words[2], words[4], ..., words[2^(k-1)].  With the
+    basis rows ordered by pivot (leading bit), a combination sorts by
+    its highest pivot, so the first 2^i words span the first i rows.
+    words[2^i] is row i+1 itself: adding lower rows to it sets their
+    highest pivot, where the reduced row i+1 has a zero.  The basis is
+    canonical: two codes of one shape are equal iff their bases are.
+    """
+    basis, i = [], 1
+    while i < len(words):
+        basis.append(words[i])
+        i <<= 1
+    return tuple(basis)
+
+
+def _code_from_words(
+    shape: AmbientShape, words: tuple[int, ...]
+) -> AdditiveCode:
+    """The code with this sorted word set, generated by its reduced basis."""
+    basis = _reduced_basis(words)
+    gens = tuple(MixedVector.from_packed(shape, w) for w in basis)
+    return AdditiveCode(shape, gens, words)
 
 
 _MUL_TABLE = np.array(
@@ -521,7 +530,7 @@ def dual_brute(code: AdditiveCode) -> AdditiveCode:
     bi, ri = np.nonzero(mask)
     # row-major nonzero order is already the canonical word order
     words = tuple(((bi.astype(np.int64) << (2 * beta)) | ri).tolist())
-    dual = AdditiveCode(shape, _extract_generators(shape, words), words)
+    dual = _code_from_words(shape, words)
     if code.cardinality * dual.cardinality != shape.ambient_size:
         raise InternalVerificationFailure(
             "cardinality product |C| * |dual| != 2^N after ambient scan"

@@ -4,11 +4,13 @@ Exhaustive enumeration walks distinct codes rather than generator
 tuples: starting from the zero code, each level extends every known
 code C by one more generator w.  Extending by any w' in (C + w) or
 (C + w + u*w) provably closes to the same code, so those cosets are
-skipped on the fly; together with a fingerprint on the sorted codeword
-set this visits each code generated by up to g rows exactly once while
+skipped on the fly; together with the set of word sets already grown
+this visits each code generated by up to g rows exactly once while
 touching far fewer candidates than the (2^(alpha+2*beta))^g generator
 tuples the space nominally contains.  That nominal count is still the
 budget guard: exhaustive mode refuses spaces beyond 2^26 tuples.
+Random mode drops repeated codes by an exact key: the shape and the
+reduced echelon basis, at most alpha + 2*beta integers.
 
 Searches with a target prune candidates with cheap necessary
 conditions before any dual work:
@@ -30,12 +32,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
 from .classify import (
     ClassificationReport,
+    _two_weight_quadratic,
     classify,
     dual_summary,
     is_formally_self_dual,
@@ -45,7 +47,9 @@ from .core import (
     AdditiveCode,
     AmbientShape,
     MixedVector,
-    _extract_generators,
+    _close_under,
+    _code_from_words,
+    _reduced_basis,
     _u_mul_packed,
     gray_parameters,
     span,
@@ -139,9 +143,7 @@ def _codes_by_closure(
                     continue
                 uw = _u_mul_packed(shape, w)
                 grown = set(base)
-                for h in (w, uw):
-                    if h not in grown:
-                        grown |= {h ^ x for x in grown}
+                _close_under(shape, grown, w)
                 # every word of base+w and base+w+uw closes to the same code
                 for x in base:
                     marked.add(x ^ w)
@@ -150,11 +152,13 @@ def _codes_by_closure(
                 if frozen not in seen:
                     seen.add(frozen)
                     new_frontier.append(frozen)
-                    words = tuple(sorted(frozen))
-                    yield AdditiveCode(
-                        shape, _extract_generators(shape, words), words
-                    )
+                    yield _code_from_words(shape, tuple(sorted(frozen)))
         frontier = new_frontier
+
+
+def _code_key(code: AdditiveCode) -> tuple[int, int, tuple[int, ...]]:
+    """Exact dedup key: equal for two codes exactly when they are equal."""
+    return (code.shape.alpha, code.shape.beta, _reduced_basis(code.words))
 
 
 def enumerate_candidates(space: SearchSpace) -> Iterator[AdditiveCode]:
@@ -173,9 +177,9 @@ def enumerate_candidates(space: SearchSpace) -> Iterator[AdditiveCode]:
             yield from _codes_by_closure(shape, space.max_rows)
         return
     rng = random.Random(space.seed)
-    # Word-set fingerprints, not the word sets themselves: a long random
-    # run would otherwise pin every distinct code it ever drew.
-    seen: set[tuple[int, int, int]] = set()
+    # Basis keys, not the word sets themselves: a long random run would
+    # otherwise pin every distinct code it ever drew.
+    seen: set[tuple[int, int, tuple[int, ...]]] = set()
     assert space.budget is not None
     for _ in range(space.budget):
         shape = shapes[rng.randrange(len(shapes))]
@@ -188,7 +192,7 @@ def enumerate_candidates(space: SearchSpace) -> Iterator[AdditiveCode]:
             for _ in range(space.max_rows)
         ]
         code = span(shape, rows)
-        key = (shape.alpha, shape.beta, hash(code.words))
+        key = _code_key(code)
         if key not in seen:
             seen.add(key)
             yield code
@@ -202,14 +206,6 @@ class SearchHit:
     optimality: str
 
 
-def _two_weight_quadratic(n: int, size: int, m1: int, m2: int) -> Fraction:
-    return (
-        Fraction(n * n)
-        - n * (2 * m1 + 2 * m2 - 1)
-        + m1 * m2 * (4 - Fraction(4, size))
-    )
-
-
 def search_with_pruning(
     space: SearchSpace,
     include: Iterable[Sequence[MixedVector]] = (),
@@ -219,22 +215,23 @@ def search_with_pruning(
 
     ``include`` rows are spanned and examined ahead of the space's own
     candidate stream (useful for confirming a known matrix under the
-    same filters).  Pruners only ever skip codes the target predicate
-    would reject, so ``use_pruners`` does not change the result.
+    same filters); each code is examined once.  Pruners only ever skip
+    codes the target predicate would reject, so ``use_pruners`` does not
+    change the result.
     """
     if space.target is None:
         raise ValueError("search_with_pruning needs a target")
     target = space.target
     hits: list[SearchHit] = []
-    # same fingerprint scheme as enumerate_candidates: keeps a long
-    # random run from pinning every word set it ever saw
-    seen: set[tuple[int, int, int]] = set()
-    included = (span(rows[0].shape, tuple(rows)) for rows in include)
-    for code in chain(included, enumerate_candidates(space)):
-        key = (code.shape.alpha, code.shape.beta, hash(code.words))
-        if key in seen:
-            continue
-        seen.add(key)
+    # the stream is deduplicated already; drop repeats of an include
+    included: dict[tuple[int, int, tuple[int, ...]], AdditiveCode] = {}
+    for rows in include:
+        code = span(rows[0].shape, tuple(rows))
+        included.setdefault(_code_key(code), code)
+    stream = enumerate_candidates(space)
+    if included:
+        stream = (c for c in stream if _code_key(c) not in included)
+    for code in chain(included.values(), stream):
         size = code.cardinality
         if size < 2:
             continue
@@ -333,8 +330,7 @@ def verify_fsd_classification(
                     survivors.append(code)
     survivors.sort(key=lambda c: (c.shape.alpha, c.shape.beta, c.words))
     expected = [
-        AdditiveCode(shape, _extract_generators(shape, tuple(sorted(words))),
-                     tuple(sorted(words)))
+        _code_from_words(shape, tuple(sorted(words)))
         for shape, words in _EXPECTED_FSD_SURVIVORS
         if shape.alpha <= max_alpha and shape.beta <= max_beta
     ]

@@ -15,6 +15,7 @@ from z2zu.classify import (
     verify_one_weight_theorems,
     verify_two_weight_relations,
     weight_profile,
+    _two_weight_quadratic,
 )
 from z2zu.core import AmbientShape, MixedVector, parse_matrix, span
 from z2zu.errors import (
@@ -25,7 +26,6 @@ from z2zu.errors import (
     TrivialCode,
 )
 from z2zu.presets import preset_code
-from z2zu.search import _two_weight_quadratic
 
 
 def code_of(text):

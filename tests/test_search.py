@@ -2,18 +2,29 @@
 
 import pytest
 
-from z2zu.core import gray_parameters
+from z2zu.core import (
+    MixedVector,
+    _reduced_basis,
+    additive_span,
+    dual_brute,
+    gray_parameters,
+    parse_matrix,
+    span,
+)
 from z2zu.errors import ClassificationViolation, SpaceTooLarge
 from z2zu.presets import preset_code
 from z2zu.search import (
     OPTIMALITY_TABLE,
     SearchSpace,
+    _code_key,
     enumerate_candidates,
     optimality_check,
     search_with_pruning,
     verify_fsd_classification,
 )
 from z2zu.weights import lee_enumerator
+
+from conftest import random_code
 
 
 # ------------------------------------------------------------ search space
@@ -93,6 +104,28 @@ def test_random_stream_is_reproducible():
     assert len(first) > 50  # dedup keeps the stream from collapsing
 
 
+def test_basis_and_dedup_key_are_exact(rng):
+    # small shapes, so equal codes from different rows turn up often
+    by_shape = {}
+    for _ in range(150):
+        c = random_code(rng, max_alpha=4, max_beta=2, allow_trivial=True)
+        for code in (c, dual_brute(c)):
+            by_shape.setdefault(code.shape, []).append(code)
+    equal_pairs = 0
+    for shape, codes in by_shape.items():
+        for code in codes:
+            basis = _reduced_basis(code.words)
+            assert 1 << len(basis) == code.cardinality
+            rows = [MixedVector.from_packed(shape, w) for w in basis]
+            assert additive_span(shape, rows).words == code.words
+        for i, c1 in enumerate(codes):
+            for c2 in codes[i + 1:]:
+                same = c1.words == c2.words
+                assert (_code_key(c1) == _code_key(c2)) == same
+                equal_pairs += same
+    assert equal_pairs > 0
+
+
 def test_random_stream_seed_matters():
     kw = dict(alpha=(2, 4), beta=(0, 2), max_rows=2, mode="random",
               budget=200)
@@ -140,6 +173,14 @@ def test_include_rows_are_examined_with_the_stream():
     # handing the same rows twice reports the code once
     again = search_with_pruning(space, include=(rows, rows))
     assert len(again) == len(hits)
+    # so does an include code that the random stream also draws
+    shape, rows = parse_matrix("1 1 |\n")
+    code = span(shape, rows)
+    space = SearchSpace(alpha=2, beta=0, max_rows=1, mode="random",
+                        budget=20, seed=3, target="one_weight")
+    assert code in list(enumerate_candidates(space))
+    hits = search_with_pruning(space, include=(rows,))
+    assert [h.code for h in hits] == [code]
 
 
 def test_random_rediscovery_of_optimal_one_weight_code():
