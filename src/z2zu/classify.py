@@ -46,7 +46,6 @@ from .errors import (
     PreconditionViolation,
     TrivialCode,
 )
-from .standard_form import type_of
 from .weights import LeeEnumerator, lee_enumerator, macwilliams
 
 __all__ = [
@@ -130,6 +129,7 @@ class DualSummary:
     enumerator: LeeEnumerator
     source: str  # "brute" or "macwilliams"
     dual_code: AdditiveCode | None  # populated only on the brute route
+    code_enumerator: LeeEnumerator  # of the code itself, computed once
 
     @property
     def cardinality(self) -> int:
@@ -164,8 +164,8 @@ def dual_summary(
                 "ambient-scan dual distribution disagrees with the "
                 "MacWilliams transform"
             )
-        return DualSummary(scanned, "brute", dual)
-    return DualSummary(transformed, "macwilliams", None)
+        return DualSummary(scanned, "brute", dual, enum)
+    return DualSummary(transformed, "macwilliams", None, enum)
 
 
 @dataclass(frozen=True)
@@ -194,7 +194,7 @@ def is_formally_self_dual(
         return False
     if dual is None:
         dual = dual_summary(code)
-    return lee_enumerator(code) == dual.enumerator
+    return dual.code_enumerator == dual.enumerator
 
 
 def is_self_orthogonal(code: AdditiveCode) -> bool:
@@ -245,8 +245,7 @@ def classify(
 ) -> ClassificationReport:
     if dual is None:
         dual = dual_summary(code)
-    enum = lee_enumerator(code)
-    weights = enum.nonzero_weights()
+    weights = dual.code_enumerator.nonzero_weights()
     proj = is_projective(code, dual)
     report = ClassificationReport(
         one_lee_weight=len(weights) == 1,
@@ -303,25 +302,25 @@ class OneWeightReport:
         return not self.violations and all(checks)
 
 
-def _repetition_words(code: AdditiveCode) -> tuple[int, int]:
-    """The two-word code {0, (all ones | all u)} in this shape, packed."""
+def _repetition_word(code: AdditiveCode) -> int:
+    """(all ones | all u) in this shape, packed."""
     shape = code.shape
     ones = (1 << shape.alpha) - 1
     all_u = shape.ring_a_mask << 1
-    return (0, (ones << (2 * shape.beta)) | all_u)
+    return (ones << (2 * shape.beta)) | all_u
 
 
 def verify_one_weight_theorems(
     code: AdditiveCode, dual: DualSummary | None = None
 ) -> OneWeightReport:
-    enum = lee_enumerator(code)
+    enum = lee_enumerator(code) if dual is None else dual.code_enumerator
     profile = weight_profile(code, enum)
     if not profile.is_one_weight:
         raise NotOneWeight(
             f"code has nonzero weights {profile.weights}, expected exactly one"
         )
     if dual is None:
-        dual = dual_summary(code)
+        dual = dual_summary(code, enum)
     m = profile.weights[0]
     lam = profile.lambda_
     n = code.shape.big_n
@@ -339,7 +338,7 @@ def verify_one_weight_theorems(
 
     odd_m_is_repetition: bool | None = None
     if m % 2 == 1:
-        odd_m_is_repetition = code.words == _repetition_words(code)
+        odd_m_is_repetition = code.basis == (_repetition_word(code),)
 
     gray = gray_parameters(code)
     gray_d_expected: int | None = None
@@ -405,14 +404,14 @@ def _two_weight_quadratic(n: int, size: int, m1: int, m2: int) -> Fraction:
 def verify_two_weight_relations(
     code: AdditiveCode, dual: DualSummary | None = None
 ) -> TwoWeightReport:
-    enum = lee_enumerator(code)
+    enum = lee_enumerator(code) if dual is None else dual.code_enumerator
     weights = enum.nonzero_weights()
     if len(weights) != 2:
         raise NotTwoWeight(
             f"code has nonzero weights {weights}, expected exactly two"
         )
     if dual is None:
-        dual = dual_summary(code)
+        dual = dual_summary(code, enum)
     proj = is_projective(code, dual)
     if not proj.projective:
         raise NotProjective(
@@ -454,17 +453,17 @@ def verify_fsd_even_weight_criterion(
     Returns whether the equivalence holds; raises on codes outside the
     one-weight formally-self-dual scope.
     """
-    enum = lee_enumerator(code)
+    enum = lee_enumerator(code) if dual is None else dual.code_enumerator
     weights = enum.nonzero_weights()
     if len(weights) != 1:
         raise NotOneWeight(
             f"code has nonzero weights {weights}, expected exactly one"
         )
     if dual is None:
-        dual = dual_summary(code)
+        dual = dual_summary(code, enum)
     if not is_formally_self_dual(code, dual):
         raise PreconditionViolation("code is not formally self-dual")
     m = weights[0]
-    _, rep = _repetition_words(code)
-    rhs = rep in code.word_set and code.shape.alpha % 2 == 0
+    rep = MixedVector.from_packed(code.shape, _repetition_word(code))
+    rhs = rep in code and code.shape.alpha % 2 == 0
     return (m % 2 == 0) == rhs

@@ -16,6 +16,11 @@ and ring coordinates by c.  The inner product of v and w is
 with the first sum in Z2 and the second in R; a code's dual is taken
 with respect to it.
 
+A code is stored as its reduced echelon XOR basis, built by the one
+elimination routine :func:`_rref`.  The basis is canonical, so size,
+equality, membership and the module test all come from it; the sorted
+codeword list is built from it only when ``words`` is first read.
+
 The brute-force dual scans the full ambient module once.  The scan is
 vectorised with numpy: for each generator g the map w -> g.w factors
 through a parity over the binary part and an XOR-fold over the ring
@@ -322,38 +327,57 @@ class AdditiveCode:
     Construct through :func:`span` (closed under u-scaling, hence an
     R-submodule) or :func:`dual_brute`; :func:`additive_span` builds the
     plain subgroup generated by the rows, which is a submodule only when
-    the rows happen to be u-closed.  ``words`` is the full codeword set
-    as sorted packed integers (canonical order), and ``generators`` are
-    rows that generate ``words`` under addition alone.
+    the rows happen to be u-closed.  ``basis`` is the reduced echelon
+    XOR basis (packed integers, increasing), which identifies the code;
+    ``generators`` are the rows it was built from (the basis itself when
+    given as None, as for derived codes).  ``words``, the full codeword
+    set as sorted packed integers (canonical order), is built from the
+    basis on first access.
     """
 
-    __slots__ = ("shape", "generators", "words", "_word_set", "_codewords")
+    __slots__ = ("shape", "generators", "basis", "_words", "_codewords")
 
     def __init__(
         self,
         shape: AmbientShape,
-        generators: tuple[MixedVector, ...],
-        words: tuple[int, ...],
+        generators: tuple[MixedVector, ...] | None,
+        basis: tuple[int, ...],
+        words: tuple[int, ...] | None = None,
     ):
-        if not words or words[0] != 0:
-            raise ValueError("codeword set must contain the zero word")
-        if len(words) & (len(words) - 1):
-            raise ValueError("codeword count must be a power of two")
+        # sorted by leading bit, each row zero at the lower rows' ones
+        lead = pivots = 0
+        for b in basis:
+            if b.bit_length() <= lead or b & pivots:
+                raise ValueError("basis is not in sorted reduced echelon form")
+            lead = b.bit_length()
+            pivots |= 1 << (lead - 1)
+        if lead > shape.big_n:
+            raise ValueError("basis row out of range for shape")
+        if words is not None and len(words) != 1 << len(basis):
+            raise ValueError("codeword count does not match the basis")
+        if generators is None:
+            generators = tuple(MixedVector.from_packed(shape, b) for b in basis)
         self.shape = shape
         self.generators = generators
-        self.words = words
-        self._word_set: frozenset[int] | None = None
+        self.basis = basis
+        self._words = words
         self._codewords: tuple[MixedVector, ...] | None = None
 
     @property
     def cardinality(self) -> int:
-        return len(self.words)
+        return 1 << len(self.basis)
 
     @property
-    def word_set(self) -> frozenset[int]:
-        if self._word_set is None:
-            self._word_set = frozenset(self.words)
-        return self._word_set
+    def words(self) -> tuple[int, ...]:
+        """All codewords, sorted.  Word j is the XOR of the basis rows at
+        the set bits of j: two combinations compare as the highest row
+        they differ in decides, since only that row has its leading bit."""
+        if self._words is None:
+            words = [0]
+            for b in self.basis:
+                words += [w ^ b for w in words]
+            self._words = tuple(words)
+        return self._words
 
     @property
     def codewords(self) -> tuple[MixedVector, ...]:
@@ -366,10 +390,10 @@ class AdditiveCode:
     def __contains__(self, v: MixedVector) -> bool:
         if v.shape != self.shape:
             return False
-        return v.packed in self.word_set
+        return _reduce(self.basis, v.packed) == 0
 
     def __len__(self) -> int:
-        return len(self.words)
+        return self.cardinality
 
     def __iter__(self) -> Iterator[MixedVector]:
         return iter(self.codewords)
@@ -377,21 +401,21 @@ class AdditiveCode:
     def __eq__(self, other) -> bool:
         if not isinstance(other, AdditiveCode):
             return NotImplemented
-        return self.shape == other.shape and self.words == other.words
+        return self.shape == other.shape and self.basis == other.basis
 
     def __hash__(self) -> int:
-        return hash((self.shape, self.words))
+        return hash((self.shape, self.basis))
 
     def is_module(self) -> bool:
         """True when the code is closed under multiplication by u.
 
         Closure under u and addition gives closure under every scalar,
         so this is exactly the R-submodule condition.  u is additive
-        over XOR, hence checking the generators suffices.
+        over XOR, hence checking the basis suffices.
         """
         return all(
-            _u_mul_packed(self.shape, g.packed) in self.word_set
-            for g in self.generators
+            _reduce(self.basis, _u_mul_packed(self.shape, b)) == 0
+            for b in self.basis
         )
 
     def __repr__(self) -> str:
@@ -409,31 +433,54 @@ def _require_module(code: AdditiveCode, op: str) -> None:
         )
 
 
-def _close_under(
-    shape: AmbientShape, words: set[int], gen: int, u_closed: bool = True
-) -> None:
-    """Grow an additively closed word set by one generator.
+def _reduce(basis: Iterable[int], x: int) -> int:
+    """x with every basis row's leading bit cleared; 0 iff x is in the span.
 
-    With u_closed the growth also absorbs u*gen, keeping the set an
-    R-submodule; the set is an exponent-2 group either way, so each new
-    seed either is already present or doubles the set.
+    ``x ^ b < x`` holds exactly when x has b's leading bit.  The rows of
+    a reduced basis are zero at each other's leading bits, so the order
+    in which they are applied does not matter.
     """
-    seeds = (gen, _u_mul_packed(shape, gen)) if u_closed else (gen,)
-    for h in seeds:
-        if h not in words:
-            words |= {h ^ w for w in words}
+    for b in basis:
+        if x ^ b < x:
+            x ^= b
+    return x
+
+
+def _rref(
+    shape: AmbientShape,
+    rows: Iterable[int],
+    u_closed: bool = True,
+    start: tuple[int, ...] = (),
+) -> tuple[int, ...]:
+    """Reduced echelon XOR basis of the packed rows (and u*rows when
+    u_closed), grown from the reduced basis ``start``, sorted increasing.
+    Rows are kept one per leading bit, then each is reduced by the rows
+    below it, lowest first."""
+    lead = {b.bit_length(): b for b in start}
+    for g in rows:
+        for x in (g, _u_mul_packed(shape, g)) if u_closed else (g,):
+            while x:
+                r = lead.get(x.bit_length())
+                if r is None:
+                    lead[x.bit_length()] = x
+                    break
+                x ^= r
+    basis: list[int] = []
+    for n in sorted(lead):
+        basis.append(_reduce(basis, lead[n]))
+    return tuple(basis)
+
+
+def _packed(shape: AmbientShape, rows: Sequence[MixedVector]) -> list[int]:
+    if any(v.shape != shape for v in rows):
+        raise ShapeMismatch("row shape does not match ambient shape")
+    return [v.packed for v in rows]
 
 
 def span(shape: AmbientShape, rows: Sequence[MixedVector]) -> AdditiveCode:
-    """Smallest code containing the rows: fixed-point closure of the
-    generating set {row, u*row} under addition."""
-    for v in rows:
-        if v.shape != shape:
-            raise ShapeMismatch("row shape does not match ambient shape")
-    words: set[int] = {0}
-    for v in rows:
-        _close_under(shape, words, v.packed)
-    return AdditiveCode(shape, tuple(rows), tuple(sorted(words)))
+    """Smallest code containing the rows: the additive span of the
+    generating set {row, u*row}."""
+    return AdditiveCode(shape, tuple(rows), _rref(shape, _packed(shape, rows)))
 
 
 def additive_span(
@@ -448,39 +495,22 @@ def additive_span(
     codeword set only in this weaker sense, which is why the distinction
     is exposed at all.
     """
-    for v in rows:
-        if v.shape != shape:
-            raise ShapeMismatch("row shape does not match ambient shape")
-    words: set[int] = {0}
-    for v in rows:
-        _close_under(shape, words, v.packed, u_closed=False)
-    return AdditiveCode(shape, tuple(rows), tuple(sorted(words)))
+    basis = _rref(shape, _packed(shape, rows), u_closed=False)
+    return AdditiveCode(shape, tuple(rows), basis)
 
 
 def _reduced_basis(words: Sequence[int]) -> tuple[int, ...]:
     """Reduced echelon XOR basis of a sorted codeword set of size 2^k.
 
-    It is words[1], words[2], words[4], ..., words[2^(k-1)].  With the
-    basis rows ordered by pivot (leading bit), a combination sorts by
-    its highest pivot, so the first 2^i words span the first i rows.
-    words[2^i] is row i+1 itself: adding lower rows to it sets their
-    highest pivot, where the reduced row i+1 has a zero.  The basis is
-    canonical: two codes of one shape are equal iff their bases are.
+    It is words[1], words[2], words[4], ..., words[2^(k-1)]: by the
+    ordering argument in :attr:`AdditiveCode.words`, word 2^i of the
+    sorted list is basis row i itself.
     """
     basis, i = [], 1
     while i < len(words):
         basis.append(words[i])
         i <<= 1
     return tuple(basis)
-
-
-def _code_from_words(
-    shape: AmbientShape, words: tuple[int, ...]
-) -> AdditiveCode:
-    """The code with this sorted word set, generated by its reduced basis."""
-    basis = _reduced_basis(words)
-    gens = tuple(MixedVector.from_packed(shape, w) for w in basis)
-    return AdditiveCode(shape, gens, words)
 
 
 _MUL_TABLE = np.array(
@@ -530,7 +560,7 @@ def dual_brute(code: AdditiveCode) -> AdditiveCode:
     bi, ri = np.nonzero(mask)
     # row-major nonzero order is already the canonical word order
     words = tuple(((bi.astype(np.int64) << (2 * beta)) | ri).tolist())
-    dual = _code_from_words(shape, words)
+    dual = AdditiveCode(shape, None, _reduced_basis(words), words)
     if code.cardinality * dual.cardinality != shape.ambient_size:
         raise InternalVerificationFailure(
             "cardinality product |C| * |dual| != 2^N after ambient scan"

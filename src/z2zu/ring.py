@@ -24,7 +24,6 @@ is an isometry from (R, Lee) to (Z2^2, Hamming).
 from __future__ import annotations
 
 import enum
-from typing import Iterable
 
 __all__ = [
     "RingElem",
@@ -32,10 +31,6 @@ __all__ = [
     "ONE",
     "U",
     "V",
-    "add",
-    "mul",
-    "lee_weight",
-    "psi",
     "parse_ring_token",
     "RING_TOKENS",
 ]
@@ -131,29 +126,6 @@ U = RingElem.U
 V = RingElem.V
 
 
-def add(x: RingElem | int, y: RingElem | int) -> RingElem:
-    return RingElem(x) + RingElem(y)
-
-
-def mul(x: RingElem | int, y: RingElem | int) -> RingElem:
-    return RingElem(x) * RingElem(y)
-
-
-def lee_weight(x: RingElem | int) -> int:
-    return _LEE[int(RingElem(x))]
-
-
-def psi(x: RingElem | int) -> tuple[int, int]:
-    return RingElem(x).psi()
-
-
 def parse_ring_token(token: str) -> RingElem:
     return RingElem.parse(token)
 
-
-def ring_sum(elems: Iterable[RingElem | int]) -> RingElem:
-    """XOR-fold of ring elements (the additive group has exponent 2)."""
-    acc = 0
-    for e in elems:
-        acc ^= int(RingElem(e))
-    return RingElem(acc)

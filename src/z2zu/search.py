@@ -2,15 +2,16 @@
 
 Exhaustive enumeration walks distinct codes rather than generator
 tuples: starting from the zero code, each level extends every known
-code C by one more generator w.  Extending by any w' in (C + w) or
-(C + w + u*w) provably closes to the same code, so those cosets are
-skipped on the fly; together with the set of word sets already grown
-this visits each code generated by up to g rows exactly once while
-touching far fewer candidates than the (2^(alpha+2*beta))^g generator
-tuples the space nominally contains.  That nominal count is still the
-budget guard: exhaustive mode refuses spaces beyond 2^26 tuples.
-Random mode drops repeated codes by an exact key: the shape and the
-reduced echelon basis, at most alpha + 2*beta integers.
+code C by one more generator w, growing C's reduced basis by w and u*w.
+Extending by any w' in (C + w) or (C + w + u*w) provably closes to the
+same code, so those cosets are skipped on the fly; together with the
+set of bases already grown this visits each code generated by up to g
+rows exactly once while touching far fewer candidates than the
+(2^(alpha+2*beta))^g generator tuples the space nominally contains.
+That nominal count is still the budget guard: exhaustive mode refuses
+spaces beyond 2^26 tuples.  Random mode drops repeated codes by an
+exact key: the shape and the reduced basis, at most alpha + 2*beta
+integers.
 
 Searches with a target prune candidates with cheap necessary
 conditions before any dual work:
@@ -47,9 +48,7 @@ from .core import (
     AdditiveCode,
     AmbientShape,
     MixedVector,
-    _close_under,
-    _code_from_words,
-    _reduced_basis,
+    _rref,
     _u_mul_packed,
     gray_parameters,
     span,
@@ -130,35 +129,30 @@ def _codes_by_closure(
     shape: AmbientShape, max_rows: int
 ) -> Iterator[AdditiveCode]:
     """All distinct codes generated by up to max_rows rows, zero code first."""
-    zero = frozenset({0})
-    seen: set[frozenset[int]] = {zero}
-    frontier: list[frozenset[int]] = [zero]
-    yield AdditiveCode(shape, (), (0,))
+    zero = AdditiveCode(shape, (), ())
+    seen: set[tuple[int, ...]] = {zero.basis}
+    frontier = [zero]
+    yield zero
     for _ in range(max_rows):
-        new_frontier: list[frozenset[int]] = []
+        new_frontier: list[AdditiveCode] = []
         for base in frontier:
-            marked = set(base)
+            words = base.words
+            marked = set(words)
             for w in range(shape.ambient_size):
                 if w in marked:
                     continue
                 uw = _u_mul_packed(shape, w)
-                grown = set(base)
-                _close_under(shape, grown, w)
                 # every word of base+w and base+w+uw closes to the same code
-                for x in base:
+                for x in words:
                     marked.add(x ^ w)
                     marked.add(x ^ w ^ uw)
-                frozen = frozenset(grown)
-                if frozen not in seen:
-                    seen.add(frozen)
-                    new_frontier.append(frozen)
-                    yield _code_from_words(shape, tuple(sorted(frozen)))
+                basis = _rref(shape, (w,), start=base.basis)
+                if basis not in seen:
+                    seen.add(basis)
+                    code = AdditiveCode(shape, None, basis)
+                    new_frontier.append(code)
+                    yield code
         frontier = new_frontier
-
-
-def _code_key(code: AdditiveCode) -> tuple[int, int, tuple[int, ...]]:
-    """Exact dedup key: equal for two codes exactly when they are equal."""
-    return (code.shape.alpha, code.shape.beta, _reduced_basis(code.words))
 
 
 def enumerate_candidates(space: SearchSpace) -> Iterator[AdditiveCode]:
@@ -177,9 +171,9 @@ def enumerate_candidates(space: SearchSpace) -> Iterator[AdditiveCode]:
             yield from _codes_by_closure(shape, space.max_rows)
         return
     rng = random.Random(space.seed)
-    # Basis keys, not the word sets themselves: a long random run would
-    # otherwise pin every distinct code it ever drew.
-    seen: set[tuple[int, int, tuple[int, ...]]] = set()
+    # keys, not the codes: a long random run would otherwise pin the
+    # words of every distinct code whose words a consumer built
+    seen: set[tuple[AmbientShape, tuple[int, ...]]] = set()
     assert space.budget is not None
     for _ in range(space.budget):
         shape = shapes[rng.randrange(len(shapes))]
@@ -192,7 +186,7 @@ def enumerate_candidates(space: SearchSpace) -> Iterator[AdditiveCode]:
             for _ in range(space.max_rows)
         ]
         code = span(shape, rows)
-        key = _code_key(code)
+        key = (shape, code.basis)
         if key not in seen:
             seen.add(key)
             yield code
@@ -224,13 +218,13 @@ def search_with_pruning(
     target = space.target
     hits: list[SearchHit] = []
     # the stream is deduplicated already; drop repeats of an include
-    included: dict[tuple[int, int, tuple[int, ...]], AdditiveCode] = {}
+    included: dict[tuple[AmbientShape, tuple[int, ...]], AdditiveCode] = {}
     for rows in include:
         code = span(rows[0].shape, tuple(rows))
-        included.setdefault(_code_key(code), code)
+        included.setdefault((code.shape, code.basis), code)
     stream = enumerate_candidates(space)
     if included:
-        stream = (c for c in stream if _code_key(c) not in included)
+        stream = (c for c in stream if (c.shape, c.basis) not in included)
     for code in chain(included.values(), stream):
         size = code.cardinality
         if size < 2:
@@ -272,12 +266,12 @@ def search_with_pruning(
 
 
 # The four two-word codes that survive the one-weight formally-self-dual
-# screen: (shape, codeword set) pairs.
-_EXPECTED_FSD_SURVIVORS: tuple[tuple[AmbientShape, frozenset[int]], ...] = (
-    (AmbientShape(2, 0), frozenset({0, 0b11})),  # (1,1|), weight 2
-    (AmbientShape(0, 1), frozenset({0, 2})),  # (|u), weight 2
-    (AmbientShape(2, 0), frozenset({0, 0b01})),  # (0,1|), weight 1
-    (AmbientShape(2, 0), frozenset({0, 0b10})),  # (1,0|), weight 1
+# screen: (shape, basis) pairs.
+_EXPECTED_FSD_SURVIVORS: tuple[tuple[AmbientShape, tuple[int, ...]], ...] = (
+    (AmbientShape(2, 0), (0b11,)),  # (1,1|), weight 2
+    (AmbientShape(0, 1), (2,)),  # (|u), weight 2
+    (AmbientShape(2, 0), (0b01,)),  # (0,1|), weight 1
+    (AmbientShape(2, 0), (0b10,)),  # (1,0|), weight 1
 )
 
 
@@ -330,8 +324,8 @@ def verify_fsd_classification(
                     survivors.append(code)
     survivors.sort(key=lambda c: (c.shape.alpha, c.shape.beta, c.words))
     expected = [
-        _code_from_words(shape, tuple(sorted(words)))
-        for shape, words in _EXPECTED_FSD_SURVIVORS
+        AdditiveCode(shape, None, basis)
+        for shape, basis in _EXPECTED_FSD_SURVIVORS
         if shape.alpha <= max_alpha and shape.beta <= max_beta
     ]
     expected.sort(key=lambda c: (c.shape.alpha, c.shape.beta, c.words))

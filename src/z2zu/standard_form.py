@@ -26,8 +26,9 @@ eligible row, so the result is deterministic.  Columns are permuted at
 the end (binary pivots first; unit pivots, then u pivots, then the rest
 among ring columns) and the permutation is recorded so the original
 code can be recovered exactly.  Before returning, the reduced rows are
-un-permuted and re-spanned; any difference from the input codeword set
-raises InternalVerificationFailure.
+un-permuted and their reduced echelon basis is compared with the input
+code's; two such bases are equal exactly when the spans are, so any
+difference raises InternalVerificationFailure.
 """
 
 from __future__ import annotations
@@ -40,8 +41,8 @@ from .core import (
     MixedVector,
     _require_module,
     _ring_scalar_mul_packed,
+    _rref,
     format_matrix,
-    span,
 )
 from .errors import InternalVerificationFailure
 
@@ -284,8 +285,8 @@ def standard_form(code: AdditiveCode) -> StandardFormMatrix:
     result = StandardFormMatrix(
         shape, tuple(out_rows), bin_perm, ring_perm, code_type
     )
-    # re-span in original coordinates; must reproduce the input exactly
-    if span(shape, result.unpermuted_rows).words != code.words:
+    # in original coordinates the rows must span the input code exactly
+    if _rref(shape, [v.packed for v in result.unpermuted_rows]) != code.basis:
         raise InternalVerificationFailure(
             "standard-form rows no longer span the input code"
         )

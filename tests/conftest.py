@@ -5,6 +5,7 @@ import random
 import pytest
 
 from z2zu.core import AmbientShape, MixedVector, span
+from z2zu.ring import U
 
 
 def random_code(rng, max_alpha=6, max_beta=4, max_rows=3,
@@ -25,6 +26,24 @@ def random_code(rng, max_alpha=6, max_beta=4, max_rows=3,
         code = span(shape, rows)
         if allow_trivial or code.cardinality > 1:
             return code
+
+
+def closure_words(shape, rows, u_closed=True):
+    """Word set of the code the rows generate, by plain set closure.
+
+    A reference for the basis routines: it grows a word set by every
+    row (and u*row) until nothing new appears.
+    """
+    seeds = []
+    for v in rows:
+        seeds.append(v.packed)
+        if u_closed:
+            seeds.append((U * v).packed)
+    words = {0}
+    for h in seeds:
+        if h not in words:
+            words |= {h ^ w for w in words}
+    return words
 
 
 @pytest.fixture

@@ -32,10 +32,9 @@ from z2zu.errors import (
     TrivialCode,
 )
 from z2zu.presets import preset_code
-from z2zu.ring import ONE, U, V, ZERO
-from z2zu.ring import mul as ring_mul
+from z2zu.ring import ONE, U, V, ZERO, RingElem
 
-from conftest import random_code
+from conftest import closure_words, random_code
 
 
 def vec(alpha_bits, ring_elems):
@@ -112,7 +111,7 @@ def test_scalar_mul_is_action(rng):
         for c in range(4):
             for d in range(4):
                 # the product reduces in the ring, not in the integers
-                lhs = scalar_mul(ring_mul(c, d), v)
+                lhs = scalar_mul(RingElem(c) * d, v)
                 assert lhs == scalar_mul(c, scalar_mul(d, v))
             assert scalar_mul(c, v + w) == scalar_mul(c, v) + scalar_mul(c, w)
 
@@ -173,8 +172,8 @@ def test_scalar_slides_through_inner_product(rng):
         v = MixedVector(shape, rng.randrange(8), rng.randrange(16))
         w = MixedVector(shape, rng.randrange(8), rng.randrange(16))
         for c in range(4):
-            assert inner_product(scalar_mul(c, v), w) == ring_mul(
-                c, inner_product(v, w))
+            assert inner_product(scalar_mul(c, v), w) == \
+                RingElem(c) * inner_product(v, w)
 
 
 # ---------------------------------------------------------------- spans
@@ -408,3 +407,24 @@ def test_contains_rejects_other_shape():
     c = preset_code("4.3a")
     v = zero_vector(AmbientShape(3, 1))
     assert v not in c
+
+
+def test_membership_and_module_test_match_word_sets(rng):
+    # spans and bare additive spans (mostly not u-closed) against a
+    # plain word-set closure of the same rows
+    modules = 0
+    for _ in range(150):
+        code = random_code(rng, max_alpha=4, max_beta=3, allow_trivial=True)
+        shape = code.shape
+        for c, u_closed in ((code, True),
+                            (additive_span(shape, code.generators), False)):
+            words = closure_words(shape, c.generators, u_closed)
+            assert c.cardinality == len(words)
+            u_image = {(U * MixedVector.from_packed(shape, w)).packed
+                       for w in words}
+            assert c.is_module() == (u_image <= words)
+            modules += c.is_module()
+            for x in range(shape.ambient_size):
+                v = MixedVector.from_packed(shape, x)
+                assert (v in c) == (x in words)
+    assert 150 < modules < 300

@@ -3,8 +3,8 @@
 import pytest
 
 from z2zu.core import (
+    AmbientShape,
     MixedVector,
-    _reduced_basis,
     additive_span,
     dual_brute,
     gray_parameters,
@@ -16,7 +16,6 @@ from z2zu.presets import preset_code
 from z2zu.search import (
     OPTIMALITY_TABLE,
     SearchSpace,
-    _code_key,
     enumerate_candidates,
     optimality_check,
     search_with_pruning,
@@ -24,7 +23,7 @@ from z2zu.search import (
 )
 from z2zu.weights import lee_enumerator
 
-from conftest import random_code
+from conftest import closure_words, random_code
 
 
 # ------------------------------------------------------------ search space
@@ -114,16 +113,33 @@ def test_basis_and_dedup_key_are_exact(rng):
     equal_pairs = 0
     for shape, codes in by_shape.items():
         for code in codes:
-            basis = _reduced_basis(code.words)
-            assert 1 << len(basis) == code.cardinality
+            basis = code.basis
             rows = [MixedVector.from_packed(shape, w) for w in basis]
+            oracle = sorted(closure_words(shape, code.generators))
+            assert 1 << len(basis) == len(oracle)
+            assert list(code.words) == oracle
             assert additive_span(shape, rows).words == code.words
         for i, c1 in enumerate(codes):
             for c2 in codes[i + 1:]:
                 same = c1.words == c2.words
-                assert (_code_key(c1) == _code_key(c2)) == same
+                assert (c1 == c2) == same
+                assert (hash(c1) == hash(c2)) or not same
                 equal_pairs += same
     assert equal_pairs > 0
+
+
+def test_exhaustive_walk_yields_every_span_once():
+    # every span of up to two rows, from an independent word-set closure
+    for shape in (AmbientShape(a, b) for a in range(5) for b in range(3)
+                  if 1 <= a + 2 * b <= 4):
+        vectors = [MixedVector.from_packed(shape, w)
+                   for w in range(shape.ambient_size)]
+        expected = {frozenset(closure_words(shape, (v, w)))
+                    for v in vectors for w in vectors}
+        space = SearchSpace(alpha=shape.alpha, beta=shape.beta, max_rows=2)
+        walked = [frozenset(c.words) for c in enumerate_candidates(space)]
+        assert len(walked) == len(set(walked))
+        assert set(walked) == expected
 
 
 def test_random_stream_seed_matters():

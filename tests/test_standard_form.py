@@ -3,10 +3,15 @@
 import pytest
 
 from z2zu.core import AmbientShape, MixedVector, additive_span, parse_matrix, span
-from z2zu.errors import PreconditionViolation
+from z2zu.errors import InternalVerificationFailure, PreconditionViolation
 from z2zu.presets import PRESETS, preset_code
 from z2zu.ring import U
-from z2zu.standard_form import CodeType, standard_form, type_of
+from z2zu.standard_form import (
+    CodeType,
+    StandardFormMatrix,
+    standard_form,
+    type_of,
+)
 
 from conftest import random_code
 
@@ -130,6 +135,17 @@ def test_type_invariants_random(rng):
         assert 2 ** t.exponent == c.cardinality
         assert span(c.shape, sf.unpermuted_rows) == c
         assert len(sf.rows) == t.k0 + t.k1 + t.k2
+
+
+def test_lost_row_fails_the_span_check(monkeypatch):
+    # rows that span less than the input must not pass as its standard form
+    code = preset_code("3.8")
+    assert standard_form(code).code_type.exponent > 0
+    rows = StandardFormMatrix.unpermuted_rows
+    monkeypatch.setattr(StandardFormMatrix, "unpermuted_rows",
+                        property(lambda sf: rows.fget(sf)[:-1]))
+    with pytest.raises(InternalVerificationFailure):
+        standard_form(code)
 
 
 def test_refuses_bare_subgroup():
