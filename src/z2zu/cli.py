@@ -2,8 +2,9 @@
 
 Commands: analyze, dual, gray, standard-form, macwilliams, classify,
 reproduce, search.  Exit codes: 0 ok, 2 bad input (parse errors cite
-line and column), 3 internal verification failure, 4 assertion failure
-in reproduce or in the classification survey.
+line and column; a code with more than 2^MAX_CODE_WORD_BITS words is
+too large to build), 3 internal verification failure, 4 assertion
+failure in reproduce or in the classification survey.
 
 JSON output is canonical: fixed key order, sorted weight lists, no
 environment-dependent content, so identical inputs give byte-identical
@@ -44,6 +45,7 @@ from .errors import (
     NotProjective,
     TrivialCode,
     Z2ZuError,
+    ZeroColumnPresent,
 )
 from .presets import PRESETS, preset_code
 from .search import (
@@ -54,7 +56,13 @@ from .search import (
     verify_fsd_classification,
 )
 from .standard_form import standard_form
-from .weights import column_profile, lee_enumerator, macwilliams, power_moments
+from .weights import (
+    column_profile,
+    lee_enumerator,
+    macwilliams,
+    power_moments,
+    weight_sum_identity,
+)
 
 __all__ = ["main"]
 
@@ -91,13 +99,10 @@ def _enum_obj(enum) -> dict:
 def _theorem_checks(code, enum, dual, profile) -> dict:
     """The verifications that apply to this code, name -> outcome."""
     checks: dict[str, object] = {}
-    if profile.has_zero_column:
+    try:
+        checks["weight_sum_identity"] = weight_sum_identity(code, enum, profile)
+    except ZeroColumnPresent:
         checks["weight_sum_identity"] = "skipped: zero column present"
-    else:
-        checks["weight_sum_identity"] = bool(
-            2 * sum(w * c for w, c in enum.counts.items())
-            == code.cardinality * code.shape.big_n
-        )
     b1 = dual.enumerator.count(1)
     b2 = dual.enumerator.count(2)
     moments = power_moments(enum, code.cardinality, b1, b2)

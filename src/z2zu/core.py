@@ -18,8 +18,19 @@ with respect to it.
 
 A code is stored as its reduced echelon XOR basis, built by the one
 elimination routine :func:`_rref`.  The basis is canonical, so size,
-equality, membership and the module test all come from it; the sorted
-codeword list is built from it only when ``words`` is first read.
+equality, membership and the module test all come from it.  The
+codewords are built from it only when first needed, once, as a numpy
+``uint64`` array of shape (|C|, L) with L = ceil(N/64) limbs per word,
+limb 0 the most significant (:func:`_word_array`).  Every per-word
+count (Lee weights, Gray images, column profiles) is a vectorised
+kernel over that array; ``words``, the same codewords as Python ints,
+is a view of it built only when read.
+
+The Gray image of a packed word w is w ^ ((w >> 1) & ring_a_mask): it
+keeps the binary part and sends ring digit a + 2b to the pair
+(b, a ^ b).  Its popcount is the Lee weight.  A ring digit never
+straddles two limbs (64 is even), so the expression applies limb by
+limb to the array unchanged.
 
 The brute-force dual scans the full ambient module once.  The scan is
 vectorised with numpy: for each generator g the map w -> g.w factors
@@ -38,6 +49,7 @@ import numpy as np
 
 from .errors import (
     AmbientTooLarge,
+    CodeTooLarge,
     InternalVerificationFailure,
     MatrixParseError,
     PreconditionViolation,
@@ -48,6 +60,7 @@ from .ring import RingElem, parse_ring_token
 
 __all__ = [
     "MAX_BRUTE_AMBIENT_BITS",
+    "MAX_CODE_WORD_BITS",
     "AmbientShape",
     "MixedVector",
     "AdditiveCode",
@@ -72,6 +85,10 @@ __all__ = [
 
 # Largest ambient 2^N scanned by dual_brute (memory: one boolean per word).
 MAX_BRUTE_AMBIENT_BITS = 26
+
+# Largest code 2^k whose codeword array is built (8 bytes per word and
+# limb, plus a temporary of the same size per kernel).
+MAX_CODE_WORD_BITS = 26
 
 
 @dataclass(frozen=True)
@@ -104,6 +121,11 @@ class AmbientShape:
     def ring_a_mask(self) -> int:
         # 0b0101...01 over beta digits: the unit-coefficient bits
         return self.ring_mask // 3 if self.beta else 0
+
+    @cached_property
+    def limbs(self) -> int:
+        """64-bit limbs per word in a codeword array."""
+        return -(-self.big_n // 64)
 
     def bin_bit(self, i: int) -> int:
         """Bit position of binary coordinate i (0 is most significant)."""
@@ -254,28 +276,18 @@ def inner_product(v: MixedVector, w: MixedVector) -> RingElem:
     return RingElem(_inner_packed(v.shape, v.packed, w.packed))
 
 
+def _gray_packed(shape: AmbientShape, word: int) -> int:
+    """Packed Gray image: binary part kept, each ring digit -> psi pair."""
+    return word ^ ((word >> 1) & shape.ring_a_mask)
+
+
 def _lee_packed(shape: AmbientShape, word: int) -> int:
-    r = word & shape.ring_mask
-    b = (r >> 1) & shape.ring_a_mask
-    return (
-        (word >> (2 * shape.beta)).bit_count()
-        + b.bit_count()
-        + ((r ^ (r >> 1)) & shape.ring_a_mask).bit_count()
-    )
+    return _gray_packed(shape, word).bit_count()
 
 
 def lee_weight_vec(v: MixedVector) -> int:
     """Hamming weight of the binary part plus Lee weights of ring digits."""
     return _lee_packed(v.shape, v.packed)
-
-
-def _gray_packed(shape: AmbientShape, word: int) -> int:
-    """Packed Gray image: binary part kept, each ring digit -> psi pair."""
-    r = word & shape.ring_mask
-    a_mask = shape.ring_a_mask
-    a = r & a_mask
-    b = (r >> 1) & a_mask
-    return ((word >> (2 * shape.beta)) << (2 * shape.beta)) | (b << 1) | (a ^ b)
 
 
 def gray_map(v: MixedVector) -> tuple[int, ...]:
@@ -330,19 +342,20 @@ class AdditiveCode:
     the rows happen to be u-closed.  ``basis`` is the reduced echelon
     XOR basis (packed integers, increasing), which identifies the code;
     ``generators`` are the rows it was built from (the basis itself when
-    given as None, as for derived codes).  ``words``, the full codeword
-    set as sorted packed integers (canonical order), is built from the
-    basis on first access.
+    given as None, as for derived codes, built when first read).
+    ``array`` holds every codeword, in canonical order, and is built
+    from the basis on first access; ``words`` is the same list as
+    Python ints.
     """
 
-    __slots__ = ("shape", "generators", "basis", "_words", "_codewords")
+    __slots__ = ("shape", "_generators", "basis", "_array", "_words", "_codewords")
 
     def __init__(
         self,
         shape: AmbientShape,
         generators: tuple[MixedVector, ...] | None,
         basis: tuple[int, ...],
-        words: tuple[int, ...] | None = None,
+        array: np.ndarray | None = None,
     ):
         # sorted by leading bit, each row zero at the lower rows' ones
         lead = pivots = 0
@@ -353,30 +366,45 @@ class AdditiveCode:
             pivots |= 1 << (lead - 1)
         if lead > shape.big_n:
             raise ValueError("basis row out of range for shape")
-        if words is not None and len(words) != 1 << len(basis):
-            raise ValueError("codeword count does not match the basis")
-        if generators is None:
-            generators = tuple(MixedVector.from_packed(shape, b) for b in basis)
+        if array is not None and array.shape != (1 << len(basis), shape.limbs):
+            raise ValueError("codeword array does not match the basis")
         self.shape = shape
-        self.generators = generators
+        self._generators = generators
         self.basis = basis
-        self._words = words
+        self._array = array
+        self._words: tuple[int, ...] | None = None
         self._codewords: tuple[MixedVector, ...] | None = None
+
+    @property
+    def generators(self) -> tuple[MixedVector, ...]:
+        if self._generators is None:
+            self._generators = tuple(
+                MixedVector.from_packed(self.shape, b) for b in self.basis
+            )
+        return self._generators
 
     @property
     def cardinality(self) -> int:
         return 1 << len(self.basis)
 
     @property
+    def array(self) -> np.ndarray:
+        """All codewords, sorted, as a (|C|, shape.limbs) ``uint64`` array.
+
+        Row j is the XOR of the basis rows at the set bits of j: two
+        combinations compare as the highest row they differ in decides,
+        since only that row has its leading bit.  Row 0 is the zero
+        word, and row 2^i is basis row i.
+        """
+        if self._array is None:
+            self._array = _word_array(self.shape, self.basis)
+        return self._array
+
+    @property
     def words(self) -> tuple[int, ...]:
-        """All codewords, sorted.  Word j is the XOR of the basis rows at
-        the set bits of j: two combinations compare as the highest row
-        they differ in decides, since only that row has its leading bit."""
+        """All codewords as packed Python ints, in the order of ``array``."""
         if self._words is None:
-            words = [0]
-            for b in self.basis:
-                words += [w ^ b for w in words]
-            self._words = tuple(words)
+            self._words = _ints(self.array)
         return self._words
 
     @property
@@ -499,18 +527,60 @@ def additive_span(
     return AdditiveCode(shape, tuple(rows), basis)
 
 
-def _reduced_basis(words: Sequence[int]) -> tuple[int, ...]:
-    """Reduced echelon XOR basis of a sorted codeword set of size 2^k.
+def _to_limbs(shape: AmbientShape, xs: Sequence[int]) -> np.ndarray:
+    """Packed words as a (len(xs), shape.limbs) array of 64-bit limbs,
+    most significant first."""
+    n = shape.limbs
+    return np.array(
+        [[(x >> (64 * (n - 1 - i))) & 0xFFFF_FFFF_FFFF_FFFF for i in range(n)]
+         for x in xs],
+        dtype=np.uint64,
+    ).reshape(len(xs), n)
 
-    It is words[1], words[2], words[4], ..., words[2^(k-1)]: by the
-    ordering argument in :attr:`AdditiveCode.words`, word 2^i of the
-    sorted list is basis row i itself.
+
+def _ints(array: np.ndarray) -> tuple[int, ...]:
+    """Rows of a codeword array as packed Python ints."""
+    out = array[:, 0].tolist()
+    for i in range(1, array.shape[1]):
+        out = [(x << 64) | y for x, y in zip(out, array[:, i].tolist())]
+    return tuple(out)
+
+
+def _word_array(shape: AmbientShape, basis: Sequence[int]) -> np.ndarray:
+    """Every XOR combination of the basis rows, by doubling: rows
+    [2^i, 2^(i+1)) are rows [0, 2^i) plus basis row i."""
+    if len(basis) > MAX_CODE_WORD_BITS:
+        raise CodeTooLarge(
+            f"code has 2^{len(basis)} words; building them is capped "
+            f"at 2^{MAX_CODE_WORD_BITS}"
+        )
+    array = np.zeros((1 << len(basis), shape.limbs), dtype=np.uint64)
+    n = 1
+    for row in _to_limbs(shape, basis):
+        np.bitwise_xor(array[:n], row, out=array[n : 2 * n])
+        n *= 2
+    return array
+
+
+def _reduced_basis(array: np.ndarray) -> tuple[int, ...]:
+    """Reduced echelon XOR basis of a sorted codeword array of 2^k rows.
+
+    It is rows 1, 2, 4, ..., 2^(k-1): by the ordering argument in
+    :attr:`AdditiveCode.array`, row 2^i of the sorted array is basis
+    row i itself.
     """
-    basis, i = [], 1
-    while i < len(words):
-        basis.append(words[i])
-        i <<= 1
-    return tuple(basis)
+    k = len(array).bit_length() - 1
+    return _ints(array[[1 << i for i in range(k)]])
+
+
+def _gray_array(shape: AmbientShape, array: np.ndarray) -> np.ndarray:
+    """Gray images of a codeword array's rows (the _gray_packed formula)."""
+    return array ^ ((array >> 1) & _to_limbs(shape, (shape.ring_a_mask,)))
+
+
+def _lee_array(shape: AmbientShape, array: np.ndarray) -> np.ndarray:
+    """Lee weight of every row: the popcount of its Gray image."""
+    return np.bitwise_count(_gray_array(shape, array)).sum(axis=1, dtype=np.intp)
 
 
 _MUL_TABLE = np.array(
@@ -559,8 +629,9 @@ def dual_brute(code: AdditiveCode) -> AdditiveCode:
         mask &= par[:, None] == (acc >> 1)[None, :]
     bi, ri = np.nonzero(mask)
     # row-major nonzero order is already the canonical word order
-    words = tuple(((bi.astype(np.int64) << (2 * beta)) | ri).tolist())
-    dual = AdditiveCode(shape, None, _reduced_basis(words), words)
+    array = ((bi.astype(np.uint64) << np.uint64(2 * beta)) | ri.astype(np.uint64))
+    array = array[:, None]
+    dual = AdditiveCode(shape, None, _reduced_basis(array), array)
     if code.cardinality * dual.cardinality != shape.ambient_size:
         raise InternalVerificationFailure(
             "cardinality product |C| * |dual| != 2^N after ambient scan"
@@ -572,16 +643,16 @@ def min_lee_weight(code: AdditiveCode) -> int:
     """Smallest Lee weight among nonzero codewords."""
     if code.cardinality < 2:
         raise TrivialCode("the zero code has no nonzero codeword")
-    shape = code.shape
-    return min(_lee_packed(shape, w) for w in code.words if w)
+    # row 0 is the zero word
+    return int(_lee_array(code.shape, code.array[1:]).min())
 
 
 def gray_image(code: AdditiveCode) -> BinaryCode:
     """Componentwise Gray image as a binary code of length alpha + 2*beta."""
-    shape = code.shape
-    return BinaryCode(
-        shape.big_n, tuple(sorted(_gray_packed(shape, w) for w in code.words))
-    )
+    gray = _gray_array(code.shape, code.array)
+    # lexsort's last key is the primary one: limb 0
+    gray = gray[np.lexsort(gray.T[::-1])]
+    return BinaryCode(code.shape.big_n, _ints(gray))
 
 
 def gray_parameters(code: AdditiveCode) -> tuple[int, int, int | None]:

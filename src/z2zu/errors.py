@@ -27,6 +27,10 @@ class AmbientTooLarge(Z2ZuError):
     """The ambient module is too large for an exhaustive scan."""
 
 
+class CodeTooLarge(Z2ZuError):
+    """The code has too many words to build them all."""
+
+
 class TrivialCode(Z2ZuError):
     """The operation needs at least one nonzero codeword."""
 

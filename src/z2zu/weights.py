@@ -13,6 +13,12 @@ dual scaled by |C|:
 
 Applying it twice (with |C| and then 2^N/|C|) is the identity.
 
+Every count over the codewords is a numpy kernel over the code's word
+array (:attr:`AdditiveCode.array`): the Lee enumerator is a bincount of
+the per-row Lee weights, and a column profile counts each coordinate's
+bit or two-bit digit down the array.  Neither builds the Python
+``words`` tuple.
+
 Column profiles classify each coordinate by the value multiset it takes
 over the code: a binary column is balanced or identically zero, a ring
 column realises one of the submodules R, {0, u}, {0} (FULL, HALF,
@@ -32,7 +38,9 @@ from fractions import Fraction
 from math import comb
 from typing import Iterable, NamedTuple, Sequence
 
-from .core import AdditiveCode, BinaryCode, _lee_packed
+import numpy as np
+
+from .core import AdditiveCode, BinaryCode, _lee_array
 from .errors import (
     InternalVerificationFailure,
     NonIntegralTransform,
@@ -112,11 +120,8 @@ class LeeEnumerator:
 
 
 def lee_enumerator(code: AdditiveCode) -> LeeEnumerator:
-    shape = code.shape
-    counts: Counter[int] = Counter()
-    for w in code.words:
-        counts[_lee_packed(shape, w)] += 1
-    return LeeEnumerator.from_counts(shape.big_n, counts)
+    counts = np.bincount(_lee_array(code.shape, code.array)).tolist()
+    return LeeEnumerator.from_counts(code.shape.big_n, dict(enumerate(counts)))
 
 
 def hamming_enumerator(
@@ -240,6 +245,13 @@ class ColumnProfile:
         return bool(self.zero_binary_columns or self.zero_ring_columns)
 
 
+def _column(code: AdditiveCode, shift: int) -> np.ndarray:
+    """The limb holding bit ``shift`` of every word, shifted so that
+    bit is bit 0."""
+    limb = code.shape.limbs - 1 - shift // 64
+    return code.array[:, limb] >> np.uint64(shift % 64)
+
+
 def column_profile(code: AdditiveCode) -> ColumnProfile:
     """Classify every coordinate by the multiset of values it takes.
 
@@ -251,8 +263,8 @@ def column_profile(code: AdditiveCode) -> ColumnProfile:
     m = code.cardinality
     binary: list[BinaryColumnKind] = []
     for i in range(shape.alpha):
-        bit = shape.bin_bit(i)
-        ones = sum((w >> (bit + 2 * shape.beta)) & 1 for w in code.words)
+        bits = _column(code, shape.bin_bit(i) + 2 * shape.beta) & np.uint64(1)
+        ones = np.count_nonzero(bits)
         if ones == 0:
             binary.append(BinaryColumnKind.ZERO)
         elif 2 * ones == m:
@@ -263,8 +275,9 @@ def column_profile(code: AdditiveCode) -> ColumnProfile:
             )
     ring: list[RingColumnKind] = []
     for j in range(shape.beta):
-        sh = shape.ring_shift(j)
-        hist: Counter[int] = Counter((w >> sh) & 3 for w in code.words)
+        digits = (_column(code, shape.ring_shift(j)) & np.uint64(3)).astype(np.uint8)
+        counts = np.bincount(digits, minlength=4).tolist()
+        hist = {v: c for v, c in enumerate(counts) if c}
         values = frozenset(hist)
         if values == {0}:
             ring.append(RingColumnKind.ZERO)
@@ -281,25 +294,32 @@ def column_profile(code: AdditiveCode) -> ColumnProfile:
             )
         else:
             raise InternalVerificationFailure(
-                f"ring column {j} value multiset {dict(hist)} is not a "
+                f"ring column {j} value multiset {hist} is not a "
                 "uniformly-hit subgroup"
             )
     return ColumnProfile(tuple(binary), tuple(ring))
 
 
-def weight_sum_identity(code: AdditiveCode) -> bool:
+def weight_sum_identity(
+    code: AdditiveCode,
+    enum: LeeEnumerator | None = None,
+    profile: ColumnProfile | None = None,
+) -> bool:
     """Total Lee weight equals (|C|/2)(alpha + 2*beta).
 
     Requires every column to be nonzero (ZeroColumnPresent otherwise):
     a zero column contributes nothing to the left side but still counts
-    in alpha + 2*beta.
+    in alpha + 2*beta.  ``enum`` and ``profile``, when given, must be
+    the code's own; they are computed when omitted.
     """
-    profile = column_profile(code)
+    if profile is None:
+        profile = column_profile(code)
     if profile.has_zero_column:
         raise ZeroColumnPresent(
             f"zero binary columns {profile.zero_binary_columns}, "
             f"zero ring columns {profile.zero_ring_columns}"
         )
-    shape = code.shape
-    total = sum(_lee_packed(shape, w) for w in code.words)
-    return 2 * total == code.cardinality * shape.big_n
+    if enum is None:
+        enum = lee_enumerator(code)
+    total = sum(w * c for w, c in enum.entries)
+    return 2 * total == code.cardinality * code.shape.big_n

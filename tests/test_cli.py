@@ -5,7 +5,7 @@ import subprocess
 import sys
 
 from z2zu.cli import main
-from z2zu.core import additive_span, parse_matrix_file
+from z2zu.core import MAX_CODE_WORD_BITS, additive_span, parse_matrix_file
 from z2zu.presets import PRESETS, preset_code
 
 
@@ -20,6 +20,20 @@ def data_file(key):
 
 
 # ---------------------------------------------------------------- analyze
+
+
+def test_analyze_too_many_words_exits_2(tmp_path, capsys):
+    # 27 unit rows: a 2^27-word code, past the word-array cap
+    n = MAX_CODE_WORD_BITS + 1
+    rows = [" ".join("1" if j == i else "0" for j in range(n)) + " |"
+            for i in range(n)]
+    path = tmp_path / "big.txt"
+    path.write_text("\n".join(rows) + "\n")
+    rc, out, err = run(capsys, ["analyze", str(path)])
+    assert rc == 2
+    assert out == ""
+    assert err == ("error: code has 2^27 words; building them is capped "
+                   "at 2^26\n")
 
 
 def test_analyze_human(capsys):

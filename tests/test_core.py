@@ -8,6 +8,7 @@ from z2zu.core import (
     AdditiveCode,
     AmbientShape,
     MixedVector,
+    _lee_packed,
     additive_span,
     dual_brute,
     format_matrix,
@@ -121,6 +122,20 @@ def test_lee_weight_examples():
     assert lee_weight_vec(zero_vector(AmbientShape(4, 4))) == 0
     # all-ones binary with all-u ring: alpha + 2*beta
     assert lee_weight_vec(vec([1] * 5, [U] * 3)) == 11
+
+
+def test_lee_packed_is_digit_lee_sum(rng):
+    shapes = [AmbientShape(0, 1), AmbientShape(0, 40), AmbientShape(1, 0),
+              AmbientShape(70, 0)]
+    shapes += [AmbientShape(rng.randrange(1, 70), rng.randrange(1, 40))
+               for _ in range(20)]
+    for shape in shapes:
+        for _ in range(50):
+            w = rng.randrange(shape.ambient_size)
+            digits = sum(RingElem((w >> (2 * j)) & 3).lee_weight
+                         for j in range(shape.beta))
+            binary = (w >> (2 * shape.beta)).bit_count()
+            assert _lee_packed(shape, w) == binary + digits
 
 
 def test_gray_map_examples():

@@ -1,22 +1,30 @@
 """Enumerators, the dual-distribution transform, moments and columns."""
 
+from collections import Counter
+
 import pytest
 
 from z2zu.core import (
+    MAX_CODE_WORD_BITS,
     AmbientShape,
     MixedVector,
     additive_span,
     dual_brute,
     gray_image,
+    gray_parameters,
+    min_lee_weight,
     parse_matrix,
     span,
 )
 from z2zu.errors import (
+    CodeTooLarge,
     NonIntegralTransform,
     PreconditionViolation,
+    TrivialCode,
     ZeroColumnPresent,
 )
 from z2zu.presets import PRESETS, preset_code
+from z2zu.ring import RingElem
 from z2zu.weights import (
     BinaryColumnKind,
     LeeEnumerator,
@@ -29,7 +37,7 @@ from z2zu.weights import (
     weight_sum_identity,
 )
 
-from conftest import random_code
+from conftest import closure_words, random_code
 
 
 def code_of(text):
@@ -234,9 +242,118 @@ def test_weight_sum_identity_random(rng):
         if prof.has_zero_column:
             continue
         assert weight_sum_identity(c)
+        assert weight_sum_identity(c, lee_enumerator(c), prof)
         checked += 1
 
 
 def test_weight_sum_identity_needs_nonzero_columns():
+    c = code_of("1 0 |\n")
     with pytest.raises(ZeroColumnPresent):
-        weight_sum_identity(code_of("1 0 |\n"))
+        weight_sum_identity(c)
+    with pytest.raises(ZeroColumnPresent):
+        weight_sum_identity(c, lee_enumerator(c), column_profile(c))
+
+
+# ------------------------------------------------------ word array kernels
+
+
+def oracle_lee(shape, w):
+    """Binary popcount plus the Lee weight of each ring digit."""
+    return (w >> (2 * shape.beta)).bit_count() + sum(
+        RingElem((w >> (2 * j)) & 3).lee_weight for j in range(shape.beta)
+    )
+
+
+def oracle_gray(shape, w):
+    """Binary part, then psi of each ring digit, most significant first."""
+    out = w >> (2 * shape.beta)
+    for j in reversed(range(shape.beta)):
+        b, ab = RingElem((w >> (2 * j)) & 3).psi()
+        out = (out << 2) | (b << 1) | ab
+    return out
+
+
+def oracle_profile(shape, words):
+    """Column kinds from per-column value counts; None for a unit line."""
+    binary = []
+    for i in range(shape.alpha):
+        ones = sum((w >> (2 * shape.beta + shape.alpha - 1 - i)) & 1
+                   for w in words)
+        assert ones in (0, len(words) // 2)
+        binary.append(BinaryColumnKind.BALANCED if ones
+                      else BinaryColumnKind.ZERO)
+    kinds = {
+        frozenset({0}): RingColumnKind.ZERO,
+        frozenset({0, 2}): RingColumnKind.HALF,
+        frozenset({0, 1, 2, 3}): RingColumnKind.FULL,
+    }
+    ring = []
+    for j in range(shape.beta):
+        hist = Counter((w >> (2 * (shape.beta - 1 - j))) & 3 for w in words)
+        assert len(set(hist.values())) == 1
+        if frozenset(hist) not in kinds:
+            return None
+        ring.append(kinds[frozenset(hist)])
+    return tuple(binary), tuple(ring)
+
+
+def kernel_cases(rng):
+    """(code, rows were u-closed) over small and multi-limb shapes."""
+    cases = []
+    for _ in range(40):
+        cases.append((random_code(rng, allow_trivial=True), True))
+    shapes = [AmbientShape(a, b) for a, b in
+              ((3, 2), (0, 4), (5, 0), (70, 3), (2, 33), (64, 0), (0, 32))]
+    for shape in shapes:
+        cases.append((span(shape, []), True))
+        for n_rows in (1, 2, 4):
+            rows = [MixedVector(shape, rng.randrange(1 << shape.alpha),
+                                rng.randrange(1 << (2 * shape.beta)))
+                    for _ in range(n_rows)]
+            cases.append((span(shape, rows), True))
+            cases.append((additive_span(shape, rows), False))
+    return cases
+
+
+def test_word_kernels_match_python_oracle(rng):
+    for code, u_closed in kernel_cases(rng):
+        shape = code.shape
+        words = sorted(closure_words(shape, code.generators, u_closed))
+        assert code.words == tuple(words)
+        lee = [oracle_lee(shape, w) for w in words]
+        assert lee_enumerator(code).counts == dict(Counter(lee))
+        if len(words) == 1:
+            with pytest.raises(TrivialCode):
+                min_lee_weight(code)
+        else:
+            assert min_lee_weight(code) == min(lee[1:])
+        assert gray_image(code).words == tuple(
+            sorted(oracle_gray(shape, w) for w in words))
+        expected = oracle_profile(shape, words)
+        if expected is None:
+            with pytest.raises(PreconditionViolation):
+                column_profile(code)
+        else:
+            prof = column_profile(code)
+            assert (prof.binary, prof.ring) == expected
+
+
+def test_kernels_leave_python_words_unbuilt(rng):
+    for code in [preset_code("5.7"), random_code(rng, max_alpha=70),
+                 dual_brute(preset_code("3.6"))]:
+        lee_enumerator(code)
+        column_profile(code)
+        gray_parameters(code)
+        assert code._words is None
+
+
+def test_word_array_is_capped():
+    shape = AmbientShape(MAX_CODE_WORD_BITS + 1, 0)
+    rows = [MixedVector(shape, 1 << i, 0) for i in range(shape.alpha)]
+    code = span(shape, rows)
+    assert code.cardinality == 2 ** 27
+    for kernel in (lee_enumerator, column_profile, min_lee_weight, gray_image):
+        with pytest.raises(CodeTooLarge):
+            kernel(code)
+    with pytest.raises(CodeTooLarge):
+        code.words
