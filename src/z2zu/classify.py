@@ -19,9 +19,11 @@ quadratic.  The verifiers below recompute all of this from scratch with
 exact arithmetic and report what holds; they never patch a failed
 relation silently.
 
-Dual distributions come from the ambient scan when it fits (N <= 26)
-and from the MacWilliams transform otherwise; when both routes run they
-are compared and any difference raises InternalVerificationFailure.
+The dual code is read off the code's basis (:func:`z2zu.core.dual`)
+and its distribution comes from the MacWilliams transform.  When the
+dual is no larger than the code, its words are counted too and the two
+distributions are compared; any difference raises
+InternalVerificationFailure.
 """
 
 from __future__ import annotations
@@ -30,13 +32,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import (
-    MAX_BRUTE_AMBIENT_BITS,
     AdditiveCode,
     MixedVector,
+    _inner_packed,
     _require_module,
-    dual_brute,
+    dual,
     gray_parameters,
-    inner_product,
 )
 from .errors import (
     InternalVerificationFailure,
@@ -127,8 +128,10 @@ class DualSummary:
     """Dual weight distribution plus how it was obtained."""
 
     enumerator: LeeEnumerator
-    source: str  # "brute" or "macwilliams"
-    dual_code: AdditiveCode | None  # populated only on the brute route
+    # "algebraic" when the dual's words were counted and matched the
+    # transform, "macwilliams" when the transform alone gave them
+    source: str
+    dual_code: AdditiveCode
     code_enumerator: LeeEnumerator  # of the code itself, computed once
 
     @property
@@ -151,21 +154,21 @@ class DualSummary:
 def dual_summary(
     code: AdditiveCode, enum: LeeEnumerator | None = None
 ) -> DualSummary:
-    """Dual distribution by transform, cross-checked by scan when it fits."""
+    """Dual code and distribution by transform, cross-checked by
+    counting the dual's words when there are no more than the code's."""
     _require_module(code, "dual_summary")
     if enum is None:
         enum = lee_enumerator(code)
+    dual_code = dual(code)
     transformed = macwilliams(enum, code.cardinality)
-    if code.shape.big_n <= MAX_BRUTE_AMBIENT_BITS:
-        dual = dual_brute(code)
-        scanned = lee_enumerator(dual)
-        if scanned != transformed:
-            raise InternalVerificationFailure(
-                "ambient-scan dual distribution disagrees with the "
-                "MacWilliams transform"
-            )
-        return DualSummary(scanned, "brute", dual, enum)
-    return DualSummary(transformed, "macwilliams", None, enum)
+    if dual_code.cardinality > code.cardinality:
+        return DualSummary(transformed, "macwilliams", dual_code, enum)
+    if lee_enumerator(dual_code) != transformed:
+        raise InternalVerificationFailure(
+            "the dual's counted distribution disagrees with the "
+            "MacWilliams transform"
+        )
+    return DualSummary(transformed, "algebraic", dual_code, enum)
 
 
 @dataclass(frozen=True)
@@ -198,12 +201,13 @@ def is_formally_self_dual(
 
 
 def is_self_orthogonal(code: AdditiveCode) -> bool:
-    """C contained in its dual; bilinearity reduces this to generators."""
-    gens = code.generators
-    return all(
-        int(inner_product(g, h)) == 0
-        for i, g in enumerate(gens)
-        for h in gens[i:]
+    """C contained in its dual; the inner product is symmetric and
+    additive in each argument, so pairs of basis rows suffice."""
+    basis = code.basis
+    return not any(
+        _inner_packed(code.shape, g, h)
+        for i, g in enumerate(basis)
+        for h in basis[i:]
     )
 
 
@@ -340,7 +344,7 @@ def verify_one_weight_theorems(
     if m % 2 == 1:
         odd_m_is_repetition = code.basis == (_repetition_word(code),)
 
-    gray = gray_parameters(code)
+    gray = gray_parameters(code, enum)
     gray_d_expected: int | None = None
     gray_ok: bool | None = None
     if lam is not None:

@@ -29,7 +29,6 @@ from .classify import (
     weight_profile,
 )
 from .core import (
-    MAX_BRUTE_AMBIENT_BITS,
     AdditiveCode,
     additive_span,
     format_row,
@@ -139,7 +138,7 @@ def cmd_analyze(args) -> int:
     enum = lee_enumerator(code)
     dual = dual_summary(code, enum)
     report = classify(code, dual)
-    gp = gray_parameters(code)
+    gp = gray_parameters(code, enum)
     profile = column_profile(code)
     checks = _theorem_checks(code, enum, dual, profile)
     warnings = []
@@ -210,22 +209,12 @@ def cmd_dual(args) -> int:
     code, _ = _load(args.file)
     summary = dual_summary(code)
     enum, dual = summary.enumerator, summary.dual_code
-    if dual is None:
-        if args.json:
-            print(_dump({"source": "macwilliams",
-                         "dual": _enum_obj(enum),
-                         "generators": None}))
-        else:
-            _say(args, f"note: ambient exceeds 2^{MAX_BRUTE_AMBIENT_BITS}; "
-                       "enumerator only, no explicit generators")
-            print(f"dual enumerator: {enum.poly_str()}")
-        return 0
     sf = standard_form(dual)
     rows = [format_row(v) for v in sf.unpermuted_rows]
-    gp = gray_parameters(dual)
+    gp = gray_parameters(dual, enum)
     if args.json:
         print(_dump({
-            "source": "brute+macwilliams",
+            "source": summary.source,
             "dual": _enum_obj(enum),
             "cardinality": dual.cardinality,
             "type": sf.code_type.compact(),
@@ -249,8 +238,8 @@ def cmd_dual(args) -> int:
 def cmd_gray(args) -> int:
     code, _ = _load(args.file)
     img = gray_image(code)
-    gp = gray_parameters(code)
     enum = lee_enumerator(code)
+    gp = gray_parameters(code, enum)
     if args.json:
         obj = {"n": gp[0], "k": gp[1], "d": gp[2],
                "optimality": optimality_check(*gp),
@@ -337,7 +326,7 @@ def _reproduce_one(key: str) -> list[dict]:
     results.append(_check("lee counts",
                           tuple(sorted(enum.counts.items())), p.lee_counts))
     results.append(_check("lee polynomial", enum.poly_str(), p.lee_poly))
-    gp = gray_parameters(code)
+    gp = gray_parameters(code, enum)
     results.append(_check("gray parameters", gp, p.gray))
     if p.gray_optimal:
         results.append(_check("gray optimality",
@@ -373,7 +362,7 @@ def _reproduce_one(key: str) -> list[dict]:
             p.dual_lee_counts,
         ))
     if dual is not None and p.dual_gray is not None:
-        dgp = gray_parameters(dual.dual_code)
+        dgp = gray_parameters(dual.dual_code, dual.enumerator)
         results.append(_check("dual gray parameters", dgp, p.dual_gray))
         if p.dual_gray_optimal:
             results.append(_check("dual gray optimality",
@@ -388,7 +377,7 @@ def _reproduce_one(key: str) -> list[dict]:
         results.append(_check("formally self-dual", fsd,
                               p.formally_self_dual))
     if dual is not None and p.self_dual is not None:
-        sd = dual.dual_code is not None and dual.dual_code == code
+        sd = dual.dual_code == code
         results.append(_check("self-dual", sd, p.self_dual))
 
     # type comparison: the known discrepancies report, they do not fail

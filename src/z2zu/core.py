@@ -32,18 +32,22 @@ keeps the binary part and sends ring digit a + 2b to the pair
 straddles two limbs (64 is even), so the expression applies limb by
 limb to the array unchanged.
 
-The brute-force dual scans the full ambient module once.  The scan is
-vectorised with numpy: for each generator g the map w -> g.w factors
-through a parity over the binary part and an XOR-fold over the ring
-part, so orthogonality against g is a boolean outer condition on the
-(binary index, ring index) grid.
+The dual is read off the basis.  For a code C closed under u, a word w
+is in the dual exactly when the u-component of g.w is 0 for every g in
+C: the unit component of g.w is the u-component of (u*g).w, and u*g is
+in C too.  That u-component is the binary dot product of the packed
+words g and sigma(w), where sigma keeps the binary part and swaps the
+two bits of each ring digit.  So the dual is sigma applied to the
+binary dual of the packed code, which a reduced echelon basis gives
+directly (:func:`dual`).  :func:`dual_brute` scans the whole ambient
+module instead and is kept as the reference it is tested against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -57,6 +61,9 @@ from .errors import (
     TrivialCode,
 )
 from .ring import RingElem, parse_ring_token
+
+if TYPE_CHECKING:
+    from .weights import LeeEnumerator
 
 __all__ = [
     "MAX_BRUTE_AMBIENT_BITS",
@@ -75,6 +82,7 @@ __all__ = [
     "gray_parameters",
     "span",
     "additive_span",
+    "dual",
     "dual_brute",
     "min_lee_weight",
     "parse_matrix",
@@ -276,6 +284,17 @@ def inner_product(v: MixedVector, w: MixedVector) -> RingElem:
     return RingElem(_inner_packed(v.shape, v.packed, w.packed))
 
 
+def _sigma_packed(shape: AmbientShape, word: int) -> int:
+    """Binary part kept, the two bits of each ring digit swapped: the
+    u-component of g.w is the binary dot product of g and sigma(w)."""
+    a_mask = shape.ring_a_mask
+    return (
+        (word & ~shape.ring_mask)
+        | ((word & a_mask) << 1)
+        | ((word >> 1) & a_mask)
+    )
+
+
 def _gray_packed(shape: AmbientShape, word: int) -> int:
     """Packed Gray image: binary part kept, each ring digit -> psi pair."""
     return word ^ ((word >> 1) & shape.ring_a_mask)
@@ -337,7 +356,7 @@ class AdditiveCode:
     """An additive code: a subgroup of the ambient module.
 
     Construct through :func:`span` (closed under u-scaling, hence an
-    R-submodule) or :func:`dual_brute`; :func:`additive_span` builds the
+    R-submodule) or :func:`dual`; :func:`additive_span` builds the
     plain subgroup generated by the rows, which is a submodule only when
     the rows happen to be u-closed.  ``basis`` is the reduced echelon
     XOR basis (packed integers, increasing), which identifies the code;
@@ -592,8 +611,44 @@ def _parity_u64(x: np.ndarray) -> np.ndarray:
     return (np.bitwise_count(x) & np.uint64(1)).astype(np.uint8)
 
 
+def dual(code: AdditiveCode) -> AdditiveCode:
+    """Dual of a u-closed code, read off its reduced echelon basis.
+
+    The packed code's binary dual has one row per non-pivot bit j: bit
+    j plus the leading bits of the basis rows that have bit j (each
+    basis row meets it in exactly two bits, and no other basis row
+    has those leading bits).  sigma of those rows spans the dual (see
+    the module docstring).  Two exact checks pin the result: every
+    dual row is orthogonal to every code row under the full R-valued
+    inner product, and |C| * |dual| = 2^N.
+    """
+    _require_module(code, "dual")
+    shape = code.shape
+    pivots = {b.bit_length() - 1: b for b in code.basis}
+    rows = []
+    for j in range(shape.big_n):
+        if j in pivots:
+            continue
+        row = 1 << j
+        for p, b in pivots.items():
+            if b >> j & 1:
+                row |= 1 << p
+        rows.append(_sigma_packed(shape, row))
+    basis = _rref(shape, rows, u_closed=False)
+    if any(_inner_packed(shape, d, b) for d in basis for b in code.basis):
+        raise InternalVerificationFailure(
+            "a dual basis row is not orthogonal to the code"
+        )
+    if code.cardinality << len(basis) != shape.ambient_size:
+        raise InternalVerificationFailure(
+            "cardinality product |C| * |dual| != 2^N"
+        )
+    return AdditiveCode(shape, None, basis)
+
+
 def dual_brute(code: AdditiveCode) -> AdditiveCode:
-    """Dual by scanning the entire ambient module once.
+    """Dual by scanning the entire ambient module once: the reference
+    :func:`dual` is tested against.
 
     A word is in the dual iff it is orthogonal to every generator; the
     inner product is bilinear, so generators suffice.  For generator g
@@ -655,16 +710,22 @@ def gray_image(code: AdditiveCode) -> BinaryCode:
     return BinaryCode(code.shape.big_n, _ints(gray))
 
 
-def gray_parameters(code: AdditiveCode) -> tuple[int, int, int | None]:
+def gray_parameters(
+    code: AdditiveCode, enum: LeeEnumerator | None = None
+) -> tuple[int, int, int | None]:
     """(n, k, d) of the Gray image: length, log2 of size, minimum distance.
 
     The Gray map is a weight-preserving bijection, so d equals the
-    minimum Lee weight; no image is materialised.  d is None for the
-    zero code.
+    minimum Lee weight; no image is materialised.  It is read off the
+    code's Lee enumerator ``enum`` when one is given, so the words need
+    not be built.  d is None for the zero code.
     """
     n = code.shape.big_n
     k = code.cardinality.bit_length() - 1
-    d = min_lee_weight(code) if code.cardinality > 1 else None
+    if enum is not None:
+        d = enum.min_nonzero_weight()
+    else:
+        d = min_lee_weight(code) if code.cardinality > 1 else None
     return (n, k, d)
 
 

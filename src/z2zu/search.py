@@ -48,6 +48,7 @@ from .core import (
     AdditiveCode,
     AmbientShape,
     MixedVector,
+    _reduce,
     _rref,
     _u_mul_packed,
     gray_parameters,
@@ -136,16 +137,15 @@ def _codes_by_closure(
     for _ in range(max_rows):
         new_frontier: list[AdditiveCode] = []
         for base in frontier:
-            words = base.words
-            marked = set(words)
+            pivots = sum(1 << (b.bit_length() - 1) for b in base.basis)
+            # cosets of base, each by its reduced word, the coset minimum;
+            # base itself is the coset of 0
+            marked = {0}
             for w in range(shape.ambient_size):
-                if w in marked:
+                if w & pivots or w in marked:
                     continue
-                uw = _u_mul_packed(shape, w)
                 # every word of base+w and base+w+uw closes to the same code
-                for x in words:
-                    marked.add(x ^ w)
-                    marked.add(x ^ w ^ uw)
+                marked.add(_reduce(base.basis, w ^ _u_mul_packed(shape, w)))
                 basis = _rref(shape, (w,), start=base.basis)
                 if basis not in seen:
                     seen.add(basis)
@@ -256,7 +256,7 @@ def search_with_pruning(
             if dual.b1 or dual.b2:
                 continue
         report = classify(code, dual)
-        gray = gray_parameters(code)
+        gray = gray_parameters(code, enum)
         assert gray[2] is not None
         hits.append(
             SearchHit(code, report, gray, optimality_check(gray[0], gray[1], gray[2]))

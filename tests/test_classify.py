@@ -1,5 +1,6 @@
 """Classification predicates and the one-/two-weight structure checks."""
 
+import sys
 from fractions import Fraction
 
 import pytest
@@ -17,8 +18,9 @@ from z2zu.classify import (
     weight_profile,
     _two_weight_quadratic,
 )
-from z2zu.core import AmbientShape, MixedVector, parse_matrix, span
+from z2zu.core import AmbientShape, MixedVector, dual_brute, parse_matrix, span
 from z2zu.errors import (
+    InternalVerificationFailure,
     NotOneWeight,
     NotProjective,
     NotTwoWeight,
@@ -26,6 +28,7 @@ from z2zu.errors import (
     TrivialCode,
 )
 from z2zu.presets import preset_code
+from z2zu.weights import LeeEnumerator, lee_enumerator
 
 
 def code_of(text):
@@ -70,22 +73,44 @@ def test_profile_trivial_raises():
 
 
 def test_dual_summary_brute_route():
-    d = dual_summary(preset_code("3.6"))
-    assert d.source == "brute"
-    assert d.dual_code is not None
+    # the dual outnumbers the code, so only the transform gives its counts
+    code = preset_code("3.6")
+    d = dual_summary(code)
+    assert d.source == "macwilliams"
+    assert d.dual_code == dual_brute(code)
     assert d.cardinality == 128
     assert (d.b1, d.b2) == (0, 9)
     assert d.min_weight == 2
 
 
 def test_dual_summary_transform_route():
-    # big_n over the scan bound falls back to the transform alone
+    # past the scan bound the dual code still comes from the basis
     shape = AmbientShape(28, 0)
     code = span(shape, [MixedVector(shape, (1 << 28) - 1, 0)])
     d = dual_summary(code)
     assert d.source == "macwilliams"
-    assert d.dual_code is None
+    assert len(d.dual_code.basis) == 27
     assert d.cardinality == 2 ** 27
+
+
+def test_dual_summary_algebraic_route():
+    # the dual is no larger than the code, so its words are counted
+    code = preset_code("4.3a")
+    d = dual_summary(code)
+    assert d.source == "algebraic"
+    assert d.dual_code == code
+    assert d.enumerator == d.code_enumerator
+
+
+def test_dual_summary_checks_counted_dual(monkeypatch):
+    code = preset_code("4.3a")
+    enum = lee_enumerator(code)
+    wrong = LeeEnumerator.from_counts(2, {0: 1, 1: 1})
+    # z2zu.classify on the package is the function of that name
+    monkeypatch.setattr(sys.modules["z2zu.classify"], "lee_enumerator",
+                        lambda c: wrong)
+    with pytest.raises(InternalVerificationFailure):
+        dual_summary(code, enum)
 
 
 def test_dual_summary_refuses_subgroup():
@@ -143,7 +168,7 @@ def test_classification_report():
         "self_dual": False,
         "nonzero_weights": [12, 16],
         "dual_min_lee_weight": 3,
-        "dual_source": "brute",
+        "dual_source": "macwilliams",
     }
 
 

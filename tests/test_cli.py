@@ -42,7 +42,7 @@ def test_analyze_human(capsys):
     assert "shape: alpha=7 beta=1 (N=9)" in out
     assert "lee enumerator: x^9 + 3x^3y^6" in out
     assert "gray image: [9,2,6] (optimal)" in out
-    assert "dual (brute): cardinality 128, min lee weight 2" in out
+    assert "dual (macwilliams): cardinality 128, min lee weight 2" in out
     assert "classification: one_lee_weight" in out
     assert "weight_sum_identity: pass" in out
 
@@ -138,7 +138,8 @@ def test_dual_large_ambient_downgrades_to_transform(capsys, tmp_path):
     assert rc == 0
     obj = json.loads(out)
     assert obj["source"] == "macwilliams"
-    assert obj["generators"] is None
+    assert len(obj["generators"]) == 27
+    assert obj["gray"] == [28, 27, 2]
 
 
 # ------------------------------------------------------------------- gray
@@ -201,7 +202,7 @@ def test_classify_command(capsys):
         "self_dual": False,
         "nonzero_weights": [12, 16],
         "dual_min_lee_weight": 3,
-        "dual_source": "brute",
+        "dual_source": "macwilliams",
     }
 
 

@@ -4,12 +4,14 @@ import random
 
 import pytest
 
+import z2zu.core
 from z2zu.core import (
     AdditiveCode,
     AmbientShape,
     MixedVector,
     _lee_packed,
     additive_span,
+    dual,
     dual_brute,
     format_matrix,
     format_row,
@@ -27,12 +29,13 @@ from z2zu.core import (
 )
 from z2zu.errors import (
     AmbientTooLarge,
+    InternalVerificationFailure,
     MatrixParseError,
     PreconditionViolation,
     ShapeMismatch,
     TrivialCode,
 )
-from z2zu.presets import preset_code
+from z2zu.presets import PRESETS, preset_code
 from z2zu.ring import ONE, U, V, ZERO, RingElem
 
 from conftest import closure_words, random_code
@@ -250,6 +253,8 @@ def test_module_ops_refuse_bare_subgroups():
     sub = additive_span(shape, [g])
     with pytest.raises(PreconditionViolation):
         dual_brute(sub)
+    with pytest.raises(PreconditionViolation):
+        dual(sub)
 
 
 def test_reference_subgroup_code_is_not_a_module():
@@ -295,6 +300,39 @@ def test_dual_involution(rng):
     for _ in range(25):
         c = random_code(rng, max_alpha=5, max_beta=3)
         assert dual_brute(dual_brute(c)) == c
+        assert dual(dual(c)) == c
+
+
+def test_dual_from_basis_matches_scan(rng):
+    codes = [preset_code(k) for k in PRESETS if preset_code(k).is_module()]
+    for alpha in range(6):
+        for beta in range(5):
+            if alpha + beta == 0:
+                continue
+            shape = AmbientShape(alpha, beta)
+            units = [MixedVector(shape, 1 << i, 0) for i in range(alpha)]
+            units += [MixedVector(shape, 0, 1 << 2 * j) for j in range(beta)]
+            codes += [span(shape, []), span(shape, units)]
+            for _ in range(6):
+                rows = [MixedVector(shape, rng.randrange(1 << alpha),
+                                    rng.randrange(1 << 2 * beta))
+                        for _ in range(rng.randrange(1, 4))]
+                codes.append(span(shape, rows))
+    shape = AmbientShape(8, 9)  # N = 26, the scan's bound
+    codes.append(span(shape, [MixedVector(shape, rng.randrange(1 << 8),
+                                          rng.randrange(1 << 18))
+                              for _ in range(6)]))
+    for c in codes:
+        assert dual(c) == dual_brute(c), c
+    assert codes[-1].cardinality == 1 << 12
+
+
+def test_dual_checks_orthogonality(monkeypatch):
+    # without sigma the rows span the packed code's binary dual: the
+    # right size, but not orthogonal under the ring inner product
+    monkeypatch.setattr(z2zu.core, "_sigma_packed", lambda shape, w: w)
+    with pytest.raises(InternalVerificationFailure):
+        dual(preset_code("3.6"))
 
 
 def test_dual_is_orthogonal(rng):

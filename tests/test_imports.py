@@ -1,4 +1,6 @@
-"""Every name a package module imports is used in that module."""
+"""Every name a package module imports is used in that module, and every
+module-level private function or constant is used somewhere in the
+package."""
 
 import ast
 from pathlib import Path
@@ -34,3 +36,46 @@ def test_scan_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def unreferenced_private_names(sources: dict[str, str]) -> list[str]:
+    """Module-level ``_name`` functions and constants that no module
+    reads: defining a name or importing it is not a use."""
+    defined: dict[str, str] = {}
+    used: set[str] = set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                names = [node.name]
+            elif isinstance(node, ast.Assign):
+                names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                names = [node.target.id]
+            else:
+                continue
+            for name in names:
+                if name.startswith("_") and not name.startswith("__"):
+                    defined[name] = f"{name} ({module} line {node.lineno})"
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    return sorted(where for name, where in defined.items() if name not in used)
+
+
+def test_scan_finds_an_unused_private_name():
+    assert unreferenced_private_names({
+        "a.py": "_DEAD = 1\n_used = 2\ndef _helper():\n    return _used\n",
+        "b.py": "from a import _helper\nx = _helper()\n",
+    }) == ["_DEAD (a.py line 1)"]
+    assert unreferenced_private_names({"a.py": "def _f():\n    pass\n"}) == [
+        "_f (a.py line 1)"
+    ]
+
+
+def test_no_unreferenced_private_names():
+    sources = {p.name: p.read_text(encoding="utf-8")
+               for p in SRC.glob("*.py")}
+    assert unreferenced_private_names(sources) == []

@@ -2,6 +2,7 @@
 
 import pytest
 
+import z2zu.search
 from z2zu.core import (
     AmbientShape,
     MixedVector,
@@ -13,6 +14,7 @@ from z2zu.core import (
 )
 from z2zu.errors import ClassificationViolation, SpaceTooLarge
 from z2zu.presets import preset_code
+from z2zu.ring import U
 from z2zu.search import (
     OPTIMALITY_TABLE,
     SearchSpace,
@@ -86,6 +88,29 @@ def test_exhaustive_dedups_across_generator_choices():
     codes = list(enumerate_candidates(space))
     assert len(codes) == len({c.words for c in codes})
     assert len(codes) == 5
+
+
+def test_exhaustive_walk_grows_each_coset_pair_once(monkeypatch):
+    # a base code B is grown by one word of each pair {w + B, w + uw + B}
+    # of its other cosets: u*u = 0 makes w -> w + uw an involution
+    shape = AmbientShape(1, 2)
+
+    def grown_by(base):
+        cosets = shape.ambient_size // base.cardinality
+        fixed = sum((U * MixedVector.from_packed(shape, w)) in base
+                    for w in range(shape.ambient_size)) // base.cardinality
+        return (cosets - 1 + fixed - 1) // 2
+
+    level1 = {span(shape, [MixedVector.from_packed(shape, w)])
+              for w in range(1, shape.ambient_size)}
+    expected = grown_by(span(shape, [])) + sum(map(grown_by, level1))
+    calls = []
+    real = z2zu.search._rref
+    monkeypatch.setattr(z2zu.search, "_rref",
+                        lambda *a, **k: calls.append(1) or real(*a, **k))
+    codes = list(enumerate_candidates(SearchSpace(alpha=1, beta=2, max_rows=2)))
+    assert len(calls) == expected
+    assert len(codes) == len(set(codes))
 
 
 def test_exhaustive_cap():
