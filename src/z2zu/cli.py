@@ -484,7 +484,8 @@ def cmd_search(args) -> int:
                   "searched ranges", file=sys.stderr)
             return 2
         include = (rows,)
-    mode = args.mode or ("random" if args.budget else "exhaustive")
+    mode = args.mode or (
+        "random" if args.budget is not None else "exhaustive")
     space = SearchSpace(
         alpha=alpha, beta=beta, max_rows=args.rows, mode=mode,
         budget=args.budget, seed=args.seed,

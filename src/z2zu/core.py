@@ -17,14 +17,15 @@ with the first sum in Z2 and the second in R; a code's dual is taken
 with respect to it.
 
 A code is stored as its reduced echelon XOR basis, built by the one
-elimination routine :func:`_rref`.  The basis is canonical, so size,
-equality, membership and the module test all come from it.  The
-codewords are built from it only when first needed, once, as a numpy
-``uint64`` array of shape (|C|, L) with L = ceil(N/64) limbs per word,
-limb 0 the most significant (:func:`_word_array`).  Every per-word
-count (Lee weights, Gray images, column profiles) is a vectorised
-kernel over that array; ``words``, the same codewords as Python ints,
-is a view of it built only when read.
+elimination routine :func:`_rref`: echelon form (:func:`_echelon`),
+which alone gives the rank, then back-substitution.  The basis is
+canonical, so size, equality, membership and the module test all come
+from it.  The codewords are built from it only when first needed,
+once, as a numpy ``uint64`` array of shape (|C|, L) with L = ceil(N/64)
+limbs per word, limb 0 the most significant (:func:`_word_array`).
+Every per-word count (Lee weights, Gray images, column profiles) is a
+vectorised kernel over that array; ``words``, the same codewords as
+Python ints, is a view of it built only when read.
 
 The Gray image of a packed word w is w ^ ((w >> 1) & ring_a_mask): it
 keeps the binary part and sends ring digit a + 2b to the pair
@@ -493,6 +494,40 @@ def _reduce(basis: Iterable[int], x: int) -> int:
     return x
 
 
+def _echelon(
+    shape: AmbientShape,
+    rows: Iterable[int],
+    u_closed: bool = True,
+    start: tuple[int, ...] = (),
+) -> dict[int, int]:
+    """Echelon half of :func:`_rref`: the packed rows (and u*rows when
+    u_closed), grown from the reduced basis ``start``, kept one per
+    leading bit.  Its size is the rank, so the code has 2^len words."""
+    lead = {b.bit_length(): b for b in start}
+    a_mask = shape.ring_a_mask
+    for g in rows:
+        # (g & a_mask) << 1 is u*g (_u_mul_packed), inlined: the
+        # exhaustive walk and the random search run this per candidate
+        for x in (g, (g & a_mask) << 1) if u_closed else (g,):
+            while x:
+                n = x.bit_length()
+                r = lead.get(n)
+                if r is None:
+                    lead[n] = x
+                    break
+                x ^= r
+    return lead
+
+
+def _back_substitute(lead: dict[int, int]) -> tuple[int, ...]:
+    """Reduced echelon basis of an :func:`_echelon` result, sorted
+    increasing: each row reduced by the rows below it, lowest first."""
+    basis: list[int] = []
+    for n in sorted(lead):
+        basis.append(_reduce(basis, lead[n]))
+    return tuple(basis)
+
+
 def _rref(
     shape: AmbientShape,
     rows: Iterable[int],
@@ -500,22 +535,8 @@ def _rref(
     start: tuple[int, ...] = (),
 ) -> tuple[int, ...]:
     """Reduced echelon XOR basis of the packed rows (and u*rows when
-    u_closed), grown from the reduced basis ``start``, sorted increasing.
-    Rows are kept one per leading bit, then each is reduced by the rows
-    below it, lowest first."""
-    lead = {b.bit_length(): b for b in start}
-    for g in rows:
-        for x in (g, _u_mul_packed(shape, g)) if u_closed else (g,):
-            while x:
-                r = lead.get(x.bit_length())
-                if r is None:
-                    lead[x.bit_length()] = x
-                    break
-                x ^= r
-    basis: list[int] = []
-    for n in sorted(lead):
-        basis.append(_reduce(basis, lead[n]))
-    return tuple(basis)
+    u_closed), grown from the reduced basis ``start``, sorted increasing."""
+    return _back_substitute(_echelon(shape, rows, u_closed, start))
 
 
 def _packed(shape: AmbientShape, rows: Sequence[MixedVector]) -> list[int]:

@@ -13,6 +13,17 @@ spaces beyond 2^26 tuples.  Random mode drops repeated codes by an
 exact key: the shape and the reduced basis, at most alpha + 2*beta
 integers.
 
+A random draw is handled rank first.  Its rows are drawn as packed
+integers and go through the echelon half of the elimination only
+(core._echelon), which gives the rank k of {g, u*g} and so |C| = 2^k.
+In a targeted search the size conditions below run on that number;
+only the draws that pass them are back-substituted to the reduced
+basis, deduplicated on (shape, basis) with the first drawing kept, and
+built as codes.  A code's size does not depend on which rows drew it,
+so this yields exactly the codes of the unfiltered stream that pass,
+in the same order; enumerate_candidates, with no target, yields them
+all.
+
 Searches with a target prune candidates with cheap necessary
 conditions before any dual work:
 
@@ -33,8 +44,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import partial
 from itertools import chain
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .classify import (
     ClassificationReport,
@@ -48,6 +60,8 @@ from .core import (
     AdditiveCode,
     AmbientShape,
     MixedVector,
+    _back_substitute,
+    _echelon,
     _reduce,
     _rref,
     _u_mul_packed,
@@ -108,8 +122,8 @@ class SearchSpace:
             raise ValueError("max_rows must be positive")
         if self.target is not None and self.target not in TARGETS:
             raise ValueError(f"unknown target {self.target!r}")
-        if self.mode == "random" and not self.budget:
-            raise ValueError("random mode needs a budget")
+        if self.mode == "random" and (self.budget is None or self.budget < 1):
+            raise ValueError("random mode needs a budget of at least 1 draw")
 
     def shapes(self) -> list[AmbientShape]:
         # a range may be empty (alpha = beta = 0): searches over it just
@@ -155,41 +169,79 @@ def _codes_by_closure(
         frontier = new_frontier
 
 
-def enumerate_candidates(space: SearchSpace) -> Iterator[AdditiveCode]:
-    """Deduplicated candidate codes of the space, deterministic order."""
+def _size_fits(target: str, shape: AmbientShape, size: int) -> bool:
+    """False when no code of this size and shape can meet the target.
+
+    Only the one-weight targets constrain |C| alone: the one-weight
+    relations give N = lambda(|C|-1), and formal self-duality needs
+    |C|^2 = 2^N.  Any other code of two or more words fits.
+    """
+    if size < 2:
+        return False
+    if target not in ("one_weight", "fsd_one_weight"):
+        return True
+    n = shape.big_n
+    if n % (size - 1):
+        return False
+    return target == "one_weight" or size * size == 1 << n
+
+
+def _always(shape: AmbientShape, size: int) -> bool:
+    return True
+
+
+def _random_candidates(
+    space: SearchSpace, keep: Callable[[AmbientShape, int], bool]
+) -> Iterator[AdditiveCode]:
+    """The random stream, rank first: each draw's rows stay packed ints
+    through the echelon elimination, and only draws whose 2^rank passes
+    ``keep(shape, size)`` are reduced, deduplicated and built as codes.
+    ``keep`` depends on the code alone, so a code either survives every
+    drawing or none, and the survivors come in the order of their first
+    drawing, as in the unfiltered stream."""
     shapes = space.shapes()
     if not shapes:
         return
-    if space.mode == "exhaustive":
-        for shape in shapes:
-            if shape.ambient_size ** space.max_rows > MAX_EXHAUSTIVE_TUPLES:
-                raise SpaceTooLarge(
-                    f"space holds {space.tuple_count()} generator tuples; "
-                    f"the exhaustive cap is {MAX_EXHAUSTIVE_TUPLES}"
-                )
-        for shape in shapes:
-            yield from _codes_by_closure(shape, space.max_rows)
-        return
-    rng = random.Random(space.seed)
+    randrange = random.Random(space.seed).randrange
     # keys, not the codes: a long random run would otherwise pin the
     # words of every distinct code whose words a consumer built
     seen: set[tuple[AmbientShape, tuple[int, ...]]] = set()
     assert space.budget is not None
+    rows_range = range(space.max_rows)
     for _ in range(space.budget):
-        shape = shapes[rng.randrange(len(shapes))]
+        shape = shapes[randrange(len(shapes))]
+        bins = 1 << shape.alpha
+        ring_bits = 2 * shape.beta
+        rings = 1 << ring_bits
+        # binary part drawn before ring part, row by row
         rows = [
-            MixedVector(
-                shape,
-                rng.randrange(1 << shape.alpha),
-                rng.randrange(1 << (2 * shape.beta)),
-            )
-            for _ in range(space.max_rows)
+            (randrange(bins) << ring_bits) | randrange(rings)
+            for _ in rows_range
         ]
-        code = span(shape, rows)
-        key = (shape, code.basis)
+        lead = _echelon(shape, rows)
+        if not keep(shape, 1 << len(lead)):
+            continue
+        key = (shape, _back_substitute(lead))
         if key not in seen:
             seen.add(key)
-            yield code
+            generators = tuple(MixedVector.from_packed(shape, g) for g in rows)
+            yield AdditiveCode(shape, generators, key[1])
+
+
+def enumerate_candidates(space: SearchSpace) -> Iterator[AdditiveCode]:
+    """Deduplicated candidate codes of the space, deterministic order."""
+    if space.mode == "random":
+        yield from _random_candidates(space, _always)
+        return
+    shapes = space.shapes()
+    for shape in shapes:
+        if shape.ambient_size ** space.max_rows > MAX_EXHAUSTIVE_TUPLES:
+            raise SpaceTooLarge(
+                f"space holds {space.tuple_count()} generator tuples; "
+                f"the exhaustive cap is {MAX_EXHAUSTIVE_TUPLES}"
+            )
+    for shape in shapes:
+        yield from _codes_by_closure(shape, space.max_rows)
 
 
 @dataclass(frozen=True)
@@ -222,19 +274,17 @@ def search_with_pruning(
     for rows in include:
         code = span(rows[0].shape, tuple(rows))
         included.setdefault((code.shape, code.basis), code)
-    stream = enumerate_candidates(space)
+    if space.mode == "random":
+        keep = partial(_size_fits, target) if use_pruners else _always
+        stream = _random_candidates(space, keep)
+    else:
+        stream = enumerate_candidates(space)
     if included:
         stream = (c for c in stream if (c.shape, c.basis) not in included)
     for code in chain(included.values(), stream):
         size = code.cardinality
-        if size < 2:
+        if size < 2 or use_pruners and not _size_fits(target, code.shape, size):
             continue
-        n = code.shape.big_n
-        if use_pruners and target in ("one_weight", "fsd_one_weight"):
-            if n % (size - 1):
-                continue
-            if target == "fsd_one_weight" and size * size != code.shape.ambient_size:
-                continue
         enum = lee_enumerator(code)
         weights = enum.nonzero_weights()
         if target in ("one_weight", "fsd_one_weight"):
@@ -249,7 +299,7 @@ def search_with_pruning(
             if len(weights) != 2:
                 continue
             if use_pruners and _two_weight_quadratic(
-                n, size, weights[0], weights[1]
+                code.shape.big_n, size, weights[0], weights[1]
             ):
                 continue
             dual = dual_summary(code, enum)

@@ -3,8 +3,9 @@
 A Lee enumerator is the sparse weight distribution {w: A_w} of a code
 together with the Gray length N = alpha + 2*beta; it renders as the
 homogeneous polynomial sum_w A_w x^(N-w) y^w.  All arithmetic here is
-exact integer arithmetic: the MacWilliams transform expands binomials
-with :func:`math.comb` and refuses to round.
+exact integer arithmetic: the MacWilliams transform builds the
+Krawtchouk coefficients by their three-term recurrence and refuses to
+round.
 
 The transform sends the distribution of C to the distribution of its
 dual scaled by |C|:
@@ -35,7 +36,6 @@ import enum
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -150,16 +150,18 @@ def macwilliams(enum: LeeEnumerator, code_size: int) -> LeeEnumerator:
         )
     if code_size <= 0 or (1 << n) % code_size:
         raise ValueError(f"code_size {code_size} does not divide 2^{n}")
+    sums = [0] * (n + 1)
+    for i, a_i in enum.entries:
+        # K_j, the coefficient of y^j in (x+y)^(n-i) (x-y)^i, by the
+        # Krawtchouk recurrence
+        #   (j+1) K_{j+1} = (n-2i) K_j - (n-j+1) K_{j-1},
+        # whose left side is an exact multiple of j+1
+        k_prev, k = 0, 1
+        for j in range(n + 1):
+            sums[j] += a_i * k
+            k_prev, k = k, ((n - 2 * i) * k - (n - j + 1) * k_prev) // (j + 1)
     out: dict[int, int] = {}
-    for j in range(n + 1):
-        s = 0
-        for i, a_i in enum.entries:
-            # coefficient of y^j in (x+y)^(n-i) (x-y)^i
-            k = sum(
-                (-1) ** t * comb(i, t) * comb(n - i, j - t)
-                for t in range(max(0, j - (n - i)), min(i, j) + 1)
-            )
-            s += a_i * k
+    for j, s in enumerate(sums):
         q, rem = divmod(s, code_size)
         if rem:
             raise NonIntegralTransform(

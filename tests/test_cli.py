@@ -264,6 +264,36 @@ def test_search_random_is_reproducible(capsys):
     assert err1 == err2
 
 
+def test_search_random_hits_keep_their_first_drawn_rows(capsys):
+    # a seeded random search prints each hit with the rows of the first
+    # draw that produced its code
+    rc, out, err = run(capsys, ["search", "--target", "one-weight",
+                                "--alpha", "1..3", "--beta", "0..2",
+                                "--rows", "2", "--seed", "2",
+                                "--budget", "300", "--json"])
+    assert rc == 0
+    assert err == "# 6 hit(s)\n"
+    hits = [json.loads(line) for line in out.splitlines()]
+    assert [(h["alpha"], h["beta"], h["generators"]) for h in hits] == [
+        (1, 0, ["0 |", "1 |"]),
+        (1, 1, ["0 | 0", "1 | v"]),
+        (1, 1, ["1 | u", "0 | 0"]),
+        (2, 0, ["1 1 |", "1 1 |"]),
+        (2, 1, ["0 0 | 0", "1 1 | u"]),
+        (3, 0, ["1 1 0 |", "1 0 1 |"]),
+    ]
+
+
+def test_search_budget_below_one_is_an_input_error(capsys):
+    for budget in ("0", "-5"):
+        rc, out, err = run(capsys, ["search", "--target", "one-weight",
+                                    "--alpha", "2", "--beta", "1",
+                                    "--budget", budget])
+        assert rc == 2
+        assert out == ""
+        assert "budget of at least 1" in err
+
+
 def test_search_verify_classification(capsys):
     rc, out, _ = run(capsys, ["search", "--verify-thm-4.5",
                               "--alpha", "4", "--beta", "2"])

@@ -1,5 +1,8 @@
 """Candidate enumeration, pruned searches and the exhaustive screen."""
 
+import random
+from functools import partial
+
 import pytest
 
 import z2zu.search
@@ -17,7 +20,10 @@ from z2zu.presets import preset_code
 from z2zu.ring import U
 from z2zu.search import (
     OPTIMALITY_TABLE,
+    TARGETS,
     SearchSpace,
+    _random_candidates,
+    _size_fits,
     enumerate_candidates,
     optimality_check,
     search_with_pruning,
@@ -44,6 +50,10 @@ def test_space_validation():
         SearchSpace(alpha=2, beta=(-1, 1))
     with pytest.raises(ValueError):
         SearchSpace(alpha=2, beta=1, mode="random")  # budget missing
+    for budget in (0, -3):
+        with pytest.raises(ValueError, match="at least 1"):
+            SearchSpace(alpha=2, beta=1, mode="random", budget=budget)
+    assert SearchSpace(alpha=2, beta=1, mode="random", budget=1).budget == 1
     with pytest.raises(ValueError):
         SearchSpace(alpha=2, beta=1, mode="annealed")
     with pytest.raises(ValueError):
@@ -167,6 +177,62 @@ def test_exhaustive_walk_yields_every_span_once():
         assert set(walked) == expected
 
 
+def drawn_codes(space):
+    """The random stream built the plain way: each draw spanned as
+    MixedVector rows, and a code kept at its first drawing."""
+    rng = random.Random(space.seed)
+    shapes = space.shapes()
+    seen = set()
+    for _ in range(space.budget):
+        shape = shapes[rng.randrange(len(shapes))]
+        rows = [MixedVector(shape, rng.randrange(1 << shape.alpha),
+                            rng.randrange(1 << (2 * shape.beta)))
+                for _ in range(space.max_rows)]
+        code = span(shape, rows)
+        if code not in seen:
+            seen.add(code)
+            yield code
+
+
+def stream_rows(codes):
+    return [(c.shape, c.basis, c.generators) for c in codes]
+
+
+# spaces with alpha = 0 and beta = 0 shapes and one to three rows
+RANDOM_SPACES = [
+    dict(alpha=(0, 3), beta=(0, 2), max_rows=1),
+    dict(alpha=(0, 4), beta=(0, 1), max_rows=2),
+    dict(alpha=(0, 2), beta=(0, 3), max_rows=3),
+    dict(alpha=(2, 6), beta=(1, 4), max_rows=3),
+]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 11])
+def test_random_stream_matches_plain_draws(seed):
+    for kw in RANDOM_SPACES:
+        space = SearchSpace(mode="random", budget=400, seed=seed, **kw)
+        assert (stream_rows(enumerate_candidates(space))
+                == stream_rows(drawn_codes(space)))
+
+
+@pytest.mark.parametrize("target", TARGETS)
+def test_rank_first_stream_is_the_filtered_stream(target):
+    # the size pruner on the echelon rank keeps exactly the codes of the
+    # full stream that it keeps on their cardinality, first drawings first
+    kept = 0
+    for seed in (0, 1, 2):
+        for kw in RANDOM_SPACES:
+            space = SearchSpace(mode="random", budget=400, seed=seed,
+                                target=target, **kw)
+            fits = partial(_size_fits, target)
+            expected = [c for c in drawn_codes(space)
+                        if fits(c.shape, c.cardinality)]
+            got = list(_random_candidates(space, fits))
+            assert stream_rows(got) == stream_rows(expected)
+            kept += len(got)
+    assert kept
+
+
 def test_random_stream_seed_matters():
     kw = dict(alpha=(2, 4), beta=(0, 2), max_rows=2, mode="random",
               budget=200)
@@ -199,6 +265,18 @@ def test_pruned_equals_unpruned():
         pruned = search_with_pruning(space, use_pruners=True)
         plain = search_with_pruning(space, use_pruners=False)
         assert [h.code for h in pruned] == [h.code for h in plain]
+        # random mode prunes on the rank, before any code is built
+        found = 0
+        for seed in (0, 1, 2, 3):
+            for kw in RANDOM_SPACES:
+                space = SearchSpace(mode="random", budget=300, seed=seed,
+                                    target=target, **kw)
+                pruned = search_with_pruning(space, use_pruners=True)
+                plain = search_with_pruning(space, use_pruners=False)
+                assert stream_rows(h.code for h in pruned) == stream_rows(
+                    h.code for h in plain)
+                found += len(pruned)
+        assert found
 
 
 def test_include_rows_are_examined_with_the_stream():

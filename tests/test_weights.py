@@ -37,7 +37,7 @@ from z2zu.weights import (
     weight_sum_identity,
 )
 
-from conftest import closure_words, random_code
+from conftest import closure_words, macwilliams_oracle, random_code
 
 
 def code_of(text):
@@ -117,13 +117,60 @@ def test_transform_matches_brute_dual_random(rng):
             dual_brute(c))
 
 
+def long_codes(rng):
+    """Spans of one to three random rows over shapes with N > 64."""
+    codes = []
+    for alpha, beta in ((70, 3), (2, 40), (66, 0), (0, 33)):
+        shape = AmbientShape(alpha, beta)
+        for n_rows in (1, 2, 3):
+            rows = [MixedVector(shape, rng.randrange(1 << alpha),
+                                rng.randrange(1 << (2 * beta)))
+                    for _ in range(n_rows)]
+            codes.append(span(shape, rows))
+    return codes
+
+
 def test_transform_involution(rng):
-    for _ in range(20):
-        c = random_code(rng, max_alpha=5, max_beta=3)
+    codes = [random_code(rng, max_alpha=5, max_beta=3) for _ in range(20)]
+    for c in codes + long_codes(rng):
         e = lee_enumerator(c)
         size = c.cardinality
         dual_size = c.shape.ambient_size // size
         assert macwilliams(macwilliams(e, size), dual_size) == e
+
+
+def _outcome(fn, enum, size):
+    try:
+        return fn(enum, size)
+    except NonIntegralTransform as e:
+        return str(e)
+
+
+def test_transform_matches_binomial_oracle(rng):
+    # code enumerators (N up to 82), then random distributions with a
+    # power-of-two total, most of which no code has: the same counts or
+    # the same refusal, weight by weight
+    cases = []
+    codes = [random_code(rng, max_alpha=5, max_beta=3) for _ in range(6)]
+    codes += long_codes(rng)
+    for c in codes:
+        e = lee_enumerator(c)
+        cases.append((e, c.cardinality))
+        cases.append((macwilliams(e, c.cardinality),
+                      c.shape.ambient_size // c.cardinality))
+    for n in (1, 2, 7, 20, 65, 90):
+        for _ in range(15):
+            size = 1 << rng.randrange(min(n, 6) + 1)
+            counts = Counter(rng.randrange(n + 1) for _ in range(size - 1))
+            counts[0] += 1
+            cases.append((LeeEnumerator.from_counts(n, counts), size))
+    refused = 0
+    for e, size in cases:
+        got = _outcome(macwilliams, e, size)
+        assert got == _outcome(macwilliams_oracle, e, size)
+        refused += isinstance(got, str)
+    assert 0 < refused < len(cases)
+    assert max(e.big_n for e, _ in cases) > 64
 
 
 def test_reference_dual_distributions():
