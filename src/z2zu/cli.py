@@ -99,7 +99,7 @@ def _theorem_checks(code, enum, dual, profile) -> dict:
     """The verifications that apply to this code, name -> outcome."""
     checks: dict[str, object] = {}
     try:
-        checks["weight_sum_identity"] = weight_sum_identity(code, enum, profile)
+        checks["weight_sum_identity"] = weight_sum_identity(code, enum)
     except ZeroColumnPresent:
         checks["weight_sum_identity"] = "skipped: zero column present"
     b1 = dual.enumerator.count(1)

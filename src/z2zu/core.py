@@ -19,13 +19,14 @@ with respect to it.
 A code is stored as its reduced echelon XOR basis, built by the one
 elimination routine :func:`_rref`: echelon form (:func:`_echelon`),
 which alone gives the rank, then back-substitution.  The basis is
-canonical, so size, equality, membership and the module test all come
-from it.  The codewords are built from it only when first needed,
-once, as a numpy ``uint64`` array of shape (|C|, L) with L = ceil(N/64)
-limbs per word, limb 0 the most significant (:func:`_word_array`).
-Every per-word count (Lee weights, Gray images, column profiles) is a
-vectorised kernel over that array; ``words``, the same codewords as
-Python ints, is a view of it built only when read.
+canonical, so size, equality, membership, the module test, the dual
+and the column profile all come from it.  The codewords are built from
+it only for the per-word counts, once, as a numpy ``uint64`` array of
+shape (|C|, L) with L = ceil(N/64) limbs per word, limb 0 the most
+significant (:func:`_word_array`).  Each per-word count (the Lee
+enumerator, the minimum Lee weight, the Gray image) is a vectorised
+kernel over that array; ``words``, the same codewords as Python ints,
+is a view of it built only when read.
 
 The Gray image of a packed word w is w ^ ((w >> 1) & ring_a_mask): it
 keeps the binary part and sends ring digit a + 2b to the pair
@@ -364,8 +365,8 @@ class AdditiveCode:
     ``generators`` are the rows it was built from (the basis itself when
     given as None, as for derived codes, built when first read).
     ``array`` holds every codeword, in canonical order, and is built
-    from the basis on first access; ``words`` is the same list as
-    Python ints.
+    from the basis on first access, only for the per-word counts;
+    ``words`` is the same list as Python ints.
     """
 
     __slots__ = ("shape", "_generators", "basis", "_array", "_words", "_codewords")
@@ -375,7 +376,6 @@ class AdditiveCode:
         shape: AmbientShape,
         generators: tuple[MixedVector, ...] | None,
         basis: tuple[int, ...],
-        array: np.ndarray | None = None,
     ):
         # sorted by leading bit, each row zero at the lower rows' ones
         lead = pivots = 0
@@ -386,12 +386,10 @@ class AdditiveCode:
             pivots |= 1 << (lead - 1)
         if lead > shape.big_n:
             raise ValueError("basis row out of range for shape")
-        if array is not None and array.shape != (1 << len(basis), shape.limbs):
-            raise ValueError("codeword array does not match the basis")
         self.shape = shape
         self._generators = generators
         self.basis = basis
-        self._array = array
+        self._array: np.ndarray | None = None
         self._words: tuple[int, ...] | None = None
         self._codewords: tuple[MixedVector, ...] | None = None
 
@@ -676,7 +674,8 @@ def dual_brute(code: AdditiveCode) -> AdditiveCode:
     the product g.w splits into a binary parity p and a ring XOR-fold s,
     and g.w = 0 iff s has no unit component and its u component equals
     p.  Both pieces depend only on one half of the index grid, so each
-    generator contributes one vectorised outer condition.
+    generator contributes one vectorised outer condition.  The scanned
+    words must be exactly the words of the basis read off them.
     """
     _require_module(code, "dual_brute")
     shape = code.shape
@@ -707,10 +706,14 @@ def dual_brute(code: AdditiveCode) -> AdditiveCode:
     # row-major nonzero order is already the canonical word order
     array = ((bi.astype(np.uint64) << np.uint64(2 * beta)) | ri.astype(np.uint64))
     array = array[:, None]
-    dual = AdditiveCode(shape, None, _reduced_basis(array), array)
+    dual = AdditiveCode(shape, None, _reduced_basis(array))
     if code.cardinality * dual.cardinality != shape.ambient_size:
         raise InternalVerificationFailure(
             "cardinality product |C| * |dual| != 2^N after ambient scan"
+        )
+    if not np.array_equal(dual.array, array):
+        raise InternalVerificationFailure(
+            "the scanned words are not the span of their read-off basis"
         )
     return dual
 

@@ -96,7 +96,7 @@ class SearchSpace:
 
     ``alpha``/``beta`` are (lo, hi) pairs; a bare int means a single
     value.  ``budget`` is the number of generator tuples drawn in
-    random mode.
+    random mode; exhaustive mode walks every code and takes none.
     """
 
     alpha: tuple[int, int]
@@ -124,6 +124,9 @@ class SearchSpace:
             raise ValueError(f"unknown target {self.target!r}")
         if self.mode == "random" and (self.budget is None or self.budget < 1):
             raise ValueError("random mode needs a budget of at least 1 draw")
+        if self.mode == "exhaustive" and self.budget is not None:
+            raise ValueError(
+                "exhaustive mode walks every code and takes no budget")
 
     def shapes(self) -> list[AmbientShape]:
         # a range may be empty (alpha = beta = 0): searches over it just
@@ -311,7 +314,7 @@ def search_with_pruning(
         hits.append(
             SearchHit(code, report, gray, optimality_check(gray[0], gray[1], gray[2]))
         )
-    hits.sort(key=lambda h: (h.code.shape.alpha, h.code.shape.beta, h.code.words))
+    hits.sort(key=lambda h: (h.code.shape.alpha, h.code.shape.beta, h.code.basis))
     return hits
 
 
@@ -372,13 +375,13 @@ def verify_fsd_classification(
                     continue
                 if is_formally_self_dual(code, dual_summary(code, enum)):
                     survivors.append(code)
-    survivors.sort(key=lambda c: (c.shape.alpha, c.shape.beta, c.words))
+    survivors.sort(key=lambda c: (c.shape.alpha, c.shape.beta, c.basis))
     expected = [
         AdditiveCode(shape, None, basis)
         for shape, basis in _EXPECTED_FSD_SURVIVORS
         if shape.alpha <= max_alpha and shape.beta <= max_beta
     ]
-    expected.sort(key=lambda c: (c.shape.alpha, c.shape.beta, c.words))
+    expected.sort(key=lambda c: (c.shape.alpha, c.shape.beta, c.basis))
     report = FsdSurveyReport(
         max_alpha,
         max_beta,

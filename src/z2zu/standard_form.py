@@ -156,24 +156,30 @@ def standard_form(code: AdditiveCode) -> StandardFormMatrix:
         b, r = rows[i]
         rows[i] = (b ^ sb, r ^ sr)
 
+    def next_pivot(ncols, used, qualifies) -> tuple[int, int] | None:
+        """(row, col): the leftmost column not in ``used`` whose entry
+        qualifies in some non-pivot row, and the topmost such row.  Both
+        are marked as used."""
+        for col in range(ncols):
+            if col in used:
+                continue
+            for i in range(nrows):
+                if i not in pivot_rows and qualifies(i, col):
+                    pivot_rows.add(i)
+                    used.add(col)
+                    return i, col
+        return None
+
+    def is_unit(i: int, col: int) -> bool:
+        return bool(ring_entry(i, col) & 1)
+
+    def is_u(i: int, col: int) -> bool:
+        return ring_entry(i, col) == 2
+
     # round 1: unit pivots in ring columns
     unit_pivots: list[tuple[int, int]] = []  # (row, ring col)
     used_ring_cols: set[int] = set()
-    while True:
-        hit = None
-        for col in range(beta):
-            if col in used_ring_cols:
-                continue
-            for i in range(nrows):
-                if i in pivot_rows:
-                    continue
-                if ring_entry(i, col) & 1:
-                    hit = (i, col)
-                    break
-            if hit:
-                break
-        if hit is None:
-            break
+    while hit := next_pivot(beta, used_ring_cols, is_unit):
         i, col = hit
         if ring_entry(i, col) == 3:
             rows[i] = _scale_row(shape, rows[i], 3)  # v is its own inverse
@@ -182,60 +188,26 @@ def standard_form(code: AdditiveCode) -> StandardFormMatrix:
                 e = ring_entry(j, col)
                 if e:
                     add_multiple(j, e, i)
-        pivot_rows.add(i)
-        used_ring_cols.add(col)
-        unit_pivots.append((i, col))
+        unit_pivots.append(hit)
 
     # round 2: binary pivots over Z2
     bin_pivots: list[tuple[int, int]] = []
     used_bin_cols: set[int] = set()
-    while True:
-        hit = None
-        for col in range(alpha):
-            if col in used_bin_cols:
-                continue
-            for i in range(nrows):
-                if i in pivot_rows:
-                    continue
-                if bin_entry(i, col):
-                    hit = (i, col)
-                    break
-            if hit:
-                break
-        if hit is None:
-            break
+    while hit := next_pivot(alpha, used_bin_cols, bin_entry):
         i, col = hit
         for j in range(nrows):
             if j != i and bin_entry(j, col):
                 add_multiple(j, 1, i)
-        pivot_rows.add(i)
-        used_bin_cols.add(col)
-        bin_pivots.append((i, col))
+        bin_pivots.append(hit)
 
     # round 3: u pivots over the residue field
     u_pivots: list[tuple[int, int]] = []
-    while True:
-        hit = None
-        for col in range(beta):
-            if col in used_ring_cols:
-                continue
-            for i in range(nrows):
-                if i in pivot_rows:
-                    continue
-                if ring_entry(i, col) == 2:
-                    hit = (i, col)
-                    break
-            if hit:
-                break
-        if hit is None:
-            break
+    while hit := next_pivot(beta, used_ring_cols, is_u):
         i, col = hit
         for j in range(nrows):
             if j != i and ring_entry(j, col) & 2:
                 add_multiple(j, 1, i)  # adding the u-row toggles u components
-        pivot_rows.add(i)
-        used_ring_cols.add(col)
-        u_pivots.append((i, col))
+        u_pivots.append(hit)
 
     for i in range(nrows):
         if i not in pivot_rows and rows[i] != (0, 0):

@@ -294,6 +294,15 @@ def test_search_budget_below_one_is_an_input_error(capsys):
         assert "budget of at least 1" in err
 
 
+def test_search_exhaustive_with_budget_is_an_input_error(capsys):
+    rc, out, err = run(capsys, ["search", "--target", "one-weight",
+                                "--alpha", "2", "--beta", "0", "--rows", "1",
+                                "--mode", "exhaustive", "--budget", "5"])
+    assert rc == 2
+    assert out == ""
+    assert "takes no budget" in err
+
+
 def test_search_verify_classification(capsys):
     rc, out, _ = run(capsys, ["search", "--verify-thm-4.5",
                               "--alpha", "4", "--beta", "2"])

@@ -335,6 +335,20 @@ def test_dual_checks_orthogonality(monkeypatch):
         dual(preset_code("3.6"))
 
 
+def test_dual_brute_checks_its_scan(monkeypatch):
+    # the scan of span{(1 0 |)} is {00, 01}; a read-off basis of the
+    # right size but the wrong span is caught by comparing the words
+    shape = AmbientShape(2, 0)
+    code = span(shape, [MixedVector(shape, 0b10, 0)])
+    assert dual_brute(code).basis == (0b01,)
+    monkeypatch.setattr(z2zu.core, "_reduced_basis", lambda array: (0b11,))
+    with pytest.raises(InternalVerificationFailure, match="read-off basis"):
+        dual_brute(code)
+    monkeypatch.setattr(z2zu.core, "_reduced_basis", lambda array: ())
+    with pytest.raises(InternalVerificationFailure, match="cardinality"):
+        dual_brute(code)
+
+
 def test_dual_is_orthogonal(rng):
     c = random_code(rng, max_alpha=4, max_beta=3)
     d = dual_brute(c)

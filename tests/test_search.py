@@ -54,6 +54,8 @@ def test_space_validation():
         with pytest.raises(ValueError, match="at least 1"):
             SearchSpace(alpha=2, beta=1, mode="random", budget=budget)
     assert SearchSpace(alpha=2, beta=1, mode="random", budget=1).budget == 1
+    with pytest.raises(ValueError, match="takes no budget"):
+        SearchSpace(alpha=2, beta=1, mode="exhaustive", budget=5)
     with pytest.raises(ValueError):
         SearchSpace(alpha=2, beta=1, mode="annealed")
     with pytest.raises(ValueError):
@@ -277,6 +279,30 @@ def test_pruned_equals_unpruned():
                     h.code for h in plain)
                 found += len(pruned)
         assert found
+
+
+def word_order(codes):
+    return sorted(codes, key=lambda c: (c.shape.alpha, c.shape.beta, c.words))
+
+
+def test_basis_order_is_word_order(rng):
+    # word row 2^i is basis row i and the rows below it use only lower
+    # basis rows, so sorting codes by basis sorts them by their words;
+    # hits and screen survivors are sorted by basis on that ground
+    for kw in ({"alpha": (0, 3), "beta": (0, 2), "max_rows": 2},
+               {"alpha": 4, "beta": 1, "max_rows": 3}):
+        codes = list(enumerate_candidates(SearchSpace(**kw)))
+        assert len({c.cardinality for c in codes}) > 3
+        rng.shuffle(codes)
+        by_basis = sorted(
+            codes, key=lambda c: (c.shape.alpha, c.shape.beta, c.basis))
+        assert by_basis == word_order(codes)
+        space = SearchSpace(target="one_weight", **kw)
+        hits = [h.code for h in search_with_pruning(space)]
+        assert hits == word_order(hits)
+    report = verify_fsd_classification(2, 1)
+    assert list(report.survivors) == word_order(report.survivors)
+    assert list(report.expected) == word_order(report.expected)
 
 
 def test_include_rows_are_examined_with_the_stream():

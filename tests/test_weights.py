@@ -289,7 +289,7 @@ def test_weight_sum_identity_random(rng):
         if prof.has_zero_column:
             continue
         assert weight_sum_identity(c)
-        assert weight_sum_identity(c, lee_enumerator(c), prof)
+        assert weight_sum_identity(c, lee_enumerator(c))
         checked += 1
 
 
@@ -298,7 +298,7 @@ def test_weight_sum_identity_needs_nonzero_columns():
     with pytest.raises(ZeroColumnPresent):
         weight_sum_identity(c)
     with pytest.raises(ZeroColumnPresent):
-        weight_sum_identity(c, lee_enumerator(c), column_profile(c))
+        weight_sum_identity(c, lee_enumerator(c))
 
 
 # ------------------------------------------------------ word array kernels
@@ -366,6 +366,15 @@ def test_word_kernels_match_python_oracle(rng):
     for code, u_closed in kernel_cases(rng):
         shape = code.shape
         words = sorted(closure_words(shape, code.generators, u_closed))
+        expected = oracle_profile(shape, words)
+        if expected is None:
+            with pytest.raises(PreconditionViolation):
+                column_profile(code)
+        else:
+            prof = column_profile(code)
+            assert (prof.binary, prof.ring) == expected
+        # the profile is read off the basis: no word array is built
+        assert code._array is None
         assert code.words == tuple(words)
         lee = [oracle_lee(shape, w) for w in words]
         assert lee_enumerator(code).counts == dict(Counter(lee))
@@ -376,13 +385,6 @@ def test_word_kernels_match_python_oracle(rng):
             assert min_lee_weight(code) == min(lee[1:])
         assert gray_image(code).words == tuple(
             sorted(oracle_gray(shape, w) for w in words))
-        expected = oracle_profile(shape, words)
-        if expected is None:
-            with pytest.raises(PreconditionViolation):
-                column_profile(code)
-        else:
-            prof = column_profile(code)
-            assert (prof.binary, prof.ring) == expected
 
 
 def test_kernels_leave_python_words_unbuilt(rng):
@@ -399,8 +401,13 @@ def test_word_array_is_capped():
     rows = [MixedVector(shape, 1 << i, 0) for i in range(shape.alpha)]
     code = span(shape, rows)
     assert code.cardinality == 2 ** 27
-    for kernel in (lee_enumerator, column_profile, min_lee_weight, gray_image):
+    for kernel in (lee_enumerator, min_lee_weight, gray_image):
         with pytest.raises(CodeTooLarge):
             kernel(code)
+    # the profile is read off the basis, so it needs no words
+    prof = column_profile(code)
+    assert prof.binary == (BinaryColumnKind.BALANCED,) * 27
+    assert prof.ring == ()
+    assert code._array is None
     with pytest.raises(CodeTooLarge):
         code.words
