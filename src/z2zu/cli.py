@@ -454,6 +454,17 @@ def cmd_search(args) -> int:
     alpha = _parse_range(args.alpha)
     beta = _parse_range(args.beta)
     if args.verify_thm_4_5:
+        # the survey covers every shape from alpha = beta = 0 up to the
+        # given bounds and has no target, budget, mode or include rows
+        if (".." in args.alpha and alpha[0]) or (".." in args.beta and beta[0]):
+            print("error: --verify-thm-4.5 surveys alpha and beta from 0; "
+                  "give only their upper bounds", file=sys.stderr)
+            return 2
+        for flag in ("mode", "budget", "target", "include"):
+            if getattr(args, flag) is not None:
+                print(f"error: --verify-thm-4.5 takes no --{flag}",
+                      file=sys.stderr)
+                return 2
         survey = verify_fsd_classification(alpha[1], beta[1], args.rows)
         survivor_rows = [
             {"alpha": c.shape.alpha, "beta": c.shape.beta,

@@ -3,15 +3,20 @@
 Exhaustive enumeration walks distinct codes rather than generator
 tuples: starting from the zero code, each level extends every known
 code C by one more generator w, growing C's reduced basis by w and u*w.
-Extending by any w' in (C + w) or (C + w + u*w) provably closes to the
-same code, so those cosets are skipped on the fly; together with the
-set of bases already grown this visits each code generated by up to g
-rows exactly once while touching far fewer candidates than the
-(2^(alpha+2*beta))^g generator tuples the space nominally contains.
-That nominal count is still the budget guard: exhaustive mode refuses
-spaces beyond 2^26 tuples.  Random mode drops repeated codes by an
-exact key: the shape and the reduced basis, at most alpha + 2*beta
-integers.
+The candidates w are the words with no pivot bit of C, stepped through
+in increasing order, one per coset of C.  Such a w is already reduced
+against C, and C is closed under u, so only u*w is reduced, against C
+and w; each of the two that is left nonzero is inserted into C's basis,
+clearing its leading bit from the rows that have it, with no
+elimination from scratch (_grow).  Extending by any w' in (C + w) or
+(C + w + u*w) provably closes to the same code, so those cosets are
+skipped on the fly; together with the set of bases already grown this
+visits each code generated by up to g rows exactly once while touching
+far fewer candidates than the (2^(alpha+2*beta))^g generator tuples
+the space nominally contains.  That nominal count is still the budget
+guard: exhaustive mode refuses spaces beyond 2^26 tuples.  Random mode
+drops repeated codes by an exact key: the shape and the reduced basis,
+at most alpha + 2*beta integers.
 
 A random draw is handled rank first.  Its rows are drawn as packed
 integers and go through the echelon half of the elimination only
@@ -27,14 +32,21 @@ all.
 Searches with a target prune candidates with cheap necessary
 conditions before any dual work:
 
-  one_weight       (|C|-1) divides alpha + 2*beta, then the single
-                   weight must satisfy both one-weight relations (this
-                   makes "one-weight" mean one-weight without zero
-                   columns; the relations fail otherwise)
+  one_weight       (|C|-1) divides alpha + 2*beta, the basis rows all
+                   have one Lee weight, then the single weight must
+                   satisfy both one-weight relations (this makes
+                   "one-weight" mean one-weight without zero columns;
+                   the relations fail otherwise)
   two_weight_projective
+                   the basis rows show at most two Lee weights, then
                    exactly two weights and the exact quadratic in
                    (N, |C|, m1, m2) vanishes
   fsd_one_weight   the one_weight conditions plus |C|^2 = 2^N
+
+The basis-row rule (_basis_weights_fit) is shared with the
+one-weight survey: basis rows are nonzero codewords, so a code with at
+most t nonzero Lee weights shows at most t distinct weights on them,
+and the check reads the basis alone, before any word is built.
 
 Pruned and unpruned runs return identical hit lists by construction;
 the test suite asserts it.
@@ -62,9 +74,8 @@ from .core import (
     MixedVector,
     _back_substitute,
     _echelon,
+    _lee_packed,
     _reduce,
-    _rref,
-    _u_mul_packed,
     gray_parameters,
     span,
 )
@@ -143,6 +154,28 @@ class SearchSpace:
         return sum(s.ambient_size ** self.max_rows for s in self.shapes())
 
 
+def _grow(parent: tuple[int, ...], w: int, r: int) -> tuple[int, ...]:
+    """Reduced echelon basis of span(parent, w, r), where ``parent`` is a
+    reduced basis and w (nonzero) and r are reduced against it.
+
+    r is first reduced against w.  Then each of w and r that is nonzero
+    is added as it stands: it clears its leading bit from the rows that
+    have it, and no row gains a leading bit of another, since the added
+    row is zero at all of them.
+    """
+    top = 1 << (w.bit_length() - 1)
+    rows = [b ^ w if b & top else b for b in parent]
+    rows.append(w)
+    if r & top:
+        r ^= w
+    if r:
+        top = 1 << (r.bit_length() - 1)
+        rows = [b ^ r if b & top else b for b in rows]
+        rows.append(r)
+    rows.sort()
+    return tuple(rows)
+
+
 def _codes_by_closure(
     shape: AmbientShape, max_rows: int
 ) -> Iterator[AdditiveCode]:
@@ -151,19 +184,32 @@ def _codes_by_closure(
     seen: set[tuple[int, ...]] = {zero.basis}
     frontier = [zero]
     yield zero
+    a_mask = shape.ring_a_mask
     for _ in range(max_rows):
         new_frontier: list[AdditiveCode] = []
         for base in frontier:
-            pivots = sum(1 << (b.bit_length() - 1) for b in base.basis)
+            parent = base.basis
+            pivots = sum(1 << (b.bit_length() - 1) for b in parent)
+            free = (shape.ambient_size - 1) & ~pivots
             # cosets of base, each by its reduced word, the coset minimum;
-            # base itself is the coset of 0
+            # base itself is the coset of 0.  The words w with no pivot
+            # bit are exactly those reduced words, and the step below
+            # walks them in increasing order.
             marked = {0}
-            for w in range(shape.ambient_size):
-                if w & pivots or w in marked:
+            w = 0
+            while True:
+                w = ((w | pivots) + 1) & free
+                if not w:
+                    break
+                if w in marked:
                     continue
-                # every word of base+w and base+w+uw closes to the same code
-                marked.add(_reduce(base.basis, w ^ _u_mul_packed(shape, w)))
-                basis = _rref(shape, (w,), start=base.basis)
+                # base is u-closed, so span(base, w, u*w) needs only u*w
+                # reduced; reducing is linear and fixes w, so w + r is
+                # the reduced word of w + u*w, whose coset, like that of
+                # w, closes to the same code
+                r = _reduce(parent, (w & a_mask) << 1)
+                marked.add(w ^ r)
+                basis = _grow(parent, w, r)
                 if basis not in seen:
                     seen.add(basis)
                     code = AdditiveCode(shape, None, basis)
@@ -187,6 +233,14 @@ def _size_fits(target: str, shape: AmbientShape, size: int) -> bool:
     if n % (size - 1):
         return False
     return target == "one_weight" or size * size == 1 << n
+
+
+def _basis_weights_fit(code: AdditiveCode, t: int) -> bool:
+    """False when the basis rows already show more than t distinct Lee
+    weights.  They are nonzero codewords, so the code then has more
+    than t nonzero Lee weights; no word is built to see it."""
+    shape = code.shape
+    return len({_lee_packed(shape, b) for b in code.basis}) <= t
 
 
 def _always(shape: AmbientShape, size: int) -> bool:
@@ -284,13 +338,17 @@ def search_with_pruning(
         stream = enumerate_candidates(space)
     if included:
         stream = (c for c in stream if (c.shape, c.basis) not in included)
+    one_weight = target in ("one_weight", "fsd_one_weight")
     for code in chain(included.values(), stream):
         size = code.cardinality
-        if size < 2 or use_pruners and not _size_fits(target, code.shape, size):
+        if size < 2 or use_pruners and not (
+            _size_fits(target, code.shape, size)
+            and _basis_weights_fit(code, 1 if one_weight else 2)
+        ):
             continue
         enum = lee_enumerator(code)
         weights = enum.nonzero_weights()
-        if target in ("one_weight", "fsd_one_weight"):
+        if one_weight:
             if len(weights) != 1:
                 continue
             if weight_profile(code, enum).lambda_ is None:
@@ -350,31 +408,35 @@ def verify_fsd_classification(
     """Exhaustively confirm which codes are one-weight and formally self-dual.
 
     Scans every code with alpha <= max_alpha, beta <= max_beta and up to
-    ``max_rows`` generators.  The survivor list must be exactly the four
-    known two-word codes (those with shapes inside the range); anything
-    else raises ClassificationViolation.
+    ``max_rows`` generators: the exhaustive stream of
+    :func:`enumerate_candidates`, so max_rows below 1 raises ValueError
+    and a range past the 2^26-tuple cap raises SpaceTooLarge (at 3
+    rows, (4, 2) fits and (6, 3) does not).  A code of size
+    2^(N/2) is skipped on its basis rows' Lee weights when they differ,
+    and only the rest get their words built for the Lee enumerator.
+    The survivor list must be exactly the four known two-word codes
+    (those with shapes inside the range); anything else raises
+    ClassificationViolation.
     """
     if max_alpha > 6 or max_beta > 3:
         raise ValueError("screen is capped at max_alpha = 6, max_beta = 3")
     if max_alpha < 0 or max_beta < 0 or max_alpha + max_beta < 1:
         raise ValueError("empty shape range")
+    space = SearchSpace(alpha=(0, max_alpha), beta=(0, max_beta),
+                        max_rows=max_rows)
     survivors: list[AdditiveCode] = []
     examined = 0
-    for alpha in range(max_alpha + 1):
-        for beta in range(max_beta + 1):
-            if alpha + beta < 1:
-                continue
-            shape = AmbientShape(alpha, beta)
-            for code in _codes_by_closure(shape, max_rows):
-                examined += 1
-                size = code.cardinality
-                if size < 2 or size * size != shape.ambient_size:
-                    continue
-                enum = lee_enumerator(code)
-                if len(enum.nonzero_weights()) != 1:
-                    continue
-                if is_formally_self_dual(code, dual_summary(code, enum)):
-                    survivors.append(code)
+    for code in enumerate_candidates(space):
+        examined += 1
+        size = code.cardinality
+        if (size < 2 or size * size != code.shape.ambient_size
+                or not _basis_weights_fit(code, 1)):
+            continue
+        enum = lee_enumerator(code)
+        if len(enum.nonzero_weights()) != 1:
+            continue
+        if is_formally_self_dual(code, dual_summary(code, enum)):
+            survivors.append(code)
     survivors.sort(key=lambda c: (c.shape.alpha, c.shape.beta, c.basis))
     expected = [
         AdditiveCode(shape, None, basis)

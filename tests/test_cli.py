@@ -311,6 +311,40 @@ def test_search_verify_classification(capsys):
             "self-dual classification confirmed") in out
 
 
+def test_search_verify_classification_refuses_ignored_flags(capsys):
+    survey = ["search", "--verify-thm-4.5", "--alpha", "4", "--beta", "2"]
+    for extra, message in (
+        (["--mode", "exhaustive"], "takes no --mode"),
+        (["--budget", "5"], "takes no --budget"),
+        (["--target", "one-weight"], "takes no --target"),
+        (["--include", data_file("5.7")], "takes no --include"),
+    ):
+        rc, out, err = run(capsys, survey + extra)
+        assert (rc, out) == (2, "")
+        assert err == f"error: --verify-thm-4.5 {message}\n"
+    for alpha, beta in (("3..4", "2"), ("4", "1..2")):
+        rc, out, err = run(capsys, ["search", "--verify-thm-4.5",
+                                    "--alpha", alpha, "--beta", beta])
+        assert (rc, out) == (2, "")
+        assert "surveys alpha and beta from 0" in err
+    rc, out, _ = run(capsys, ["search", "--verify-thm-4.5",
+                              "--alpha", "0..2", "--beta", "0..1", "--json"])
+    assert rc == 0 and json.loads(out)["matches"] is True
+
+
+def test_search_verify_classification_guards_the_walk(capsys):
+    # no rows would survey the zero code alone; (6, 3) at 3 rows holds
+    # 2^36 generator tuples, past the exhaustive cap
+    for argv, message in (
+        (["--alpha", "4", "--beta", "2", "--rows", "0"],
+         "max_rows must be positive"),
+        (["--alpha", "6", "--beta", "3"], "exhaustive cap"),
+    ):
+        rc, out, err = run(capsys, ["search", "--verify-thm-4.5"] + argv)
+        assert (rc, out) == (2, "")
+        assert err.startswith("error: ") and message in err
+
+
 def test_search_space_too_large(capsys):
     rc, _, err = run(capsys, ["search", "--target", "one-weight",
                               "--alpha", "20", "--beta", "20",

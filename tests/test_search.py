@@ -7,8 +7,13 @@ import pytest
 
 import z2zu.search
 from z2zu.core import (
+    AdditiveCode,
     AmbientShape,
     MixedVector,
+    _lee_packed,
+    _reduce,
+    _rref,
+    _u_mul_packed,
     additive_span,
     dual_brute,
     gray_parameters,
@@ -18,10 +23,12 @@ from z2zu.core import (
 from z2zu.errors import ClassificationViolation, SpaceTooLarge
 from z2zu.presets import preset_code
 from z2zu.ring import U
+from z2zu.classify import dual_summary, is_formally_self_dual
 from z2zu.search import (
     OPTIMALITY_TABLE,
     TARGETS,
     SearchSpace,
+    _basis_weights_fit,
     _random_candidates,
     _size_fits,
     enumerate_candidates,
@@ -117,12 +124,51 @@ def test_exhaustive_walk_grows_each_coset_pair_once(monkeypatch):
               for w in range(1, shape.ambient_size)}
     expected = grown_by(span(shape, [])) + sum(map(grown_by, level1))
     calls = []
-    real = z2zu.search._rref
-    monkeypatch.setattr(z2zu.search, "_rref",
+    real = z2zu.search._grow
+    monkeypatch.setattr(z2zu.search, "_grow",
                         lambda *a, **k: calls.append(1) or real(*a, **k))
     codes = list(enumerate_candidates(SearchSpace(alpha=1, beta=2, max_rows=2)))
     assert len(calls) == expected
     assert len(codes) == len(set(codes))
+
+
+def rref_walk(shape, max_rows):
+    """The closure walk with every word tested against the pivots and
+    each child basis eliminated from scratch by _rref: the reference
+    for the walk that grows the parent's basis in place."""
+    zero = AdditiveCode(shape, (), ())
+    seen = {zero.basis}
+    frontier = [zero]
+    yield zero
+    for _ in range(max_rows):
+        new_frontier = []
+        for base in frontier:
+            pivots = sum(1 << (b.bit_length() - 1) for b in base.basis)
+            marked = {0}
+            for w in range(shape.ambient_size):
+                if w & pivots or w in marked:
+                    continue
+                marked.add(_reduce(base.basis, w ^ _u_mul_packed(shape, w)))
+                basis = _rref(shape, (w,), start=base.basis)
+                if basis not in seen:
+                    seen.add(basis)
+                    code = AdditiveCode(shape, None, basis)
+                    new_frontier.append(code)
+                    yield code
+        frontier = new_frontier
+
+
+def test_walk_equals_rref_from_scratch_walk():
+    # same codes, same bases, same order, shape after shape
+    spaces = [SearchSpace(alpha=(0, 4), beta=(0, 2), max_rows=rows)
+              for rows in (1, 2, 3)]
+    spaces += [SearchSpace(alpha=a, beta=b, max_rows=3)
+               for a, b in ((6, 1), (0, 3), (2, 3))]
+    for space in spaces:
+        expected = [(c.shape, c.basis) for shape in space.shapes()
+                    for c in rref_walk(shape, space.max_rows)]
+        got = [(c.shape, c.basis) for c in enumerate_candidates(space)]
+        assert got == expected
 
 
 def test_exhaustive_cap():
@@ -260,14 +306,52 @@ def test_one_weight_search_small_exhaustive():
     assert (4, 1, 4) in grays  # the repetition code (1 1 | u)
 
 
+def nonzero_lee_weights(code):
+    words = [0]
+    for b in code.basis:
+        words += [x ^ b for x in words]
+    return {_lee_packed(code.shape, x) for x in words[1:]}
+
+
+def test_basis_weight_prune_is_exact():
+    # no code with at most t nonzero Lee weights shows more than t
+    # distinct weights on its basis rows, t = 1 (the one-weight targets
+    # and the survey) and t = 2 (two_weight_projective)
+    spaces = [SearchSpace(alpha=a, beta=b, max_rows=2)
+              for a in range(11) for b in range(6) if 1 <= a + 2 * b <= 10]
+    spaces.append(SearchSpace(alpha=(0, 4), beta=(0, 2), max_rows=3))
+    few = {1: 0, 2: 0}
+    for space in spaces:
+        for code in enumerate_candidates(space):
+            k = len(nonzero_lee_weights(code))
+            for t in (1, 2):
+                if k and k <= t:
+                    assert _basis_weights_fit(code, t)
+                    few[t] += 1
+    assert few[1] and few[2] > few[1]
+
+
 def test_pruned_equals_unpruned():
+    # exhaustive spaces where the basis-weight prune fires, then the
+    # random spaces, where the size pruner runs on the rank first
+    exhaustive = [dict(alpha=(0, 3), beta=(0, 1), max_rows=2),
+                  dict(alpha=(0, 4), beta=(0, 2), max_rows=2),
+                  dict(alpha=(0, 4), beta=(0, 2), max_rows=3)]
     for target in ("one_weight", "two_weight_projective", "fsd_one_weight"):
-        space = SearchSpace(alpha=(0, 3), beta=(0, 1), max_rows=2,
-                            target=target)
-        pruned = search_with_pruning(space, use_pruners=True)
-        plain = search_with_pruning(space, use_pruners=False)
-        assert [h.code for h in pruned] == [h.code for h in plain]
-        # random mode prunes on the rank, before any code is built
+        t = 2 if target == "two_weight_projective" else 1
+        fired = 0
+        for kw in exhaustive:
+            space = SearchSpace(target=target, **kw)
+            pruned = search_with_pruning(space, use_pruners=True)
+            plain = search_with_pruning(space, use_pruners=False)
+            assert [h.code for h in pruned] == [h.code for h in plain]
+            fired += sum(
+                _size_fits(target, c.shape, c.cardinality)
+                and not _basis_weights_fit(c, t)
+                for c in enumerate_candidates(space))
+        # fsd_one_weight sizes fit only 2-word codes at N = 2 here: one
+        # basis row, so its basis-weight prune cannot fire
+        assert fired or target == "fsd_one_weight"
         found = 0
         for seed in (0, 1, 2, 3):
             for kw in RANDOM_SPACES:
@@ -373,6 +457,32 @@ def test_screen_is_stable_on_larger_ranges():
     assert report.codes_examined > 10000
 
 
+def test_screen_equals_unpruned_survey():
+    # every code of the range walked from scratch, no basis-weight prune
+    max_alpha, max_beta, max_rows = 4, 2, 3
+    examined = 0
+    survivors = []
+    for a in range(max_alpha + 1):
+        for b in range(max_beta + 1):
+            if a + b < 1:
+                continue
+            shape = AmbientShape(a, b)
+            for code in rref_walk(shape, max_rows):
+                examined += 1
+                size = code.cardinality
+                if size < 2 or size * size != shape.ambient_size:
+                    continue
+                enum = lee_enumerator(code)
+                if (len(enum.nonzero_weights()) == 1
+                        and is_formally_self_dual(code,
+                                                  dual_summary(code, enum))):
+                    survivors.append(code)
+    report = verify_fsd_classification(max_alpha, max_beta, max_rows)
+    assert report.codes_examined == examined == 11150
+    assert list(report.survivors) == sorted(
+        survivors, key=lambda c: (c.shape.alpha, c.shape.beta, c.basis))
+
+
 def test_screen_range_caps():
     with pytest.raises(ValueError):
         verify_fsd_classification(7, 1)
@@ -380,6 +490,11 @@ def test_screen_range_caps():
         verify_fsd_classification(2, 4)
     with pytest.raises(ValueError):
         verify_fsd_classification(0, 0)
+    # the walk's own guards: at least one row, at most 2^26 tuples
+    with pytest.raises(ValueError, match="max_rows"):
+        verify_fsd_classification(4, 2, 0)
+    with pytest.raises(SpaceTooLarge):
+        verify_fsd_classification(6, 3)
 
 
 # -------------------------------------------------------------- optimality
