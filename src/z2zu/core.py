@@ -235,27 +235,19 @@ def vec_add(v: MixedVector, w: MixedVector) -> MixedVector:
     return MixedVector(v.shape, v.bin ^ w.bin, v.ring ^ w.ring)
 
 
-def _ring_scalar_mul_packed(c: int, r: int, a_mask: int) -> int:
-    """Multiply every packed ring digit by the scalar with encoding c."""
-    if c == 0:
-        return 0
-    if c == 1:
-        return r
-    a = r & a_mask
-    if c == 2:  # u * (a + ub) = u*a
-        return a << 1
-    # (1+u)(a + ub) = a + u*(a + b)
-    b = (r >> 1) & a_mask
-    return a | ((a ^ b) << 1)
-
-
 def scalar_mul(c: RingElem | int, v: MixedVector) -> MixedVector:
     """(r + u*q) * v: binary part times r, ring part times the scalar."""
     c = int(RingElem(c))
-    shape = v.shape
-    new_bin = v.bin if (c & 1) else 0
-    new_ring = _ring_scalar_mul_packed(c, v.ring, shape.ring_a_mask)
-    return MixedVector(shape, new_bin, new_ring)
+    if c == 0:
+        return zero_vector(v.shape)
+    if c == 1:
+        return v
+    a = v.ring & v.shape.ring_a_mask
+    if c == 2:  # u * (a + ub) = u*a, and u kills the binary part
+        return MixedVector(v.shape, 0, a << 1)
+    # (1+u)(a + ub) = a + u*(a + b)
+    b = (v.ring >> 1) & v.shape.ring_a_mask
+    return MixedVector(v.shape, v.bin, a | ((a ^ b) << 1))
 
 
 def _u_mul_packed(shape: AmbientShape, word: int) -> int:
@@ -496,12 +488,11 @@ def _echelon(
     shape: AmbientShape,
     rows: Iterable[int],
     u_closed: bool = True,
-    start: tuple[int, ...] = (),
 ) -> dict[int, int]:
     """Echelon half of :func:`_rref`: the packed rows (and u*rows when
-    u_closed), grown from the reduced basis ``start``, kept one per
-    leading bit.  Its size is the rank, so the code has 2^len words."""
-    lead = {b.bit_length(): b for b in start}
+    u_closed), kept one per leading bit.  Its size is the rank, so the
+    code has 2^len words."""
+    lead: dict[int, int] = {}
     a_mask = shape.ring_a_mask
     for g in rows:
         # (g & a_mask) << 1 is u*g (_u_mul_packed), inlined: the
@@ -530,11 +521,10 @@ def _rref(
     shape: AmbientShape,
     rows: Iterable[int],
     u_closed: bool = True,
-    start: tuple[int, ...] = (),
 ) -> tuple[int, ...]:
     """Reduced echelon XOR basis of the packed rows (and u*rows when
-    u_closed), grown from the reduced basis ``start``, sorted increasing."""
-    return _back_substitute(_echelon(shape, rows, u_closed, start))
+    u_closed), sorted increasing."""
+    return _back_substitute(_echelon(shape, rows, u_closed))
 
 
 def _packed(shape: AmbientShape, rows: Sequence[MixedVector]) -> list[int]:

@@ -14,9 +14,9 @@ skipped on the fly; together with the set of bases already grown this
 visits each code generated by up to g rows exactly once while touching
 far fewer candidates than the (2^(alpha+2*beta))^g generator tuples
 the space nominally contains.  That nominal count is still the budget
-guard: exhaustive mode refuses spaces beyond 2^26 tuples.  Random mode
-drops repeated codes by an exact key: the shape and the reduced basis,
-at most alpha + 2*beta integers.
+guard: exhaustive mode refuses a space whose tuples, summed over all
+its shapes, exceed 2^26.  Random mode drops repeated codes by an exact
+key: the shape and the reduced basis, at most alpha + 2*beta integers.
 
 A random draw is handled rank first.  Its rows are drawn as packed
 integers and go through the echelon half of the elimination only
@@ -96,8 +96,8 @@ __all__ = [
 
 TARGETS = ("one_weight", "two_weight_projective", "fsd_one_weight")
 
-# Exhaustive mode refuses spaces whose nominal generator-tuple count
-# exceeds this.
+# Exhaustive mode refuses spaces whose nominal generator-tuple count,
+# summed over all shapes, exceeds this.
 MAX_EXHAUSTIVE_TUPLES = 1 << 26
 
 
@@ -286,18 +286,22 @@ def _random_candidates(
 
 
 def enumerate_candidates(space: SearchSpace) -> Iterator[AdditiveCode]:
-    """Deduplicated candidate codes of the space, deterministic order."""
+    """Deduplicated candidate codes of the space, deterministic order.
+
+    An exhaustive space whose total generator-tuple count, summed over
+    all its shapes (:meth:`SearchSpace.tuple_count`), exceeds
+    MAX_EXHAUSTIVE_TUPLES raises SpaceTooLarge before any code is
+    yielded."""
     if space.mode == "random":
         yield from _random_candidates(space, _always)
         return
-    shapes = space.shapes()
-    for shape in shapes:
-        if shape.ambient_size ** space.max_rows > MAX_EXHAUSTIVE_TUPLES:
-            raise SpaceTooLarge(
-                f"space holds {space.tuple_count()} generator tuples; "
-                f"the exhaustive cap is {MAX_EXHAUSTIVE_TUPLES}"
-            )
-    for shape in shapes:
+    count = space.tuple_count()
+    if count > MAX_EXHAUSTIVE_TUPLES:
+        raise SpaceTooLarge(
+            f"space holds {count} generator tuples; "
+            f"the exhaustive cap is {MAX_EXHAUSTIVE_TUPLES}"
+        )
+    for shape in space.shapes():
         yield from _codes_by_closure(shape, space.max_rows)
 
 

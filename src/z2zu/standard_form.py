@@ -7,28 +7,40 @@ one generated by a block matrix
     ( 0     S  |  I_k1  A      B1+u*B2  )
     ( 0     0  |  0     u*I_k2 u*D      )
 
-where A, A1, S, D, B1, B2, T have entries in {0, 1}.  The reduction is
-three rounds of Gaussian elimination with module row operations:
+where A, A1, S, D, B1, B2, T have entries in {0, 1}.  The block rows
+are read off one reduced echelon XOR basis (core._rref) of the code,
+taken with the packed bits reordered into pivot order: the unit bits
+of the ring digits (ring column 0 highest), then the binary bits, then
+the u-bits of the ring digits.  In that order a word's leading bit is
+a unit bit when the word has a unit anywhere, else a binary bit when
+its binary part is nonzero, else a u-bit.  So each reduced row's
+leading bit says which block it belongs to and names its pivot column:
+a unit pivot makes a k1 row, a binary pivot a k0 row, a u pivot a k2
+row.  The rows are taken highest leading bit first, so every block
+comes out in column order.
 
-  1. pivot on unit entries (1 or v) in ring columns; each pivot is
-     normalised with v*v = 1 and its column cleared in every other row
-     (elimination can surface new units, so the scan restarts until
-     none remain) -> k1 rows;
-  2. pivot on binary columns among the remaining rows over Z2 -> k0
-     rows (remaining rows carry only 0/u ring entries by round 1);
-  3. the rows left have zero binary part and 0/u ring entries: divide
-     by u mentally and eliminate over Z2 -> k2 rows.  Clearing a round-3
-     pivot column in the other rows only removes u components, which is
-     exactly what the block layout asks for (A stays binary).
+Reduced echelon form clears each row's pivot bit from every other row,
+which is the block layout: a k1 row is 1 on its own column and 0 on
+the other unit-pivot columns, a k0 row has I_k0 on the binary pivots
+and no unit bit at all, and no row has a u-bit on another row's u
+pivot.  For a k1 row g, u*g is in the code, and its u-bits are g's unit
+bits, so it leads at g's pivot column; every unit-pivot column is
+therefore also the pivot of a u row, namely u*g plus k2 rows.  Those
+rows are generated by the others as a module, so they are dropped.
+This also clears the u-bit under each k1 pivot (I_k1 has entry 1, not
+v = 1+u) and every u-bit of the other rows on the k1 columns.  What
+is left is k0 + k1 + k2 rows, and the XOR rank k0 + 2*k1 + k2 is
+log2 |C|.  A reduced echelon basis is unique for its span, so the form
+depends only on the code, not on the generators or their order.
 
-Pivots always take the leftmost eligible column and then the topmost
-eligible row, so the result is deterministic.  Columns are permuted at
-the end (binary pivots first; unit pivots, then u pivots, then the rest
-among ring columns) and the permutation is recorded so the original
-code can be recovered exactly.  Before returning, the reduced rows are
-un-permuted and their reduced echelon basis is compared with the input
-code's; two such bases are equal exactly when the spans are, so any
-difference raises InternalVerificationFailure.
+Columns are permuted at the end (binary pivots first; unit pivots, then
+u pivots, then the rest among ring columns) and the permutation is
+recorded so the original code can be recovered exactly.  Two checks
+that do not rely on the reading above run before returning: 2^(k0 +
+2*k1 + k2) must equal |C|, and the reduced rows are un-permuted and
+their reduced echelon basis compared with the input code's; two such
+bases are equal exactly when the spans are, so any difference raises
+InternalVerificationFailure.
 """
 
 from __future__ import annotations
@@ -40,7 +52,6 @@ from .core import (
     AmbientShape,
     MixedVector,
     _require_module,
-    _ring_scalar_mul_packed,
     _rref,
     format_matrix,
 )
@@ -112,147 +123,88 @@ class StandardFormMatrix:
     def unpermuted_rows(self) -> tuple[MixedVector, ...]:
         """The reduced rows moved back to the original column order."""
         shape = self.shape
+        alpha = shape.alpha
         out = []
         for v in self.rows:
-            bits = v.bin_bits
-            elems = v.ring_elems
-            orig_bits = [0] * shape.alpha
+            bits = _bits(shape, v.packed)
+            binary = [""] * alpha
             for j, col in enumerate(self.bin_perm):
-                orig_bits[col] = bits[j]
-            orig_elems = [0] * shape.beta
+                binary[col] = bits[j]
+            ring = [""] * shape.beta
             for j, col in enumerate(self.ring_perm):
-                orig_elems[col] = elems[j]
-            out.append(MixedVector.from_coords(shape, orig_bits, orig_elems))
+                ring[col] = bits[alpha + 2 * j : alpha + 2 * j + 2]
+            word = int("0" + "".join(binary + ring), 2)
+            out.append(MixedVector.from_packed(shape, word))
         return tuple(out)
 
     def to_matrix_text(self) -> str:
         return format_matrix(self.rows, trailer=f"type = {self.code_type.compact()}")
 
 
-def _scale_row(
-    shape: AmbientShape, row: tuple[int, int], c: int
-) -> tuple[int, int]:
-    b, r = row
-    return (b if (c & 1) else 0, _ring_scalar_mul_packed(c, r, shape.ring_a_mask))
+def _bits(shape: AmbientShape, word: int) -> str:
+    """The big_n bits of a word as a string, most significant first.  A
+    packed word reads as the binary part, then two digits (u-bit, unit
+    bit) per ring column."""
+    return bin(word | (1 << shape.big_n))[3:]
+
+
+def _pivot_order(shape: AmbientShape, word: int) -> int:
+    """The packed word with its bits reordered into pivot order: the
+    ring unit bits (column 0 highest), the binary bits, the ring u-bits."""
+    bits = _bits(shape, word)
+    binary, ring = bits[: shape.alpha], bits[shape.alpha :]
+    return int("0" + ring[1::2] + binary + ring[0::2], 2)
 
 
 def standard_form(code: AdditiveCode) -> StandardFormMatrix:
     _require_module(code, "standard_form")
     shape = code.shape
     alpha, beta = shape.alpha, shape.beta
-    rows: list[tuple[int, int]] = [(g.bin, g.ring) for g in code.generators]
-    nrows = len(rows)
-    pivot_rows: set[int] = set()
+    # a row's bits in pivot order, as a string: unit bits at [0, beta),
+    # binary bits at [beta, top), u-bits at [top, big_n)
+    top = alpha + beta
+    # the basis spans C already, so no u*rows (u_closed reads packed rows)
+    basis = _rref(
+        shape, [_pivot_order(shape, w) for w in code.basis], u_closed=False
+    )
 
-    def ring_entry(i: int, col: int) -> int:
-        return (rows[i][1] >> shape.ring_shift(col)) & 3
+    # (pivot column, row) per block; highest leading bit first, so each
+    # block comes out in column order
+    k0_rows, k1_rows, k2_rows = [], [], []
+    for x in reversed(basis):
+        i = shape.big_n - x.bit_length()  # the leading bit's index
+        if i < beta:
+            k1_rows.append((i, x))
+        elif i < top:
+            k0_rows.append((i - beta, x))
+        elif i - top not in {col for col, _ in k1_rows}:
+            k2_rows.append((i - top, x))
+        # else: a u pivot on a unit-pivot column, u times a k1 row
 
-    def bin_entry(i: int, col: int) -> int:
-        return (rows[i][0] >> shape.bin_bit(col)) & 1
-
-    def add_multiple(i: int, c: int, j: int) -> None:
-        """row_i += c * row_j (characteristic 2: add is subtract)."""
-        sb, sr = _scale_row(shape, rows[j], c)
-        b, r = rows[i]
-        rows[i] = (b ^ sb, r ^ sr)
-
-    def next_pivot(ncols, used, qualifies) -> tuple[int, int] | None:
-        """(row, col): the leftmost column not in ``used`` whose entry
-        qualifies in some non-pivot row, and the topmost such row.  Both
-        are marked as used."""
-        for col in range(ncols):
-            if col in used:
-                continue
-            for i in range(nrows):
-                if i not in pivot_rows and qualifies(i, col):
-                    pivot_rows.add(i)
-                    used.add(col)
-                    return i, col
-        return None
-
-    def is_unit(i: int, col: int) -> bool:
-        return bool(ring_entry(i, col) & 1)
-
-    def is_u(i: int, col: int) -> bool:
-        return ring_entry(i, col) == 2
-
-    # round 1: unit pivots in ring columns
-    unit_pivots: list[tuple[int, int]] = []  # (row, ring col)
-    used_ring_cols: set[int] = set()
-    while hit := next_pivot(beta, used_ring_cols, is_unit):
-        i, col = hit
-        if ring_entry(i, col) == 3:
-            rows[i] = _scale_row(shape, rows[i], 3)  # v is its own inverse
-        for j in range(nrows):
-            if j != i:
-                e = ring_entry(j, col)
-                if e:
-                    add_multiple(j, e, i)
-        unit_pivots.append(hit)
-
-    # round 2: binary pivots over Z2
-    bin_pivots: list[tuple[int, int]] = []
-    used_bin_cols: set[int] = set()
-    while hit := next_pivot(alpha, used_bin_cols, bin_entry):
-        i, col = hit
-        for j in range(nrows):
-            if j != i and bin_entry(j, col):
-                add_multiple(j, 1, i)
-        bin_pivots.append(hit)
-
-    # round 3: u pivots over the residue field
-    u_pivots: list[tuple[int, int]] = []
-    while hit := next_pivot(beta, used_ring_cols, is_u):
-        i, col = hit
-        for j in range(nrows):
-            if j != i and ring_entry(j, col) & 2:
-                add_multiple(j, 1, i)  # adding the u-row toggles u components
-        u_pivots.append(hit)
-
-    for i in range(nrows):
-        if i not in pivot_rows and rows[i] != (0, 0):
-            raise InternalVerificationFailure(
-                "a non-pivot row survived all three elimination rounds"
-            )
-
-    k0, k1, k2 = len(bin_pivots), len(unit_pivots), len(u_pivots)
-    code_type = CodeType(alpha, beta, k0, k1, k2)
+    code_type = CodeType(alpha, beta, len(k0_rows), len(k1_rows), len(k2_rows))
     if 1 << code_type.exponent != code.cardinality:
         raise InternalVerificationFailure(
             f"type {code_type.compact()} disagrees with cardinality "
             f"{code.cardinality}"
         )
 
+    bin_pivots = [col for col, _ in k0_rows]
+    ring_pivots = [col for col, _ in k1_rows + k2_rows]
     bin_perm = tuple(
-        [col for _, col in bin_pivots]
-        + [c for c in range(alpha) if c not in {col for _, col in bin_pivots}]
+        bin_pivots + [c for c in range(alpha) if c not in bin_pivots]
     )
     ring_perm = tuple(
-        [col for _, col in unit_pivots]
-        + [col for _, col in u_pivots]
-        + [
-            c
-            for c in range(beta)
-            if c not in {col for _, col in unit_pivots}
-            and c not in {col for _, col in u_pivots}
-        ]
-    )
-    row_order = (
-        [i for i, _ in bin_pivots]
-        + [i for i, _ in unit_pivots]
-        + [i for i, _ in u_pivots]
+        ring_pivots + [c for c in range(beta) if c not in ring_pivots]
     )
 
     out_rows = []
-    for i in row_order:
-        b, r = rows[i]
-        pb = 0
-        for col in bin_perm:
-            pb = (pb << 1) | ((b >> shape.bin_bit(col)) & 1)
-        pr = 0
-        for col in ring_perm:
-            pr = (pr << 2) | ((r >> shape.ring_shift(col)) & 3)
-        out_rows.append(MixedVector(shape, pb, pr))
+    for _, x in k0_rows + k1_rows + k2_rows:
+        bits = _bits(shape, x)
+        binary = "".join(bits[beta + col] for col in bin_perm)
+        ring = "".join(bits[top + col] + bits[col] for col in ring_perm)
+        out_rows.append(
+            MixedVector(shape, int("0" + binary, 2), int("0" + ring, 2))
+        )
 
     result = StandardFormMatrix(
         shape, tuple(out_rows), bin_perm, ring_perm, code_type

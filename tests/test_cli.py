@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 from z2zu.cli import main
 from z2zu.core import MAX_CODE_WORD_BITS, additive_span, parse_matrix_file
@@ -167,6 +168,18 @@ def test_standard_form_command(capsys):
                            ["standard-form", data_file("5.5"), "--quiet"])
     assert rc == 0
     assert "original order" not in quiet_out
+
+
+def test_data_file_outputs_are_pinned(capsys):
+    # the full standard-form rows and the dual generators (the dual's
+    # un-permuted standard-form rows) of every bundled matrix
+    expected = json.loads(
+        (Path(__file__).parent / "data_file_outputs.json").read_text())
+    assert sorted(expected) == sorted(p.name for p in Path("data").iterdir())
+    for name, outputs in expected.items():
+        for command, text in outputs.items():
+            rc, out, err = run(capsys, ["--json", command, f"data/{name}"])
+            assert (rc, out, err) == (0, text, ""), (command, name)
 
 
 def test_standard_form_json(capsys):
@@ -351,6 +364,17 @@ def test_search_space_too_large(capsys):
                               "--rows", "5", "--mode", "exhaustive"])
     assert rc == 2
     assert "exhaustive cap" in err
+
+
+def test_search_space_too_large_in_total(capsys):
+    # each shape alone fits the cap (at most 2^26 tuples), but the 27
+    # shapes together hold 2^27 - 2 tuples
+    rc, out, err = run(capsys, ["search", "--target", "one-weight",
+                                "--alpha", "0..26", "--beta", "0",
+                                "--rows", "1"])
+    assert (rc, out) == (2, "")
+    assert err == ("error: space holds 134217726 generator tuples; "
+                   "the exhaustive cap is 67108864\n")
 
 
 def test_search_requires_target(capsys):

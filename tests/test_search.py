@@ -25,6 +25,7 @@ from z2zu.presets import preset_code
 from z2zu.ring import U
 from z2zu.classify import dual_summary, is_formally_self_dual
 from z2zu.search import (
+    MAX_EXHAUSTIVE_TUPLES,
     OPTIMALITY_TABLE,
     TARGETS,
     SearchSpace,
@@ -149,7 +150,7 @@ def rref_walk(shape, max_rows):
                 if w & pivots or w in marked:
                     continue
                 marked.add(_reduce(base.basis, w ^ _u_mul_packed(shape, w)))
-                basis = _rref(shape, (w,), start=base.basis)
+                basis = _rref(shape, base.basis + (w,))
                 if basis not in seen:
                     seen.add(basis)
                     code = AdditiveCode(shape, None, basis)
@@ -175,6 +176,13 @@ def test_exhaustive_cap():
     space = SearchSpace(alpha=20, beta=20, max_rows=5)
     with pytest.raises(SpaceTooLarge):
         list(enumerate_candidates(space))
+    # the cap is on the total: no shape alone exceeds 2^26 tuples here,
+    # and the space is refused before its first code
+    space = SearchSpace(alpha=(0, 26), beta=0, max_rows=1)
+    assert max(s.ambient_size for s in space.shapes()) == MAX_EXHAUSTIVE_TUPLES
+    assert space.tuple_count() == 2 * MAX_EXHAUSTIVE_TUPLES - 2
+    with pytest.raises(SpaceTooLarge):
+        next(enumerate_candidates(space))
 
 
 def test_random_stream_is_reproducible():

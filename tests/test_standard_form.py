@@ -1,11 +1,22 @@
 """Row reduction to the block form and the (k0, k1, k2) type."""
 
+import importlib
+import random
+
 import pytest
 
-from z2zu.core import AmbientShape, MixedVector, additive_span, parse_matrix, span
+from z2zu.core import (
+    AmbientShape,
+    MixedVector,
+    additive_span,
+    dual,
+    parse_matrix,
+    span,
+)
 from z2zu.errors import InternalVerificationFailure, PreconditionViolation
 from z2zu.presets import PRESETS, preset_code
 from z2zu.ring import U
+from z2zu.search import SearchSpace, enumerate_candidates
 from z2zu.standard_form import (
     CodeType,
     StandardFormMatrix,
@@ -14,6 +25,7 @@ from z2zu.standard_form import (
 )
 
 from conftest import random_code
+from standard_form_oracle import standard_form_oracle
 
 
 def code_of(text):
@@ -137,6 +149,68 @@ def test_type_invariants_random(rng):
         assert len(sf.rows) == t.k0 + t.k1 + t.k2
 
 
+# ------------------------------------------- the three-round oracle
+
+
+def mixed_random_code(rng, max_alpha, max_beta, max_rows):
+    """Span of random rows of three kinds: unconstrained, with u-only
+    ring entries, and u-only with a zero binary part, so that all three
+    blocks turn up."""
+    while True:
+        alpha = rng.randrange(max_alpha + 1)
+        beta = rng.randrange(max_beta + 1)
+        if alpha + beta:
+            break
+    shape = AmbientShape(alpha, beta)
+    u_bits = shape.ring_a_mask << 1
+    rows = []
+    for _ in range(rng.randrange(1, max_rows + 1)):
+        b, r = rng.getrandbits(alpha), rng.getrandbits(2 * beta)
+        kind = rng.randrange(3)
+        if kind:
+            r &= u_bits
+        if kind == 2:
+            b = 0
+        rows.append(MixedVector(shape, b, r))
+    return span(shape, rows)
+
+
+def test_matches_oracle_on_exhaustive_walk():
+    space = SearchSpace(alpha=(0, 4), beta=(0, 2), max_rows=3)
+    count = 0
+    for code in enumerate_candidates(space):
+        assert standard_form(code) == standard_form_oracle(code), code
+        count += 1
+    assert count == 11150
+
+
+def test_matches_oracle_on_random_codes_and_duals():
+    rng = random.Random(2016)
+    seen_types = set()
+    for _ in range(300):
+        code = mixed_random_code(rng, max_alpha=30, max_beta=23, max_rows=8)
+        for c in (code, dual(code)):
+            sf = standard_form(c)
+            assert sf == standard_form_oracle(c), c
+            t = sf.code_type
+            seen_types.add((t.k0 > 0, t.k1 > 0, t.k2 > 0))
+    # every mix of empty and nonempty blocks occurred
+    assert len(seen_types) == 8
+
+
+def test_form_does_not_depend_on_the_generators(rng):
+    for _ in range(40):
+        code = mixed_random_code(rng, max_alpha=8, max_beta=6, max_rows=5)
+        rows = list(code.generators)
+        # a redundant row: the sum of two generators times v = 1 + u
+        extra = 3 * (rows[0] + rows[-1])
+        rng.shuffle(rows)
+        rows.insert(rng.randrange(len(rows) + 1), extra)
+        other = span(code.shape, rows)
+        assert other == code
+        assert standard_form(other) == standard_form(code)
+
+
 def test_lost_row_fails_the_span_check(monkeypatch):
     # rows that span less than the input must not pass as its standard form
     code = preset_code("3.8")
@@ -145,6 +219,19 @@ def test_lost_row_fails_the_span_check(monkeypatch):
     monkeypatch.setattr(StandardFormMatrix, "unpermuted_rows",
                         property(lambda sf: rows.fget(sf)[:-1]))
     with pytest.raises(InternalVerificationFailure):
+        standard_form(code)
+
+
+def test_short_basis_fails_the_size_check(monkeypatch):
+    # a reduced basis that lost a row must not pass as the code's type
+    code = preset_code("3.8")
+    # the module, not the function the package re-exports under its name
+    module = importlib.import_module("z2zu.standard_form")
+    rref = module._rref
+    monkeypatch.setattr(module, "_rref",
+                        lambda *args, **kw: rref(*args, **kw)[:-1])
+    with pytest.raises(InternalVerificationFailure,
+                       match="disagrees with cardinality"):
         standard_form(code)
 
 
