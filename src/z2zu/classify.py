@@ -23,7 +23,9 @@ The dual code is read off the code's basis (:func:`z2zu.core.dual`)
 and its distribution comes from the MacWilliams transform.  When the
 dual is no larger than the code, its words are counted too and the two
 distributions are compared; any difference raises
-InternalVerificationFailure.
+InternalVerificationFailure.  The summary is computed once per code and
+kept on it, as its Lee enumerator is, so the verifiers below take the
+code alone.
 """
 
 from __future__ import annotations
@@ -93,11 +95,10 @@ class WeightProfile:
         return len(self.weights) == 2
 
 
-def weight_profile(code: AdditiveCode, enum: LeeEnumerator | None = None) -> WeightProfile:
+def weight_profile(code: AdditiveCode) -> WeightProfile:
     if code.cardinality < 2:
         raise TrivialCode("weight profile needs a nonzero codeword")
-    if enum is None:
-        enum = lee_enumerator(code)
+    enum = lee_enumerator(code)
     weights = enum.nonzero_weights()
     counts = tuple((w, enum.count(w)) for w in weights)
     lam: int | None = None
@@ -125,14 +126,16 @@ def weight_profile(code: AdditiveCode, enum: LeeEnumerator | None = None) -> Wei
 
 @dataclass(frozen=True)
 class DualSummary:
-    """Dual weight distribution plus how it was obtained."""
+    """Dual weight distribution plus how it was obtained.
+
+    Computed once per code by :func:`dual_summary` and kept on the code.
+    """
 
     enumerator: LeeEnumerator
     # "algebraic" when the dual's words were counted and matched the
     # transform, "macwilliams" when the transform alone gave them
     source: str
     dual_code: AdditiveCode
-    code_enumerator: LeeEnumerator  # of the code itself, computed once
 
     @property
     def cardinality(self) -> int:
@@ -151,24 +154,30 @@ class DualSummary:
         return self.enumerator.count(2)
 
 
-def dual_summary(
-    code: AdditiveCode, enum: LeeEnumerator | None = None
-) -> DualSummary:
+def dual_summary(code: AdditiveCode) -> DualSummary:
     """Dual code and distribution by transform, cross-checked by
-    counting the dual's words when there are no more than the code's."""
-    _require_module(code, "dual_summary")
-    if enum is None:
-        enum = lee_enumerator(code)
-    dual_code = dual(code)
-    transformed = macwilliams(enum, code.cardinality)
-    if dual_code.cardinality > code.cardinality:
-        return DualSummary(transformed, "macwilliams", dual_code, enum)
-    if lee_enumerator(dual_code) != transformed:
-        raise InternalVerificationFailure(
-            "the dual's counted distribution disagrees with the "
-            "MacWilliams transform"
-        )
-    return DualSummary(transformed, "algebraic", dual_code, enum)
+    counting the dual's words when there are no more than the code's.
+
+    Built once and kept on the code.  On the transform route the exact
+    transform is also kept as the dual code's Lee enumerator, so reading
+    it builds none of the dual's words.
+    """
+    if code._dual is None:
+        _require_module(code, "dual_summary")
+        dual_code = dual(code)
+        transformed = macwilliams(lee_enumerator(code), code.cardinality)
+        if dual_code.cardinality > code.cardinality:
+            dual_code._lee = transformed
+            source = "macwilliams"
+        elif lee_enumerator(dual_code) != transformed:
+            raise InternalVerificationFailure(
+                "the dual's counted distribution disagrees with the "
+                "MacWilliams transform"
+            )
+        else:
+            source = "algebraic"
+        code._dual = DualSummary(transformed, source, dual_code)
+    return code._dual
 
 
 @dataclass(frozen=True)
@@ -178,26 +187,19 @@ class ProjectivityCheck:
     source: str
 
 
-def is_projective(
-    code: AdditiveCode, dual: DualSummary | None = None
-) -> ProjectivityCheck:
+def is_projective(code: AdditiveCode) -> ProjectivityCheck:
     """Projective = no dual words of Lee weight 1 or 2."""
-    if dual is None:
-        dual = dual_summary(code)
+    dual = dual_summary(code)
     return ProjectivityCheck(
         dual.b1 == 0 and dual.b2 == 0, dual.min_weight, dual.source
     )
 
 
-def is_formally_self_dual(
-    code: AdditiveCode, dual: DualSummary | None = None
-) -> bool:
+def is_formally_self_dual(code: AdditiveCode) -> bool:
     """Same Lee enumerator as the dual (implies |C| = 2^(N/2))."""
     if code.cardinality * code.cardinality != code.shape.ambient_size:
         return False
-    if dual is None:
-        dual = dual_summary(code)
-    return dual.code_enumerator == dual.enumerator
+    return lee_enumerator(code) == dual_summary(code).enumerator
 
 
 def is_self_orthogonal(code: AdditiveCode) -> bool:
@@ -244,18 +246,15 @@ class ClassificationReport:
         }
 
 
-def classify(
-    code: AdditiveCode, dual: DualSummary | None = None
-) -> ClassificationReport:
-    if dual is None:
-        dual = dual_summary(code)
-    weights = dual.code_enumerator.nonzero_weights()
-    proj = is_projective(code, dual)
+def classify(code: AdditiveCode) -> ClassificationReport:
+    dual = dual_summary(code)
+    weights = lee_enumerator(code).nonzero_weights()
+    proj = is_projective(code)
     report = ClassificationReport(
         one_lee_weight=len(weights) == 1,
         two_lee_weight=len(weights) == 2,
         projective=proj.projective,
-        formally_self_dual=is_formally_self_dual(code, dual),
+        formally_self_dual=is_formally_self_dual(code),
         self_orthogonal=is_self_orthogonal(code),
         self_dual=is_self_dual(code),
         nonzero_weights=weights,
@@ -314,17 +313,13 @@ def _repetition_word(code: AdditiveCode) -> int:
     return (ones << (2 * shape.beta)) | all_u
 
 
-def verify_one_weight_theorems(
-    code: AdditiveCode, dual: DualSummary | None = None
-) -> OneWeightReport:
-    enum = lee_enumerator(code) if dual is None else dual.code_enumerator
-    profile = weight_profile(code, enum)
+def verify_one_weight_theorems(code: AdditiveCode) -> OneWeightReport:
+    profile = weight_profile(code)
     if not profile.is_one_weight:
         raise NotOneWeight(
             f"code has nonzero weights {profile.weights}, expected exactly one"
         )
-    if dual is None:
-        dual = dual_summary(code, enum)
+    dual = dual_summary(code)
     m = profile.weights[0]
     lam = profile.lambda_
     n = code.shape.big_n
@@ -344,7 +339,7 @@ def verify_one_weight_theorems(
     if m % 2 == 1:
         odd_m_is_repetition = code.basis == (_repetition_word(code),)
 
-    gray = gray_parameters(code, enum)
+    gray = gray_parameters(code)
     gray_d_expected: int | None = None
     gray_ok: bool | None = None
     if lam is not None:
@@ -405,18 +400,14 @@ def _two_weight_quadratic(n: int, size: int, m1: int, m2: int) -> Fraction:
     )
 
 
-def verify_two_weight_relations(
-    code: AdditiveCode, dual: DualSummary | None = None
-) -> TwoWeightReport:
-    enum = lee_enumerator(code) if dual is None else dual.code_enumerator
+def verify_two_weight_relations(code: AdditiveCode) -> TwoWeightReport:
+    enum = lee_enumerator(code)
     weights = enum.nonzero_weights()
     if len(weights) != 2:
         raise NotTwoWeight(
             f"code has nonzero weights {weights}, expected exactly two"
         )
-    if dual is None:
-        dual = dual_summary(code, enum)
-    proj = is_projective(code, dual)
+    proj = is_projective(code)
     if not proj.projective:
         raise NotProjective(
             f"dual has minimum Lee weight {proj.dual_min_weight}, need >= 3"
@@ -447,9 +438,7 @@ def verify_two_weight_relations(
     )
 
 
-def verify_fsd_even_weight_criterion(
-    code: AdditiveCode, dual: DualSummary | None = None
-) -> bool:
+def verify_fsd_even_weight_criterion(code: AdditiveCode) -> bool:
     """For a formally self-dual one-weight code:
 
         m is even  <=>  (1...1 | u...u) is a codeword and alpha is even.
@@ -457,15 +446,12 @@ def verify_fsd_even_weight_criterion(
     Returns whether the equivalence holds; raises on codes outside the
     one-weight formally-self-dual scope.
     """
-    enum = lee_enumerator(code) if dual is None else dual.code_enumerator
-    weights = enum.nonzero_weights()
+    weights = lee_enumerator(code).nonzero_weights()
     if len(weights) != 1:
         raise NotOneWeight(
             f"code has nonzero weights {weights}, expected exactly one"
         )
-    if dual is None:
-        dual = dual_summary(code, enum)
-    if not is_formally_self_dual(code, dual):
+    if not is_formally_self_dual(code):
         raise PreconditionViolation("code is not formally self-dual")
     m = weights[0]
     rep = MixedVector.from_packed(code.shape, _repetition_word(code))

@@ -95,35 +95,35 @@ def _enum_obj(enum) -> dict:
 # ---------------------------------------------------------------- analyze
 
 
-def _theorem_checks(code, enum, dual, profile) -> dict:
+def _theorem_checks(code, profile) -> dict:
     """The verifications that apply to this code, name -> outcome."""
     checks: dict[str, object] = {}
     try:
-        checks["weight_sum_identity"] = weight_sum_identity(code, enum)
+        checks["weight_sum_identity"] = weight_sum_identity(code)
     except ZeroColumnPresent:
         checks["weight_sum_identity"] = "skipped: zero column present"
-    b1 = dual.enumerator.count(1)
-    b2 = dual.enumerator.count(2)
-    moments = power_moments(enum, code.cardinality, b1, b2)
+    dual = dual_summary(code)
+    moments = power_moments(lee_enumerator(code), code.cardinality,
+                            dual.b1, dual.b2)
     checks["power_moments"] = bool(moments.all_ok)
-    wp = weight_profile(code, enum)
+    wp = weight_profile(code)
     if wp.is_one_weight:
         if profile.has_zero_column:
             checks["one_weight_relations"] = (
                 "skipped: zero column present; " + "; ".join(wp.violations)
             )
         else:
-            rep = verify_one_weight_theorems(code, dual)
+            rep = verify_one_weight_theorems(code)
             checks["one_weight_relations"] = bool(rep.all_ok)
             try:
                 checks["fsd_even_weight_criterion"] = bool(
-                    verify_fsd_even_weight_criterion(code, dual)
+                    verify_fsd_even_weight_criterion(code)
                 )
             except Z2ZuError:
                 pass
     if wp.is_two_weight:
         try:
-            rep2 = verify_two_weight_relations(code, dual)
+            rep2 = verify_two_weight_relations(code)
             checks["two_weight_relations"] = bool(rep2.all_ok)
         except NotProjective:
             checks["two_weight_relations"] = "skipped: not projective"
@@ -136,11 +136,11 @@ def cmd_analyze(args) -> int:
         raise TrivialCode("matrix spans only the zero code")
     sf = standard_form(code)
     enum = lee_enumerator(code)
-    dual = dual_summary(code, enum)
-    report = classify(code, dual)
-    gp = gray_parameters(code, enum)
+    dual = dual_summary(code)
+    report = classify(code)
+    gp = gray_parameters(code)
     profile = column_profile(code)
-    checks = _theorem_checks(code, enum, dual, profile)
+    checks = _theorem_checks(code, profile)
     warnings = []
     if not u_closed:
         warnings.append(
@@ -211,7 +211,7 @@ def cmd_dual(args) -> int:
     enum, dual = summary.enumerator, summary.dual_code
     sf = standard_form(dual)
     rows = [format_row(v) for v in sf.unpermuted_rows]
-    gp = gray_parameters(dual, enum)
+    gp = gray_parameters(dual)
     if args.json:
         print(_dump({
             "source": summary.source,
@@ -239,7 +239,7 @@ def cmd_gray(args) -> int:
     code, _ = _load(args.file)
     img = gray_image(code)
     enum = lee_enumerator(code)
-    gp = gray_parameters(code, enum)
+    gp = gray_parameters(code)
     if args.json:
         obj = {"n": gp[0], "k": gp[1], "d": gp[2],
                "optimality": optimality_check(*gp),
@@ -326,12 +326,12 @@ def _reproduce_one(key: str) -> list[dict]:
     results.append(_check("lee counts",
                           tuple(sorted(enum.counts.items())), p.lee_counts))
     results.append(_check("lee polynomial", enum.poly_str(), p.lee_poly))
-    gp = gray_parameters(code, enum)
+    gp = gray_parameters(code)
     results.append(_check("gray parameters", gp, p.gray))
     if p.gray_optimal:
         results.append(_check("gray optimality",
                               optimality_check(*gp), "optimal"))
-    wp = weight_profile(code, enum)
+    wp = weight_profile(code)
     if p.one_weight:
         results.append(_check("one-weight", wp.is_one_weight, True))
         profile = column_profile(code)
@@ -354,7 +354,7 @@ def _reproduce_one(key: str) -> list[dict]:
     if p.module_span and (p.dual_lee_counts or p.dual_gray
                           or p.projective is not None
                           or p.formally_self_dual is not None):
-        dual = dual_summary(code, enum)
+        dual = dual_summary(code)
     if dual is not None and p.dual_lee_counts is not None:
         results.append(_check(
             "dual lee counts",
@@ -362,7 +362,7 @@ def _reproduce_one(key: str) -> list[dict]:
             p.dual_lee_counts,
         ))
     if dual is not None and p.dual_gray is not None:
-        dgp = gray_parameters(dual.dual_code, dual.enumerator)
+        dgp = gray_parameters(dual.dual_code)
         results.append(_check("dual gray parameters", dgp, p.dual_gray))
         if p.dual_gray_optimal:
             results.append(_check("dual gray optimality",

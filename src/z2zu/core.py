@@ -65,6 +65,7 @@ from .errors import (
 from .ring import RingElem, parse_ring_token
 
 if TYPE_CHECKING:
+    from .classify import DualSummary
     from .weights import LeeEnumerator
 
 __all__ = [
@@ -358,10 +359,13 @@ class AdditiveCode:
     given as None, as for derived codes, built when first read).
     ``array`` holds every codeword, in canonical order, and is built
     from the basis on first access, only for the per-word counts;
-    ``words`` is the same list as Python ints.
+    ``words`` is the same list as Python ints.  Two invariants are kept
+    once computed: ``_lee``, set by :func:`z2zu.weights.lee_enumerator`,
+    and ``_dual``, set by :func:`z2zu.classify.dual_summary`.
     """
 
-    __slots__ = ("shape", "_generators", "basis", "_array", "_words", "_codewords")
+    __slots__ = ("shape", "_generators", "basis", "_array", "_words",
+                 "_codewords", "_lee", "_dual")
 
     def __init__(
         self,
@@ -384,6 +388,8 @@ class AdditiveCode:
         self._array: np.ndarray | None = None
         self._words: tuple[int, ...] | None = None
         self._codewords: tuple[MixedVector, ...] | None = None
+        self._lee: LeeEnumerator | None = None
+        self._dual: DualSummary | None = None
 
     @property
     def generators(self) -> tuple[MixedVector, ...]:
@@ -724,23 +730,19 @@ def gray_image(code: AdditiveCode) -> BinaryCode:
     return BinaryCode(code.shape.big_n, _ints(gray))
 
 
-def gray_parameters(
-    code: AdditiveCode, enum: LeeEnumerator | None = None
-) -> tuple[int, int, int | None]:
+def gray_parameters(code: AdditiveCode) -> tuple[int, int, int | None]:
     """(n, k, d) of the Gray image: length, log2 of size, minimum distance.
 
     The Gray map is a weight-preserving bijection, so d equals the
-    minimum Lee weight; no image is materialised.  It is read off the
-    code's Lee enumerator ``enum`` when one is given, so the words need
-    not be built.  d is None for the zero code.
+    minimum Lee weight; it is read off the code's Lee enumerator, and no
+    image is materialised.  d is None for the zero code.
     """
+    # weights imports core, so this import is local
+    from .weights import lee_enumerator
+
     n = code.shape.big_n
     k = code.cardinality.bit_length() - 1
-    if enum is not None:
-        d = enum.min_nonzero_weight()
-    else:
-        d = min_lee_weight(code) if code.cardinality > 1 else None
-    return (n, k, d)
+    return (n, k, lee_enumerator(code).min_nonzero_weight())
 
 
 # ---------------------------------------------------------------------------

@@ -64,7 +64,6 @@ class Preset:
     projective: bool | None  # None: not externally stated
     formally_self_dual: bool | None
     self_dual: bool | None
-    dual_words: tuple[str, ...] | None  # full dual, for tiny presets only
     module_span: bool = True  # rows u-closed; False: subgroup span only
 
     def matrix_text(self) -> str:
@@ -112,7 +111,6 @@ PRESETS: dict[str, Preset] = {
         projective=False,  # dual minimum distance 2
         formally_self_dual=None,
         self_dual=None,
-        dual_words=None,
     ),
     "3.7": Preset(
         key="3.7",
@@ -136,7 +134,6 @@ PRESETS: dict[str, Preset] = {
         projective=None,
         formally_self_dual=None,
         self_dual=None,
-        dual_words=None,
     ),
     "3.8": Preset(
         key="3.8",
@@ -161,7 +158,6 @@ PRESETS: dict[str, Preset] = {
         projective=False,
         formally_self_dual=None,
         self_dual=None,
-        dual_words=None,
     ),
     "4.3a": Preset(
         key="4.3a",
@@ -182,7 +178,6 @@ PRESETS: dict[str, Preset] = {
         projective=None,
         formally_self_dual=True,
         self_dual=True,
-        dual_words=("0 0 |", "1 1 |"),
     ),
     "4.3b": Preset(
         key="4.3b",
@@ -203,7 +198,6 @@ PRESETS: dict[str, Preset] = {
         projective=None,
         formally_self_dual=True,
         self_dual=False,
-        dual_words=("0 0 |", "0 1 |"),
     ),
     "5.4": Preset(
         key="5.4",
@@ -230,7 +224,6 @@ PRESETS: dict[str, Preset] = {
         projective=None,
         formally_self_dual=None,
         self_dual=None,
-        dual_words=None,
     ),
     "5.5": Preset(
         key="5.5",
@@ -270,7 +263,6 @@ PRESETS: dict[str, Preset] = {
         projective=True,
         formally_self_dual=None,
         self_dual=None,
-        dual_words=None,
     ),
     "5.6": Preset(
         key="5.6",
@@ -321,7 +313,6 @@ PRESETS: dict[str, Preset] = {
         projective=True,
         formally_self_dual=None,
         self_dual=None,
-        dual_words=None,
     ),
     "5.7": Preset(
         key="5.7",
@@ -350,6 +341,5 @@ PRESETS: dict[str, Preset] = {
         projective=True,
         formally_self_dual=None,
         self_dual=None,
-        dual_words=None,
     ),
 }

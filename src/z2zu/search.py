@@ -350,28 +350,21 @@ def search_with_pruning(
             and _basis_weights_fit(code, 1 if one_weight else 2)
         ):
             continue
-        enum = lee_enumerator(code)
-        weights = enum.nonzero_weights()
+        weights = lee_enumerator(code).nonzero_weights()
         if one_weight:
-            if len(weights) != 1:
+            if len(weights) != 1 or weight_profile(code).lambda_ is None:
                 continue
-            if weight_profile(code, enum).lambda_ is None:
-                continue
-            dual = dual_summary(code, enum)
-            if target == "fsd_one_weight" and not is_formally_self_dual(code, dual):
-                continue
-        else:  # two_weight_projective
-            if len(weights) != 2:
-                continue
-            if use_pruners and _two_weight_quadratic(
-                code.shape.big_n, size, weights[0], weights[1]
-            ):
-                continue
-            dual = dual_summary(code, enum)
-            if dual.b1 or dual.b2:
-                continue
-        report = classify(code, dual)
-        gray = gray_parameters(code, enum)
+        elif len(weights) != 2 or use_pruners and _two_weight_quadratic(
+            code.shape.big_n, size, weights[0], weights[1]
+        ):
+            continue
+        dual = dual_summary(code)
+        if target == "fsd_one_weight" and not is_formally_self_dual(code):
+            continue
+        if target == "two_weight_projective" and (dual.b1 or dual.b2):
+            continue
+        report = classify(code)
+        gray = gray_parameters(code)
         assert gray[2] is not None
         hits.append(
             SearchHit(code, report, gray, optimality_check(gray[0], gray[1], gray[2]))
@@ -436,10 +429,9 @@ def verify_fsd_classification(
         if (size < 2 or size * size != code.shape.ambient_size
                 or not _basis_weights_fit(code, 1)):
             continue
-        enum = lee_enumerator(code)
-        if len(enum.nonzero_weights()) != 1:
+        if len(lee_enumerator(code).nonzero_weights()) != 1:
             continue
-        if is_formally_self_dual(code, dual_summary(code, enum)):
+        if is_formally_self_dual(code):
             survivors.append(code)
     survivors.sort(key=lambda c: (c.shape.alpha, c.shape.beta, c.basis))
     expected = [

@@ -120,8 +120,13 @@ class LeeEnumerator:
 
 
 def lee_enumerator(code: AdditiveCode) -> LeeEnumerator:
-    counts = np.bincount(_lee_array(code.shape, code.array)).tolist()
-    return LeeEnumerator.from_counts(code.shape.big_n, dict(enumerate(counts)))
+    """The code's Lee enumerator, counted once and kept on the code."""
+    if code._lee is None:
+        counts = np.bincount(_lee_array(code.shape, code.array)).tolist()
+        code._lee = LeeEnumerator.from_counts(
+            code.shape.big_n, dict(enumerate(counts))
+        )
+    return code._lee
 
 
 def hamming_enumerator(
@@ -287,15 +292,12 @@ def column_profile(code: AdditiveCode) -> ColumnProfile:
     return ColumnProfile(binary, tuple(ring))
 
 
-def weight_sum_identity(
-    code: AdditiveCode, enum: LeeEnumerator | None = None
-) -> bool:
+def weight_sum_identity(code: AdditiveCode) -> bool:
     """Total Lee weight equals (|C|/2)(alpha + 2*beta).
 
     Requires every column to be nonzero (ZeroColumnPresent otherwise):
     a zero column contributes nothing to the left side but still counts
-    in alpha + 2*beta.  ``enum``, when given, must be the code's own; it
-    is computed when omitted.
+    in alpha + 2*beta.
     """
     profile = column_profile(code)
     if profile.has_zero_column:
@@ -303,7 +305,5 @@ def weight_sum_identity(
             f"zero binary columns {profile.zero_binary_columns}, "
             f"zero ring columns {profile.zero_ring_columns}"
         )
-    if enum is None:
-        enum = lee_enumerator(code)
-    total = sum(w * c for w, c in enum.entries)
+    total = sum(w * c for w, c in lee_enumerator(code).entries)
     return 2 * total == code.cardinality * code.shape.big_n

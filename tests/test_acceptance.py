@@ -21,6 +21,7 @@ from z2zu.core import (
     gray_map,
     gray_parameters,
     lee_weight_vec,
+    min_lee_weight,
     span,
     vec_add,
 )
@@ -98,6 +99,9 @@ def test_reference_codes_reproduce_exactly():
                 dual = dual_summary(code)
                 assert gray_parameters(dual.dual_code) == \
                     REFERENCE_DUAL_GRAY[key], key
+                # the dual's own words, counted against the published d
+                assert min_lee_weight(dual.dual_code) == \
+                    REFERENCE_DUAL_GRAY[key][2], key
             assert time.monotonic() - t0 < 1.0, key
 
         # dual distributions stated alongside the primal ones

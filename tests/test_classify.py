@@ -99,18 +99,20 @@ def test_dual_summary_algebraic_route():
     d = dual_summary(code)
     assert d.source == "algebraic"
     assert d.dual_code == code
-    assert d.enumerator == d.code_enumerator
+    assert d.enumerator == lee_enumerator(code)
 
 
 def test_dual_summary_checks_counted_dual(monkeypatch):
     code = preset_code("4.3a")
     enum = lee_enumerator(code)
     wrong = LeeEnumerator.from_counts(2, {0: 1, 1: 1})
-    # z2zu.classify on the package is the function of that name
+    # z2zu.classify on the package is the function of that name.  Only
+    # the dual gets the wrong count: were the code's wrong too, its
+    # transform would agree with it
     monkeypatch.setattr(sys.modules["z2zu.classify"], "lee_enumerator",
-                        lambda c: wrong)
+                        lambda c: enum if c is code else wrong)
     with pytest.raises(InternalVerificationFailure):
-        dual_summary(code, enum)
+        dual_summary(code)
 
 
 def test_dual_summary_refuses_subgroup():
@@ -151,6 +153,8 @@ def test_formally_self_dual_but_not_self_dual():
     assert is_formally_self_dual(b)
     assert not is_self_orthogonal(b)
     assert not is_self_dual(b)
+    # the stated dual {0 0 |, 0 1 |}
+    assert dual_summary(b).dual_code == code_of("0 0 |\n0 1 |\n")
 
 
 def test_formal_self_duality_needs_square_cardinality():

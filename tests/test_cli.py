@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from z2zu.cli import main
 from z2zu.core import MAX_CODE_WORD_BITS, additive_span, parse_matrix_file
 from z2zu.presets import PRESETS, preset_code
@@ -141,6 +143,49 @@ def test_dual_large_ambient_downgrades_to_transform(capsys, tmp_path):
     assert obj["source"] == "macwilliams"
     assert len(obj["generators"]) == 27
     assert obj["gray"] == [28, 27, 2]
+
+
+def count_calls(monkeypatch, name):
+    """Wrap ``z2zu.core.<name>`` at each of its bindings in the loaded
+    z2zu modules; the returned list gets one (args, result) per call."""
+    fn = getattr(sys.modules["z2zu.core"], name)
+    calls = []
+
+    def counted(*args):
+        result = fn(*args)
+        calls.append((args, result))
+        return result
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.split(".")[0] == "z2zu" and getattr(mod, name, None) is fn:
+            monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("key", list(PRESETS))
+def test_analyze_computes_each_invariant_once(monkeypatch, capsys, key):
+    duals = count_calls(monkeypatch, "dual")
+    lee_counts = count_calls(monkeypatch, "_lee_array")
+    rc, out, _ = run(capsys, ["analyze", data_file(key), "--json"])
+    assert rc == 0
+    assert len(duals) == 1
+    # the code's words, and the dual's only when they were counted
+    algebraic = json.loads(out)["dual"]["source"] == "algebraic"
+    assert len(lee_counts) == 1 + algebraic
+
+
+def test_dual_command_on_transform_route_builds_no_dual_words(
+    monkeypatch, capsys, tmp_path
+):
+    f = tmp_path / "wide.txt"
+    f.write_text(" ".join(["1"] * 28) + " |\n")
+    duals = count_calls(monkeypatch, "dual")
+    rc, out, _ = run(capsys, ["dual", str(f)])
+    assert rc == 0
+    assert "dual gray image: [28,27,2]" in out
+    [(_, dual_code)] = duals
+    assert dual_code.cardinality == 2 ** 27
+    assert dual_code._array is None
 
 
 # ------------------------------------------------------------------- gray

@@ -23,7 +23,7 @@ from z2zu.core import (
 from z2zu.errors import ClassificationViolation, SpaceTooLarge
 from z2zu.presets import preset_code
 from z2zu.ring import U
-from z2zu.classify import dual_summary, is_formally_self_dual
+from z2zu.classify import is_formally_self_dual
 from z2zu.search import (
     MAX_EXHAUSTIVE_TUPLES,
     OPTIMALITY_TABLE,
@@ -482,8 +482,7 @@ def test_screen_equals_unpruned_survey():
                     continue
                 enum = lee_enumerator(code)
                 if (len(enum.nonzero_weights()) == 1
-                        and is_formally_self_dual(code,
-                                                  dual_summary(code, enum))):
+                        and is_formally_self_dual(code)):
                     survivors.append(code)
     report = verify_fsd_classification(max_alpha, max_beta, max_rows)
     assert report.codes_examined == examined == 11150
