@@ -66,7 +66,7 @@ from .ring import RingElem, parse_ring_token
 
 if TYPE_CHECKING:
     from .classify import DualSummary
-    from .weights import LeeEnumerator
+    from .weights import ColumnProfile, LeeEnumerator
 
 __all__ = [
     "MAX_BRUTE_AMBIENT_BITS",
@@ -359,13 +359,15 @@ class AdditiveCode:
     given as None, as for derived codes, built when first read).
     ``array`` holds every codeword, in canonical order, and is built
     from the basis on first access, only for the per-word counts;
-    ``words`` is the same list as Python ints.  Two invariants are kept
-    once computed: ``_lee``, set by :func:`z2zu.weights.lee_enumerator`,
-    and ``_dual``, set by :func:`z2zu.classify.dual_summary`.
+    ``words`` is the same list as Python ints.  Three invariants are
+    kept once computed: ``_lee``, set by
+    :func:`z2zu.weights.lee_enumerator`, ``_profile``, set by
+    :func:`z2zu.weights.column_profile`, and ``_dual``, set by
+    :func:`z2zu.classify.dual_summary`.
     """
 
     __slots__ = ("shape", "_generators", "basis", "_array", "_words",
-                 "_codewords", "_lee", "_dual")
+                 "_codewords", "_lee", "_profile", "_dual")
 
     def __init__(
         self,
@@ -389,6 +391,7 @@ class AdditiveCode:
         self._words: tuple[int, ...] | None = None
         self._codewords: tuple[MixedVector, ...] | None = None
         self._lee: LeeEnumerator | None = None
+        self._profile: ColumnProfile | None = None
         self._dual: DualSummary | None = None
 
     @property

@@ -21,8 +21,9 @@ key: the shape and the reduced basis, at most alpha + 2*beta integers.
 A random draw is handled rank first.  Its rows are drawn as packed
 integers and go through the echelon half of the elimination only
 (core._echelon), which gives the rank k of {g, u*g} and so |C| = 2^k.
-In a targeted search the size conditions below run on that number;
-only the draws that pass them are back-substituted to the reduced
+In a targeted search the size conditions below run on that number,
+read from a per-shape table indexed by k and filled before the first
+draw; only the draws that pass them are back-substituted to the reduced
 basis, deduplicated on (shape, basis) with the first drawing kept, and
 built as codes.  A code's size does not depend on which rows drew it,
 so this yields exactly the codes of the unfiltered stream that pass,
@@ -253,30 +254,56 @@ def _random_candidates(
     """The random stream, rank first: each draw's rows stay packed ints
     through the echelon elimination, and only draws whose 2^rank passes
     ``keep(shape, size)`` are reduced, deduplicated and built as codes.
-    ``keep`` depends on the code alone, so a code either survives every
-    drawing or none, and the survivors come in the order of their first
-    drawing, as in the unfiltered stream."""
+    ``keep`` depends on (shape, size) alone, so a code either survives
+    every drawing or none, and the survivors come in the order of their
+    first drawing, as in the unfiltered stream.  It is read from a
+    per-shape table indexed by rank, filled before the first draw.
+
+    The draws are those of ``random.Random(seed).randrange``: the shape
+    index from range(len(shapes)), then per row the binary part from
+    range(2^alpha) and the ring part from range(2^(2*beta)).  Their bits
+    are taken straight from ``getrandbits`` by randrange's own rule for
+    range(n): draw n.bit_length() bits, and draw again while the value
+    is n or more.  For n = 2^a that is a+1 bits, redrawn while bit a is
+    set.  The same bits are used in the same order, so a seed gives the
+    same stream as randrange would."""
     shapes = space.shapes()
     if not shapes:
         return
-    randrange = random.Random(space.seed).randrange
+    getrandbits = random.Random(space.seed).getrandbits
+    n_shapes = len(shapes)
+    shape_bits = n_shapes.bit_length()
+    # per shape: alpha and 2*beta, each with the one-more bit count
+    # randrange draws for it, and keep() by rank; the rank of {g, u*g}
+    # over max_rows rows is at most 2*max_rows
+    ranks = range(2 * space.max_rows + 1)
+    tables = [
+        (shape, shape.alpha, shape.alpha + 1, 2 * shape.beta,
+         2 * shape.beta + 1, [keep(shape, 1 << r) for r in ranks])
+        for shape in shapes
+    ]
     # keys, not the codes: a long random run would otherwise pin the
     # words of every distinct code whose words a consumer built
     seen: set[tuple[AmbientShape, tuple[int, ...]]] = set()
     assert space.budget is not None
     rows_range = range(space.max_rows)
     for _ in range(space.budget):
-        shape = shapes[randrange(len(shapes))]
-        bins = 1 << shape.alpha
-        ring_bits = 2 * shape.beta
-        rings = 1 << ring_bits
+        i = getrandbits(shape_bits)
+        while i >= n_shapes:
+            i = getrandbits(shape_bits)
+        shape, bin_bits, bin_k, ring_bits, ring_k, fits = tables[i]
+        rows = []
         # binary part drawn before ring part, row by row
-        rows = [
-            (randrange(bins) << ring_bits) | randrange(rings)
-            for _ in rows_range
-        ]
+        for _ in rows_range:
+            b = getrandbits(bin_k)
+            while b >> bin_bits:
+                b = getrandbits(bin_k)
+            r = getrandbits(ring_k)
+            while r >> ring_bits:
+                r = getrandbits(ring_k)
+            rows.append((b << ring_bits) | r)
         lead = _echelon(shape, rows)
-        if not keep(shape, 1 << len(lead)):
+        if not fits[len(lead)]:
             continue
         key = (shape, _back_substitute(lead))
         if key not in seen:

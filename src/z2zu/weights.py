@@ -260,8 +260,11 @@ def column_profile(code: AdditiveCode) -> ColumnProfile:
     some basis row has its bit.  The nonzero ring digits of the basis
     rows span {0} when there are none, {0, u} when they are just u, and
     R when there are two or more distinct ones; a single unit digit
-    spans a unit line, which no u-closed code has.
+    spans a unit line, which no u-closed code has.  The profile is kept
+    on the code once computed.
     """
+    if code._profile is not None:
+        return code._profile
     shape = code.shape
     union = 0
     for b in code.basis:
@@ -289,7 +292,8 @@ def column_profile(code: AdditiveCode) -> ColumnProfile:
                 f"ring column {j} takes values in a unit line; the code "
                 "is not closed under multiplication by u"
             )
-    return ColumnProfile(binary, tuple(ring))
+    code._profile = ColumnProfile(binary, tuple(ring))
+    return code._profile
 
 
 def weight_sum_identity(code: AdditiveCode) -> bool:

@@ -10,6 +10,7 @@ import pytest
 from z2zu.cli import main
 from z2zu.core import MAX_CODE_WORD_BITS, additive_span, parse_matrix_file
 from z2zu.presets import PRESETS, preset_code
+from z2zu.weights import ColumnProfile
 
 
 def run(capsys, argv):
@@ -166,9 +167,14 @@ def count_calls(monkeypatch, name):
 def test_analyze_computes_each_invariant_once(monkeypatch, capsys, key):
     duals = count_calls(monkeypatch, "dual")
     lee_counts = count_calls(monkeypatch, "_lee_array")
+    profiles = []
+    monkeypatch.setattr("z2zu.weights.ColumnProfile",
+                        lambda *a: profiles.append(a) or ColumnProfile(*a))
     rc, out, _ = run(capsys, ["analyze", data_file(key), "--json"])
     assert rc == 0
     assert len(duals) == 1
+    # the zero-column warning and weight_sum_identity share one profile
+    assert len(profiles) == 1
     # the code's words, and the dual's only when they were counted
     algebraic = json.loads(out)["dual"]["source"] == "algebraic"
     assert len(lee_counts) == 1 + algebraic
@@ -340,6 +346,21 @@ def test_search_random_hits_keep_their_first_drawn_rows(capsys):
         (2, 1, ["0 0 | 0", "1 1 | u"]),
         (3, 0, ["1 1 0 |", "1 0 1 |"]),
     ]
+
+
+@pytest.mark.parametrize("target, hits", [("one-weight", 6),
+                                           ("two-weight-projective", 13)])
+def test_search_random_output_is_pinned(capsys, target, hits):
+    # a --seed names one stream of draws: its hits, rows and all, stay
+    # byte for byte as stored
+    rc, out, err = run(capsys, ["search", "--alpha", "2..6",
+                                "--beta", "1..4", "--rows", "3",
+                                "--budget", "20000", "--seed", "7",
+                                "--target", target])
+    assert rc == 0
+    assert err == f"# {hits} hit(s)\n"
+    name = "seed7_" + target.replace("-", "_") + ".jsonl"
+    assert out == (Path(__file__).parent / "search_outputs" / name).read_text()
 
 
 def test_search_budget_below_one_is_an_input_error(capsys):

@@ -254,12 +254,17 @@ def stream_rows(codes):
     return [(c.shape, c.basis, c.generators) for c in codes]
 
 
-# spaces with alpha = 0 and beta = 0 shapes and one to three rows
+# spaces with alpha = 0 and beta = 0 shapes and one to three rows; the
+# last two have one shape, where randrange(1) still draws a bit until it
+# is 0, and a power-of-two count of shapes (4), where the top half of
+# the shape-index bits is rejected
 RANDOM_SPACES = [
     dict(alpha=(0, 3), beta=(0, 2), max_rows=1),
     dict(alpha=(0, 4), beta=(0, 1), max_rows=2),
     dict(alpha=(0, 2), beta=(0, 3), max_rows=3),
     dict(alpha=(2, 6), beta=(1, 4), max_rows=3),
+    dict(alpha=3, beta=2, max_rows=3),
+    dict(alpha=(1, 2), beta=(0, 1), max_rows=2),
 ]
 
 

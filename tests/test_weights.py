@@ -254,6 +254,16 @@ def test_column_profile_subgroup_with_full_columns():
     assert all(k is BinaryColumnKind.BALANCED for k in prof.binary)
 
 
+def test_column_profile_is_kept_on_the_code():
+    # the profile is computed once and kept: later calls, and the one
+    # inside weight_sum_identity, return the same object
+    code = preset_code("3.6")
+    prof = column_profile(code)
+    assert column_profile(code) is prof
+    assert weight_sum_identity(code)
+    assert code._profile is prof
+
+
 def test_column_profile_rejects_unit_line():
     shape = AmbientShape(0, 1)
     sub = additive_span(shape, [MixedVector.from_coords(shape, [], [1])])
