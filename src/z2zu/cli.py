@@ -15,6 +15,7 @@ of --json; the summary goes to stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Sequence
@@ -523,6 +524,7 @@ def cmd_search(args) -> int:
 # ------------------------------------------------------------------- main
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true",

@@ -20,19 +20,22 @@ A code is stored as its reduced echelon XOR basis, built by the one
 elimination routine :func:`_rref`: echelon form (:func:`_echelon`),
 which alone gives the rank, then back-substitution.  The basis is
 canonical, so size, equality, membership, the module test, the dual
-and the column profile all come from it.  The codewords are built from
-it only for the per-word counts, once, as a numpy ``uint64`` array of
-shape (|C|, L) with L = ceil(N/64) limbs per word, limb 0 the most
-significant (:func:`_word_array`).  Each per-word count (the Lee
-enumerator, the minimum Lee weight, the Gray image) is a vectorised
-kernel over that array; ``words``, the same codewords as Python ints,
-is a view of it built only when read.
+and the column profile all come from it.  The Lee enumerator is
+counted from it too, in cache-sized blocks of the Gray span, and keeps
+no words (:func:`_lee_counts`).  The codewords are built from the basis
+only for ``words``, the Gray image and the minimum Lee weight, once, as
+a numpy ``uint64`` array of shape (|C|, L) with L = ceil(N/64) limbs
+per word, limb 0 the most significant (:func:`_word_array`); ``words``,
+the same codewords as Python ints, is a view of it built only when
+read.  Counting and building are both capped at 2^MAX_CODE_WORD_BITS
+words.
 
 The Gray image of a packed word w is w ^ ((w >> 1) & ring_a_mask): it
 keeps the binary part and sends ring digit a + 2b to the pair
 (b, a ^ b).  Its popcount is the Lee weight.  A ring digit never
 straddles two limbs (64 is even), so the expression applies limb by
-limb to the array unchanged.
+limb to the array unchanged.  It is XOR-linear, so the Gray image of a
+span is the span of the Gray images of its basis rows.
 
 The dual is read off the basis.  For a code C closed under u, a word w
 is in the dual exactly when the u-component of g.w is 0 for every g in
@@ -97,9 +100,14 @@ __all__ = [
 # Largest ambient 2^N scanned by dual_brute (memory: one boolean per word).
 MAX_BRUTE_AMBIENT_BITS = 26
 
-# Largest code 2^k whose codeword array is built (8 bytes per word and
-# limb, plus a temporary of the same size per kernel).
+# Largest code 2^k whose words are counted or built.  The codeword
+# array takes 8 bytes per word and limb, plus a temporary of the same
+# size per kernel; the Lee count keeps no words, so its cost is time.
 MAX_CODE_WORD_BITS = 26
+
+# Basis rows in the low block of the Lee count (_lee_counts): its 2^13
+# words take 64 KB per limb, which stays in L2 cache.
+_LEE_BLOCK_BITS = 13
 
 
 @dataclass(frozen=True)
@@ -358,9 +366,10 @@ class AdditiveCode:
     ``generators`` are the rows it was built from (the basis itself when
     given as None, as for derived codes, built when first read).
     ``array`` holds every codeword, in canonical order, and is built
-    from the basis on first access, only for the per-word counts;
-    ``words`` is the same list as Python ints.  Three invariants are
-    kept once computed: ``_lee``, set by
+    from the basis on first access, only for ``words`` (the same list
+    as Python ints), the Gray image and the minimum Lee weight; the Lee
+    enumerator is counted from the basis without it.  Three invariants
+    are kept once computed: ``_lee``, set by
     :func:`z2zu.weights.lee_enumerator`, ``_profile``, set by
     :func:`z2zu.weights.column_profile`, and ``_dual``, set by
     :func:`z2zu.classify.dual_summary`.
@@ -583,20 +592,30 @@ def _ints(array: np.ndarray) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _word_array(shape: AmbientShape, basis: Sequence[int]) -> np.ndarray:
-    """Every XOR combination of the basis rows, by doubling: rows
-    [2^i, 2^(i+1)) are rows [0, 2^i) plus basis row i."""
+def _check_code_size(basis: Sequence[int]) -> None:
     if len(basis) > MAX_CODE_WORD_BITS:
         raise CodeTooLarge(
             f"code has 2^{len(basis)} words; building them is capped "
             f"at 2^{MAX_CODE_WORD_BITS}"
         )
-    array = np.zeros((1 << len(basis), shape.limbs), dtype=np.uint64)
+
+
+def _doubled(rows: np.ndarray) -> np.ndarray:
+    """Every XOR combination of the rows of a (k, L) limb array, by
+    doubling: rows [2^i, 2^(i+1)) are rows [0, 2^i) plus row i."""
+    array = np.zeros((1 << len(rows), rows.shape[1]), dtype=np.uint64)
     n = 1
-    for row in _to_limbs(shape, basis):
+    for row in rows:
         np.bitwise_xor(array[:n], row, out=array[n : 2 * n])
         n *= 2
     return array
+
+
+def _word_array(shape: AmbientShape, basis: Sequence[int]) -> np.ndarray:
+    """Every XOR combination of the basis rows, in the order of
+    :attr:`AdditiveCode.array`."""
+    _check_code_size(basis)
+    return _doubled(_to_limbs(shape, basis))
 
 
 def _reduced_basis(array: np.ndarray) -> tuple[int, ...]:
@@ -615,9 +634,37 @@ def _gray_array(shape: AmbientShape, array: np.ndarray) -> np.ndarray:
     return array ^ ((array >> 1) & _to_limbs(shape, (shape.ring_a_mask,)))
 
 
-def _lee_array(shape: AmbientShape, array: np.ndarray) -> np.ndarray:
-    """Lee weight of every row: the popcount of its Gray image."""
-    return np.bitwise_count(_gray_array(shape, array)).sum(axis=1, dtype=np.intp)
+def _popcounts(limbs: np.ndarray) -> np.ndarray:
+    """Popcount of each word of a limb-major (L, m) array: the sum of
+    its L rows' popcounts, in a dtype that holds any N."""
+    out = np.bitwise_count(limbs[0]).astype(np.intp)
+    for limb in limbs[1:]:
+        out += np.bitwise_count(limb)
+    return out
+
+
+def _lee_counts(shape: AmbientShape, basis: Sequence[int]) -> np.ndarray:
+    """Number of words of span(basis) at each Lee weight 0..N, without
+    building the words.
+
+    The Gray map is XOR-linear, so the Gray images of the code are the
+    span of the Gray images of the basis rows.  The span of the first
+    _LEE_BLOCK_BITS of them is built once, limb-major, and stays in
+    cache; every word x of the span of the rest adds the weight counts
+    of that block XOR x.
+    """
+    _check_code_size(basis)
+    n = shape.big_n
+    gray = _to_limbs(shape, [_gray_packed(shape, b) for b in basis])
+    low = _doubled(gray[:_LEE_BLOCK_BITS]).T.copy()
+    if len(basis) <= _LEE_BLOCK_BITS:
+        return np.bincount(_popcounts(low), minlength=n + 1)
+    counts = np.zeros(n + 1, dtype=np.intp)
+    block = np.empty_like(low)
+    for x in _doubled(gray[_LEE_BLOCK_BITS:]):
+        np.bitwise_xor(low, x[:, None], out=block)
+        counts += np.bincount(_popcounts(block), minlength=n + 1)
+    return counts
 
 
 _MUL_TABLE = np.array(
@@ -722,7 +769,7 @@ def min_lee_weight(code: AdditiveCode) -> int:
     if code.cardinality < 2:
         raise TrivialCode("the zero code has no nonzero codeword")
     # row 0 is the zero word
-    return int(_lee_array(code.shape, code.array[1:]).min())
+    return int(_popcounts(_gray_array(code.shape, code.array[1:]).T).min())
 
 
 def gray_image(code: AdditiveCode) -> BinaryCode:

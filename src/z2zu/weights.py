@@ -14,9 +14,10 @@ dual scaled by |C|:
 
 Applying it twice (with |C| and then 2^N/|C|) is the identity.
 
-The Lee enumerator is a numpy kernel over the code's word array
-(:attr:`AdditiveCode.array`): a bincount of the per-row Lee weights,
-without the Python ``words`` tuple.
+The Lee enumerator is counted from the code's basis in cache-sized
+blocks of its Gray span (:func:`z2zu.core._lee_counts`): a bincount of
+the popcounts of each block, with no word array and no Python
+``words`` tuple.
 
 Column profiles classify each coordinate by the value multiset it takes
 over the code: a binary column is balanced or identically zero, a ring
@@ -39,9 +40,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
-import numpy as np
-
-from .core import AdditiveCode, BinaryCode, _lee_array
+from .core import AdditiveCode, BinaryCode, _lee_counts
 from .errors import (
     NonIntegralTransform,
     PreconditionViolation,
@@ -122,7 +121,7 @@ class LeeEnumerator:
 def lee_enumerator(code: AdditiveCode) -> LeeEnumerator:
     """The code's Lee enumerator, counted once and kept on the code."""
     if code._lee is None:
-        counts = np.bincount(_lee_array(code.shape, code.array)).tolist()
+        counts = _lee_counts(code.shape, code.basis).tolist()
         code._lee = LeeEnumerator.from_counts(
             code.shape.big_n, dict(enumerate(counts))
         )

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from z2zu.cli import main
+from z2zu.cli import _build_parser, main
 from z2zu.core import MAX_CODE_WORD_BITS, additive_span, parse_matrix_file
 from z2zu.presets import PRESETS, preset_code
 from z2zu.weights import ColumnProfile
@@ -21,6 +21,26 @@ def run(capsys, argv):
 
 def data_file(key):
     return "data/ex" + key.replace(".", "_") + ".txt"
+
+
+def test_cached_parser_carries_no_flag_into_the_next_call(capsys):
+    # --json, --quiet and --seed default to SUPPRESS, so each is absent
+    # unless given in that call
+    search = ["search", "--alpha", "2..4", "--beta", "1..3",
+              "--budget", "2000", "--target", "one-weight"]
+    calls = [["analyze", data_file("5.4"), "--json"],
+             ["--quiet", "reproduce", "4.3a"],
+             ["analyze", data_file("5.4")],
+             search + ["--seed", "7"],
+             search]
+    fresh = []
+    for argv in calls:
+        _build_parser.cache_clear()
+        fresh.append(run(capsys, argv))
+    assert fresh[0][1] != fresh[2][1] and fresh[3][1] != fresh[4][1]
+    _build_parser.cache_clear()
+    assert [run(capsys, argv) for argv in calls] == fresh
+    assert _build_parser.cache_info().misses == 1
 
 
 # ---------------------------------------------------------------- analyze
@@ -166,7 +186,7 @@ def count_calls(monkeypatch, name):
 @pytest.mark.parametrize("key", list(PRESETS))
 def test_analyze_computes_each_invariant_once(monkeypatch, capsys, key):
     duals = count_calls(monkeypatch, "dual")
-    lee_counts = count_calls(monkeypatch, "_lee_array")
+    lee_counts = count_calls(monkeypatch, "_lee_counts")
     profiles = []
     monkeypatch.setattr("z2zu.weights.ColumnProfile",
                         lambda *a: profiles.append(a) or ColumnProfile(*a))

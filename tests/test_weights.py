@@ -1,10 +1,12 @@
 """Enumerators, the dual-distribution transform, moments and columns."""
 
+import tracemalloc
 from collections import Counter
 
 import pytest
 
 from z2zu.core import (
+    _LEE_BLOCK_BITS,
     MAX_CODE_WORD_BITS,
     AmbientShape,
     MixedVector,
@@ -401,6 +403,67 @@ def test_kernels_leave_python_words_unbuilt(rng):
         column_profile(code)
         gray_parameters(code)
         assert code._words is None
+
+
+def rank_k_rows(rng, shape, k, rows=()):
+    """The given rows plus random ones, k rows spanning 2^k words
+    without u-closure."""
+    while True:
+        drawn = list(rows) + [
+            MixedVector(shape, rng.getrandbits(shape.alpha),
+                        rng.getrandbits(2 * shape.beta))
+            for _ in range(k - len(rows))]
+        if additive_span(shape, drawn).cardinality == 2 ** k:
+            return drawn
+
+
+BLOCK_SIZES = [_LEE_BLOCK_BITS + d for d in (-1, 0, 1, 3)]
+
+
+@pytest.mark.parametrize("k", BLOCK_SIZES)
+def test_blocked_lee_count_one_limb(rng, k):
+    # k > B rows leave the first block: 2^(k-B) blocks of 2^B words
+    shape = AmbientShape(20, 6)
+    rows = rank_k_rows(rng, shape, k)
+    words = closure_words(shape, rows, u_closed=False)
+    expected = Counter(oracle_lee(shape, w) for w in words)
+    code = additive_span(shape, rows)
+    assert lee_enumerator(code).counts == dict(expected)
+    assert code._array is None
+
+
+@pytest.mark.parametrize("k", BLOCK_SIZES)
+def test_blocked_lee_count_two_limbs(rng, k):
+    shape = AmbientShape(30, 20)  # N = 70
+    code = additive_span(shape, rank_k_rows(rng, shape, k))
+    assert lee_enumerator(code) == hamming_enumerator(gray_image(code))
+
+
+@pytest.mark.parametrize("k", (3, _LEE_BLOCK_BITS + 1))
+def test_lee_count_past_255(rng, k):
+    # binary ones and ring digits u: a word whose Gray image is all ones,
+    # of Lee weight N = 260 over five limbs
+    shape = AmbientShape(100, 80)
+    ones = MixedVector(shape, (1 << 100) - 1, 2 * shape.ring_a_mask)
+    code = additive_span(shape, rank_k_rows(rng, shape, k, [ones]))
+    enum = lee_enumerator(code)
+    assert enum.count(260) == 1
+    assert enum == hamming_enumerator(gray_image(code))
+
+
+def test_lee_count_memory_is_a_block(rng):
+    # a 2^20-word code at N = 48, whose word array alone takes 8 MB
+    shape = AmbientShape(16, 16)
+    code = additive_span(shape, rank_k_rows(rng, shape, 20))
+    tracemalloc.start()
+    try:
+        enum = lee_enumerator(code)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert enum.cardinality() == 2 ** 20
+    assert peak < 2 * 2 ** 20
+    assert code._array is None
 
 
 def test_word_array_is_capped():
