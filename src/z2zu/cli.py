@@ -72,10 +72,6 @@ def _say(args, text: str) -> None:
         print(text)
 
 
-def _counts_pairs(enum) -> list[list[int]]:
-    return [[w, c] for w, c in sorted(enum.counts.items())]
-
-
 def _dump(obj) -> str:
     return json.dumps(obj, indent=2)
 
@@ -90,7 +86,7 @@ def _load(path: str) -> tuple[AdditiveCode, bool]:
 
 
 def _enum_obj(enum) -> dict:
-    return {"poly": enum.poly_str(), "counts": _counts_pairs(enum)}
+    return {"poly": enum.poly_str(), "counts": enum.entries}
 
 
 # ---------------------------------------------------------------- analyze
@@ -324,8 +320,7 @@ def _reproduce_one(key: str) -> list[dict]:
     code = preset_code(key)
     enum = lee_enumerator(code)
     results = []
-    results.append(_check("lee counts",
-                          tuple(sorted(enum.counts.items())), p.lee_counts))
+    results.append(_check("lee counts", enum.entries, p.lee_counts))
     results.append(_check("lee polynomial", enum.poly_str(), p.lee_poly))
     gp = gray_parameters(code)
     results.append(_check("gray parameters", gp, p.gray))
@@ -358,9 +353,7 @@ def _reproduce_one(key: str) -> list[dict]:
         dual = dual_summary(code)
     if dual is not None and p.dual_lee_counts is not None:
         results.append(_check(
-            "dual lee counts",
-            tuple(sorted(dual.enumerator.counts.items())),
-            p.dual_lee_counts,
+            "dual lee counts", dual.enumerator.entries, p.dual_lee_counts
         ))
     if dual is not None and p.dual_gray is not None:
         dgp = gray_parameters(dual.dual_code)
@@ -511,7 +504,7 @@ def cmd_search(args) -> int:
             "generators": [format_row(g) for g in hit.code.generators],
             "type": standard_form(hit.code).code_type.compact(),
             "cardinality": hit.code.cardinality,
-            "lee": _counts_pairs(lee_enumerator(hit.code)),
+            "lee": lee_enumerator(hit.code).entries,
             "flags": hit.report.to_json_obj(),
             "gray": list(hit.gray),
             "optimality": hit.optimality,

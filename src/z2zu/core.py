@@ -50,6 +50,7 @@ module instead and is kept as the reference it is tested against.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
@@ -65,7 +66,7 @@ from .errors import (
     ShapeMismatch,
     TrivialCode,
 )
-from .ring import RingElem, parse_ring_token
+from .ring import _SYMBOLS, RING_TOKENS, RingElem
 
 if TYPE_CHECKING:
     from .classify import DualSummary
@@ -325,23 +326,6 @@ class BinaryCode:
 
     n: int
     words: tuple[int, ...]
-
-    @classmethod
-    def from_bitrows(cls, rows: Iterable[Sequence[int]]) -> "BinaryCode":
-        packed = []
-        n = None
-        for row in rows:
-            if n is None:
-                n = len(row)
-            elif len(row) != n:
-                raise ShapeMismatch("binary words have differing lengths")
-            w = 0
-            for x in row:
-                w = (w << 1) | (x & 1)
-            packed.append(w)
-        if n is None:
-            raise ValueError("empty word set")
-        return cls(n, tuple(sorted(set(packed))))
 
     def weights(self) -> Iterator[int]:
         for w in self.words:
@@ -799,91 +783,96 @@ def gray_parameters(code: AdditiveCode) -> tuple[int, int, int | None]:
 # Matrix file grammar
 #
 # One row per line.  '#' starts a comment, blank lines are skipped.  A row
-# is whitespace-separated binary tokens, a literal '|', then ring tokens
-# (0, 1, u, v, 1+u, u+1).  The '|' is mandatory even when alpha or beta
-# is zero, and every row must agree on both counts.
+# is binary tokens (0, 1), a literal '|', then ring tokens (0, 1, u, v,
+# 1+u, u+1).  Tokens are separated by any Unicode whitespace; '|' needs
+# none around it.  The '|' is mandatory even when alpha or beta is zero,
+# and every row must agree on both counts.  A parse error cites the
+# 1-based line and the character column where the offending token
+# starts: one past the row's last token for a missing '|', and the
+# row's '|' for a wrong row width.
 # ---------------------------------------------------------------------------
 
+# The tokens of a line, with their positions: the same tokens as
+# line.replace("|", " | ").split(), since \s and str.split() share the
+# Unicode whitespace test.
+_TOKEN = re.compile(r"[^\s|]+|\|")
 
-def _tokenize_row(line: str) -> list[tuple[str, int]]:
-    """Split one line into (token, 1-based column) pairs; '|' self-delimits."""
-    out = []
-    tok_start = None
-    for idx, ch in enumerate(line):
-        if ch.isspace() or ch == "|":
-            if tok_start is not None:
-                out.append((line[tok_start:idx], tok_start + 1))
-                tok_start = None
-            if ch == "|":
-                out.append(("|", idx + 1))
-        elif tok_start is None:
-            tok_start = idx
-    if tok_start is not None:
-        out.append((line[tok_start:], tok_start + 1))
-    return out
+
+def _column(line: str, i: int) -> int:
+    """1-based column where token i of ``line`` starts; one past the
+    last token when i is the token count."""
+    spans = [m.span() for m in _TOKEN.finditer(line)]
+    return spans[i][0] + 1 if i < len(spans) else spans[-1][1] + 1
 
 
 def parse_matrix(text: str) -> tuple[AmbientShape, list[MixedVector]]:
     """Parse generator rows from the matrix grammar.
 
-    Returns the common shape and the rows in file order.  Raises
-    :class:`MatrixParseError` with 1-based line/column on any defect,
-    including ragged rows and a missing or repeated '|'.
+    Returns the common shape and the rows in file order.  Tokens are
+    separated by any Unicode whitespace, '|' needs none around it, and
+    a ring token may be spelled 1+u or u+1 as well as v.  Raises
+    :class:`MatrixParseError` on any defect, including ragged rows and a
+    missing or repeated '|'.  The error cites the 1-based line and the
+    character column where the offending token starts; for a missing
+    '|' the column is one past the row's last token, and a wrong row
+    width cites the row's '|'.
     """
-    rows_raw: list[tuple[int, list[tuple[str, int]]]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0]
-        tokens = _tokenize_row(line)
-        if tokens:
-            rows_raw.append((lineno, tokens))
-    if not rows_raw:
-        raise MatrixParseError("no generator rows found", 1, 1)
-
     shape: AmbientShape | None = None
     rows: list[MixedVector] = []
-    for lineno, tokens in rows_raw:
-        bars = [i for i, (t, _) in enumerate(tokens) if t == "|"]
-        if not bars:
-            last_col = tokens[-1][1] + len(tokens[-1][0])
-            raise MatrixParseError("row has no '|' separator", lineno, last_col)
-        if len(bars) > 1:
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0]
+        tokens = line.replace("|", " | ").split()
+        if not tokens:
+            continue
+        try:
+            cut = tokens.index("|")
+        except ValueError:
             raise MatrixParseError(
-                "row has more than one '|' separator", lineno, tokens[bars[1]][1]
+                "row has no '|' separator", lineno, _column(line, len(tokens))
+            ) from None
+        if tokens.count("|") > 1:
+            raise MatrixParseError(
+                "row has more than one '|' separator",
+                lineno,
+                _column(line, tokens.index("|", cut + 1)),
             )
-        cut = bars[0]
-        bin_toks = tokens[:cut]
-        ring_toks = tokens[cut + 1 :]
 
-        bits = []
-        for t, col in bin_toks:
+        b = 0
+        for i, t in enumerate(tokens[:cut]):
             if t not in ("0", "1"):
                 raise MatrixParseError(
-                    f"invalid binary token {t!r} (expected 0 or 1)", lineno, col
+                    f"invalid binary token {t!r} (expected 0 or 1)",
+                    lineno,
+                    _column(line, i),
                 )
-            bits.append(int(t))
-        elems = []
-        for t, col in ring_toks:
+            b = (b << 1) | int(t)
+        r = 0
+        for i, t in enumerate(tokens[cut + 1 :], cut + 1):
             try:
-                elems.append(parse_ring_token(t))
-            except ValueError:
+                r = (r << 2) | RING_TOKENS[t]
+            except KeyError:
                 raise MatrixParseError(
-                    f"invalid ring token {t!r}", lineno, col
+                    f"invalid ring token {t!r}", lineno, _column(line, i)
                 ) from None
 
+        alpha, beta = cut, len(tokens) - cut - 1
         if shape is None:
             try:
-                shape = AmbientShape(len(bits), len(elems))
+                shape = AmbientShape(alpha, beta)
             except ValueError as exc:
-                raise MatrixParseError(str(exc), lineno, tokens[cut][1]) from None
-        elif len(bits) != shape.alpha or len(elems) != shape.beta:
+                raise MatrixParseError(
+                    str(exc), lineno, _column(line, cut)
+                ) from None
+        elif alpha != shape.alpha or beta != shape.beta:
             raise MatrixParseError(
-                f"row has {len(bits)}+{len(elems)} columns, "
+                f"row has {alpha}+{beta} columns, "
                 f"expected {shape.alpha}+{shape.beta}",
                 lineno,
-                tokens[cut][1],
+                _column(line, cut),
             )
-        rows.append(MixedVector.from_coords(shape, bits, elems))
-    assert shape is not None
+        rows.append(MixedVector(shape, b, r))
+    if shape is None:
+        raise MatrixParseError("no generator rows found", 1, 1)
     return shape, rows
 
 
@@ -894,8 +883,10 @@ def parse_matrix_file(path) -> tuple[AmbientShape, list[MixedVector]]:
 
 def format_row(v: MixedVector) -> str:
     """Render one row in the matrix grammar with canonical ring symbols."""
-    left = " ".join(str(b) for b in v.bin_bits)
-    right = " ".join(e.symbol for e in v.ring_elems)
+    left = " ".join(bin(v.bin | 1 << v.shape.alpha)[3:])
+    right = " ".join(
+        _SYMBOLS[(v.ring >> s) & 3] for s in range(2 * v.shape.beta - 2, -1, -2)
+    )
     if left and right:
         return f"{left} | {right}"
     if left:

@@ -112,13 +112,6 @@ class RingElem(enum.IntEnum):
     def from_bits(cls, a: int, b: int) -> "RingElem":
         return cls((a & 1) | ((b & 1) << 1))
 
-    @classmethod
-    def parse(cls, token: str) -> "RingElem":
-        try:
-            return cls(RING_TOKENS[token])
-        except KeyError:
-            raise ValueError(f"invalid ring token {token!r}") from None
-
 
 ZERO = RingElem.ZERO
 ONE = RingElem.ONE
@@ -127,5 +120,8 @@ V = RingElem.V
 
 
 def parse_ring_token(token: str) -> RingElem:
-    return RingElem.parse(token)
+    try:
+        return RingElem(RING_TOKENS[token])
+    except KeyError:
+        raise ValueError(f"invalid ring token {token!r}") from None
 

@@ -38,7 +38,7 @@ import enum
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple
 
 from .core import AdditiveCode, BinaryCode, _lee_counts
 from .errors import (
@@ -128,12 +128,8 @@ def lee_enumerator(code: AdditiveCode) -> LeeEnumerator:
     return code._lee
 
 
-def hamming_enumerator(
-    words: BinaryCode | Iterable[Sequence[int]],
-) -> LeeEnumerator:
+def hamming_enumerator(words: BinaryCode) -> LeeEnumerator:
     """Hamming weight distribution of a set of equal-length binary words."""
-    if not isinstance(words, BinaryCode):
-        words = BinaryCode.from_bitrows(words)
     counts: Counter[int] = Counter(words.weights())
     return LeeEnumerator.from_counts(words.n, counts)
 

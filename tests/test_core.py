@@ -441,6 +441,72 @@ def test_parse_rejects_second_separator():
         parse_matrix("1 | u | v\n")
 
 
+# (text, str(err), err.line, err.col): a missing '|' cites one past the
+# last token, a wrong row width cites the row's '|'
+PARSE_ERRORS = [
+    ("1 0 1\n", "line 1, column 6: row has no '|' separator", 1, 6),
+    ("1 0 1   \n", "line 1, column 6: row has no '|' separator", 1, 6),
+    ("1 0 | u\n1 1\n", "line 2, column 4: row has no '|' separator", 2, 4),
+    ("1 | u | v\n",
+     "line 1, column 7: row has more than one '|' separator", 1, 7),
+    ("1|u|v\n", "line 1, column 4: row has more than one '|' separator", 1, 4),
+    ("1 0 u |\n",
+     "line 1, column 5: invalid binary token 'u' (expected 0 or 1)", 1, 5),
+    ("12 | u\n",
+     "line 1, column 1: invalid binary token '12' (expected 0 or 1)", 1, 1),
+    ("1 | q\n", "line 1, column 5: invalid ring token 'q'", 1, 5),
+    ("1 | u+u\n", "line 1, column 5: invalid ring token 'u+u'", 1, 5),
+    ("1 0 | u\n1 | u\n",
+     "line 2, column 3: row has 1+1 columns, expected 2+1", 2, 3),
+    ("1 0 | u\n\n# c\n  1 0 | u v\n",
+     "line 4, column 7: row has 2+2 columns, expected 2+1", 4, 7),
+    ("1 0 | u\r\n1 | u\r\n",
+     "line 2, column 3: row has 1+1 columns, expected 2+1", 2, 3),
+    ("|\n", "line 1, column 1: ambient needs at least one coordinate", 1, 1),
+    ("  |  # c\n",
+     "line 1, column 3: ambient needs at least one coordinate", 1, 3),
+    ("", "line 1, column 1: no generator rows found", 1, 1),
+    ("# only a comment\n\n   \n",
+     "line 1, column 1: no generator rows found", 1, 1),
+    ("1 0|u\n1|u\n",
+     "line 2, column 2: row has 1+1 columns, expected 2+1", 2, 2),
+    ("1 0|u\n0 1|x\n", "line 2, column 5: invalid ring token 'x'", 2, 5),
+    ("1\t0 | u\n1\t| u\n",
+     "line 2, column 3: row has 1+1 columns, expected 2+1", 2, 3),
+    ("1\u00a00 | u\n1 | u v\n",
+     "line 2, column 3: row has 1+2 columns, expected 2+1", 2, 3),
+    ("1\u20030\u2003|\u2003u\n0 1 | q\n",
+     "line 2, column 7: invalid ring token 'q'", 2, 7),
+    ("1\u00a00\u00a0|\u00a0u\n0\u2003\u2003 1 |\tu\n1 | 1+u\n",
+     "line 3, column 3: row has 1+1 columns, expected 2+1", 3, 3),
+    ("1 0 1 # | u\n", "line 1, column 6: row has no '|' separator", 1, 6),
+]
+
+
+@pytest.mark.parametrize("text,message,line,col", PARSE_ERRORS)
+def test_parse_error_message_line_and_column(text, message, line, col):
+    with pytest.raises(MatrixParseError) as err:
+        parse_matrix(text)
+    assert (str(err.value), err.value.line, err.value.col) == (message, line, col)
+
+
+def test_parse_inverts_format_on_random_rows():
+    rng = random.Random(13)
+    for _ in range(200):
+        alpha, beta = rng.randint(0, 6), rng.randint(0, 6)
+        if alpha + beta == 0:
+            continue
+        shape = AmbientShape(alpha, beta)
+        rows = [
+            MixedVector(shape, rng.getrandbits(alpha), rng.getrandbits(2 * beta))
+            for _ in range(rng.randint(1, 4))
+        ]
+        assert parse_matrix(format_matrix(rows)) == (shape, rows)
+    shape, rows = parse_matrix("0 | 1+u u+1 v\n")
+    assert rows[0].ring_elems == (V, V, V)
+    assert format_row(rows[0]) == "0 | v v v"
+
+
 def test_format_row_empty_sides():
     shape = AmbientShape(0, 1)
     v = MixedVector.from_coords(shape, [], [U])
