@@ -36,7 +36,7 @@ from fractions import Fraction
 from .core import (
     AdditiveCode,
     MixedVector,
-    _inner_packed,
+    _orthogonal,
     _require_module,
     dual,
     gray_parameters,
@@ -205,18 +205,13 @@ def is_formally_self_dual(code: AdditiveCode) -> bool:
 def is_self_orthogonal(code: AdditiveCode) -> bool:
     """C contained in its dual; the inner product is symmetric and
     additive in each argument, so pairs of basis rows suffice."""
-    basis = code.basis
-    return not any(
-        _inner_packed(code.shape, g, h)
-        for i, g in enumerate(basis)
-        for h in basis[i:]
-    )
+    return _orthogonal(code.shape, code.basis, code.basis)
 
 
 def is_self_dual(code: AdditiveCode) -> bool:
     return (
-        is_self_orthogonal(code)
-        and code.cardinality * code.cardinality == code.shape.ambient_size
+        code.cardinality * code.cardinality == code.shape.ambient_size
+        and is_self_orthogonal(code)
     )
 
 

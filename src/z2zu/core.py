@@ -288,6 +288,42 @@ def inner_product(v: MixedVector, w: MixedVector) -> RingElem:
     return RingElem(_inner_packed(v.shape, v.packed, w.packed))
 
 
+def _orthogonal(shape: AmbientShape, xs: Sequence[int],
+                ys: Sequence[int]) -> bool:
+    """True when x.y = 0 for every packed x in xs and y in ys.
+
+    With x_bin the binary part and x_a, x_b the unit and u bits of the
+    ring digits (as in :func:`_inner_packed`), x.y has unit component
+    parity(x_a & y_a) and u component parity((x_bin & y_bin) ^
+    (x_a & y_b) ^ (x_b & y_a)).  Each x gives two rows and each y one,
+    with fields of alpha, 2*beta, 2*beta and 2*beta bits placed so
+    that every component is the parity of one AND:
+
+        u component of x    x_bin | x_a | x_b |  0
+        unit component of x   0   |  0  |  0  | x_a
+        y                   y_bin | y_b | y_a | y_a
+
+    The rows are words of alpha + 6*beta binary coordinates.  All pairs
+    are ANDed at once, one 64-bit limb at a time, and the limbs
+    XOR-folded before one popcount.
+    """
+    beta2 = 2 * shape.beta
+    a_mask = shape.ring_a_mask
+    rows: list[int] = []
+    for x in xs:
+        xa, xb = x & a_mask, x >> 1 & a_mask
+        rows += ((((x >> beta2) << beta2 | xa) << beta2 | xb) << beta2, xa)
+    cols = []
+    for y in ys:
+        ya, yb = y & a_mask, y >> 1 & a_mask
+        cols.append((((y >> beta2) << beta2 | yb) << beta2 | ya) << beta2 | ya)
+    fields = AmbientShape(shape.alpha + 3 * beta2, 0)
+    folded = np.zeros((len(rows), len(cols)), dtype=np.uint64)
+    for r, c in zip(_to_limbs(fields, rows).T, _to_limbs(fields, cols).T):
+        folded ^= np.bitwise_and.outer(r, c)
+    return not (np.bitwise_count(folded) & 1).any()
+
+
 def _sigma_packed(shape: AmbientShape, word: int) -> int:
     """Binary part kept, the two bits of each ring digit swapped: the
     u-component of g.w is the binary dot product of g and sigma(w)."""
@@ -352,15 +388,15 @@ class AdditiveCode:
     ``array`` holds every codeword, in canonical order, and is built
     from the basis on first access, only for ``words`` (the same list
     as Python ints), the Gray image and the minimum Lee weight; the Lee
-    enumerator is counted from the basis without it.  Three invariants
-    are kept once computed: ``_lee``, set by
-    :func:`z2zu.weights.lee_enumerator`, ``_profile``, set by
-    :func:`z2zu.weights.column_profile`, and ``_dual``, set by
+    enumerator is counted from the basis without it.  Four invariants
+    are kept once computed: ``_module``, set by :meth:`is_module`,
+    ``_lee``, set by :func:`z2zu.weights.lee_enumerator`, ``_profile``,
+    set by :func:`z2zu.weights.column_profile`, and ``_dual``, set by
     :func:`z2zu.classify.dual_summary`.
     """
 
     __slots__ = ("shape", "_generators", "basis", "_array", "_words",
-                 "_codewords", "_lee", "_profile", "_dual")
+                 "_codewords", "_module", "_lee", "_profile", "_dual")
 
     def __init__(
         self,
@@ -383,6 +419,7 @@ class AdditiveCode:
         self._array: np.ndarray | None = None
         self._words: tuple[int, ...] | None = None
         self._codewords: tuple[MixedVector, ...] | None = None
+        self._module: bool | None = None
         self._lee: LeeEnumerator | None = None
         self._profile: ColumnProfile | None = None
         self._dual: DualSummary | None = None
@@ -451,12 +488,14 @@ class AdditiveCode:
 
         Closure under u and addition gives closure under every scalar,
         so this is exactly the R-submodule condition.  u is additive
-        over XOR, hence checking the basis suffices.
+        over XOR, hence checking the basis suffices.  Kept once computed.
         """
-        return all(
-            _reduce(self.basis, _u_mul_packed(self.shape, b)) == 0
-            for b in self.basis
-        )
+        if self._module is None:
+            self._module = all(
+                _reduce(self.basis, _u_mul_packed(self.shape, b)) == 0
+                for b in self.basis
+            )
+        return self._module
 
     def __repr__(self) -> str:
         return (
@@ -561,11 +600,8 @@ def _to_limbs(shape: AmbientShape, xs: Sequence[int]) -> np.ndarray:
     """Packed words as a (len(xs), shape.limbs) array of 64-bit limbs,
     most significant first."""
     n = shape.limbs
-    return np.array(
-        [[(x >> (64 * (n - 1 - i))) & 0xFFFF_FFFF_FFFF_FFFF for i in range(n)]
-         for x in xs],
-        dtype=np.uint64,
-    ).reshape(len(xs), n)
+    data = b"".join(x.to_bytes(8 * n, "big") for x in xs)
+    return np.frombuffer(data, dtype=">u8").astype(np.uint64).reshape(len(xs), n)
 
 
 def _ints(array: np.ndarray) -> tuple[int, ...]:
@@ -669,7 +705,9 @@ def dual(code: AdditiveCode) -> AdditiveCode:
     has those leading bits).  sigma of those rows spans the dual (see
     the module docstring).  Two exact checks pin the result: every
     dual row is orthogonal to every code row under the full R-valued
-    inner product, and |C| * |dual| = 2^N.
+    inner product, both components of all pairs in one batched test
+    computed from the inner product's definition, not from sigma
+    (:func:`_orthogonal`), and |C| * |dual| = 2^N.
     """
     _require_module(code, "dual")
     shape = code.shape
@@ -684,7 +722,7 @@ def dual(code: AdditiveCode) -> AdditiveCode:
                 row |= 1 << p
         rows.append(_sigma_packed(shape, row))
     basis = _rref(shape, rows, u_closed=False)
-    if any(_inner_packed(shape, d, b) for d in basis for b in code.basis):
+    if not _orthogonal(shape, basis, code.basis):
         raise InternalVerificationFailure(
             "a dual basis row is not orthogonal to the code"
         )

@@ -3,8 +3,7 @@
 A Lee enumerator is the sparse weight distribution {w: A_w} of a code
 together with the Gray length N = alpha + 2*beta; it renders as the
 homogeneous polynomial sum_w A_w x^(N-w) y^w.  All arithmetic here is
-exact integer arithmetic: the MacWilliams transform builds the
-Krawtchouk coefficients by their three-term recurrence and refuses to
+exact integer arithmetic, and the MacWilliams transform refuses to
 round.
 
 The transform sends the distribution of C to the distribution of its
@@ -12,7 +11,13 @@ dual scaled by |C|:
 
     sum_i A_i (x+y)^(N-i) (x-y)^i  =  |C| * sum_j B_j x^(N-j) y^j
 
-Applying it twice (with |C| and then 2^N/|C|) is the identity.
+Applying it twice (with |C| and then 2^N/|C|) is the identity.  The
+left side is evaluated at x = 1 and one big integer y = 2^bits, by a
+Horner pass over the weights (Kronecker substitution), and the N+1
+coefficient sums are read back as its balanced base-2^bits digits.
+Each |sum_j| is at most |C| * C(N, N//2), since no coefficient of
+(1+y)^(N-i) (1-y)^i exceeds that of (1+y)^N, so bits = that bound's
+bit length plus one keeps every digit exact (:func:`_kronecker_bits`).
 
 The Lee enumerator is counted from the code's basis in cache-sized
 blocks of its Gray span (:func:`z2zu.core._lee_counts`): a bincount of
@@ -35,9 +40,11 @@ zero columns
 from __future__ import annotations
 
 import enum
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 from typing import NamedTuple
 
 from .core import AdditiveCode, BinaryCode, _lee_counts
@@ -83,7 +90,11 @@ class LeeEnumerator:
         return dict(self.entries)
 
     def count(self, w: int) -> int:
-        return self.counts.get(w, 0)
+        # (w,) sorts just before (w, A_w), so bisection finds its entry
+        i = bisect_left(self.entries, (w,))
+        if i < len(self.entries) and self.entries[i][0] == w:
+            return self.entries[i][1]
+        return 0
 
     def cardinality(self) -> int:
         return sum(c for _, c in self.entries)
@@ -134,13 +145,22 @@ def hamming_enumerator(words: BinaryCode) -> LeeEnumerator:
     return LeeEnumerator.from_counts(words.n, counts)
 
 
+def _kronecker_bits(n: int, code_size: int) -> int:
+    """Digit width for :func:`macwilliams`: a balanced base-2^bits digit
+    holds -2^(bits-1)..2^(bits-1)-1, and every coefficient sum has
+    |sum_j| <= code_size * C(n, n//2), which the distribution with all
+    its mass at weight 0 attains."""
+    return (code_size * comb(n, n // 2)).bit_length() + 1
+
+
 def macwilliams(enum: LeeEnumerator, code_size: int) -> LeeEnumerator:
     """Distribution of the dual from the distribution of the code.
 
-    ``code_size`` must equal the total count and divide 2^N.  Every
-    output count is checked to be a nonnegative integer; anything else
-    raises NonIntegralTransform, since a genuine code/dual pair can
-    never produce one.
+    ``code_size`` must equal the total count and divide 2^N.  The
+    coefficient sums come from one big-integer evaluation (see the
+    module docstring).  Every output count is checked to be a
+    nonnegative integer; anything else raises NonIntegralTransform,
+    since a genuine code/dual pair can never produce one.
     """
     n = enum.big_n
     if code_size != enum.cardinality():
@@ -150,18 +170,23 @@ def macwilliams(enum: LeeEnumerator, code_size: int) -> LeeEnumerator:
         )
     if code_size <= 0 or (1 << n) % code_size:
         raise ValueError(f"code_size {code_size} does not divide 2^{n}")
-    sums = [0] * (n + 1)
-    for i, a_i in enum.entries:
-        # K_j, the coefficient of y^j in (x+y)^(n-i) (x-y)^i, by the
-        # Krawtchouk recurrence
-        #   (j+1) K_{j+1} = (n-2i) K_j - (n-j+1) K_{j-1},
-        # whose left side is an exact multiple of j+1
-        k_prev, k = 0, 1
-        for j in range(n + 1):
-            sums[j] += a_i * k
-            k_prev, k = k, ((n - 2 * i) * k - (n - j + 1) * k_prev) // (j + 1)
+    bits = _kronecker_bits(n, code_size)
+    # Horner over i = 0..n at y = 2^bits: acc is multiplied by (1 + y)
+    # once per later weight, and A_i enters times (1 - y)^i, so acc ends
+    # as sum_i A_i (1+y)^(n-i) (1-y)^i
+    acc, power, counts = 0, 1, enum.counts
+    for i in range(n + 1):
+        acc += acc << bits
+        if i in counts:
+            acc += counts[i] * power
+        power -= power << bits
+    half, mask = 1 << (bits - 1), (1 << bits) - 1
     out: dict[int, int] = {}
-    for j, s in enumerate(sums):
+    for j in range(n + 1):
+        # the balanced digit s at y^j: acc = s + y * rest
+        acc += half
+        s = (acc & mask) - half
+        acc >>= bits
         q, rem = divmod(s, code_size)
         if rem:
             raise NonIntegralTransform(

@@ -9,7 +9,9 @@ from z2zu.core import (
     AdditiveCode,
     AmbientShape,
     MixedVector,
+    _inner_packed,
     _lee_packed,
+    _orthogonal,
     additive_span,
     dual,
     dual_brute,
@@ -27,6 +29,7 @@ from z2zu.core import (
     vec_add,
     zero_vector,
 )
+from z2zu.classify import dual_summary, is_self_dual, is_self_orthogonal
 from z2zu.errors import (
     AmbientTooLarge,
     InternalVerificationFailure,
@@ -37,6 +40,7 @@ from z2zu.errors import (
 )
 from z2zu.presets import PRESETS, preset_code
 from z2zu.ring import ONE, U, V, ZERO, RingElem
+from z2zu.standard_form import standard_form
 
 from conftest import closure_words, random_code
 
@@ -257,6 +261,24 @@ def test_module_ops_refuse_bare_subgroups():
         dual(sub)
 
 
+def test_module_test_is_kept_and_every_module_op_still_refuses():
+    sub = preset_code("5.4")
+    assert sub._module is None
+    assert not sub.is_module()
+    assert sub._module is False
+    ops = (("dual", dual), ("dual_brute", dual_brute),
+           ("standard_form", standard_form), ("dual_summary", dual_summary))
+    for _ in range(2):  # the second round reads the kept verdict
+        for name, op in ops:
+            with pytest.raises(PreconditionViolation) as err:
+                op(sub)
+            assert str(err.value) == (
+                f"{name} requires a code closed under multiplication by u; "
+                "this one is a bare subgroup (built with additive_span?)")
+    module = span(sub.shape, sub.generators)
+    assert module.is_module() and module._module is True
+
+
 def test_reference_subgroup_code_is_not_a_module():
     c16 = preset_code("5.4")
     assert c16.cardinality == 16
@@ -333,6 +355,68 @@ def test_dual_checks_orthogonality(monkeypatch):
     monkeypatch.setattr(z2zu.core, "_sigma_packed", lambda shape, w: w)
     with pytest.raises(InternalVerificationFailure):
         dual(preset_code("3.6"))
+
+
+def test_orthogonal_matches_inner_product(rng):
+    # both components, alpha = 0 and beta = 0, and N > 64 (two limbs)
+    for alpha, beta in ((3, 0), (0, 3), (4, 3), (70, 3), (0, 40), (66, 0),
+                        (2, 40)):
+        shape = AmbientShape(alpha, beta)
+        seen = set()
+        for _ in range(60):
+            x, y = (rng.randrange(shape.ambient_size) for _ in range(2))
+            value = _inner_packed(shape, x, y)
+            seen.add(value)
+            assert _orthogonal(shape, [x], [y]) == (value == 0)
+            assert _orthogonal(shape, [y], [x]) == (value == 0)
+        # with no ring part the product is u times a binary dot product
+        assert seen == ({0, 1, 2, 3} if beta else {0, 2})
+        # batches: a dual basis against its code, then with one bit flipped
+        rows = [MixedVector.from_packed(shape, rng.randrange(shape.ambient_size))
+                for _ in range(2)]
+        code = span(shape, rows)
+        xs, ys = list(dual(code).basis), code.basis
+        assert _orthogonal(shape, xs, ys)
+        for _ in range(10):
+            flipped = list(xs)
+            flipped[rng.randrange(len(xs))] ^= 1 << rng.randrange(shape.big_n)
+            assert _orthogonal(shape, flipped, ys) == (not any(
+                _inner_packed(shape, x, y) for x in flipped for y in ys))
+    shape = AmbientShape(2, 2)
+    assert _orthogonal(shape, [], [5]) and _orthogonal(shape, [5], [])
+
+
+def test_dual_catches_a_flipped_bit(monkeypatch):
+    # every column of 5.6 is balanced or full, so every unit vector
+    # meets the code and any one flipped bit of a dual row shows
+    code = preset_code("5.6")
+    rref = z2zu.core._rref
+    for t in range(code.shape.big_n):
+        def flip_first_row(shape, rows, u_closed=True, t=t):
+            basis = rref(shape, rows, u_closed)
+            return basis if u_closed else (basis[0] ^ 1 << t,) + basis[1:]
+        monkeypatch.setattr(z2zu.core, "_rref", flip_first_row)
+        with pytest.raises(InternalVerificationFailure, match="not orthogonal"):
+            dual(code)
+
+
+def test_self_orthogonality_agrees_with_pairwise_inner_products(rng):
+    # the pairwise definition: every pair of basis rows, one at a time
+    def pairwise(code):
+        basis = code.basis
+        return not any(_inner_packed(code.shape, g, h)
+                       for i, g in enumerate(basis) for h in basis[i:])
+
+    codes = [preset_code(k) for k in PRESETS]
+    codes += [random_code(rng, max_alpha=4, max_beta=3) for _ in range(200)]
+    verdicts = set()
+    for c in codes:
+        so = pairwise(c)
+        verdicts.add(so)
+        assert is_self_orthogonal(c) == so
+        assert is_self_dual(c) == (
+            so and c.cardinality ** 2 == c.shape.ambient_size)
+    assert verdicts == {True, False}
 
 
 def test_dual_brute_checks_its_scan(monkeypatch):

@@ -5,6 +5,7 @@ from collections import Counter
 
 import pytest
 
+import z2zu.weights
 from z2zu.core import (
     _LEE_BLOCK_BITS,
     MAX_CODE_WORD_BITS,
@@ -67,6 +68,22 @@ def test_enumerator_accessors():
     assert e.min_nonzero_weight() == 6
     assert str(e) == "x^9 + 3x^3y^6"
     assert e.to_json_obj() == {"N": 9, "counts": [[0, 1], [6, 3]]}
+
+
+def test_count_reads_entries_and_counts_is_a_fresh_dict(rng):
+    for n in (0, 1, 9, 48):
+        for _ in range(10):
+            counts = {w: rng.randrange(1, 5) for w in range(n + 1)
+                      if rng.random() < 0.4}
+            e = LeeEnumerator.from_counts(n, counts)
+            assert [e.count(w) for w in range(-1, n + 2)] == [
+                counts.get(w, 0) for w in range(-1, n + 2)]
+    e = lee_enumerator(preset_code("3.6"))
+    mutated = e.counts
+    mutated[6] = 0
+    mutated[1] = 7
+    assert e.counts == {0: 1, 6: 3}
+    assert (e.count(6), e.count(1)) == (3, 0)
 
 
 def test_poly_str_edge_cases():
@@ -173,6 +190,50 @@ def test_transform_matches_binomial_oracle(rng):
         refused += isinstance(got, str)
     assert 0 < refused < len(cases)
     assert max(e.big_n for e, _ in cases) > 64
+
+
+def _digit_bound_cases(rng):
+    """Distributions at N = 64, 65, 90, 130 with |C| up to 2^26 that
+    push the transform's coefficient sums to its digit bound: all mass
+    at weight N, at weight 0 (which attains |C| * C(N, N//2)), at N//2,
+    {0: 1, N: |C|-1}, and random sparse splits."""
+    cases = []
+    for n in (64, 65, 90, 130):
+        for k in (0, 1, 7, 16, 26):
+            size = 1 << k
+            splits = [{n: size}, {0: size}, {n // 2: size},
+                      {0: 1, n: size - 1}]
+            for _ in range(2):
+                weights = rng.sample(range(n + 1), 3)
+                cuts = sorted(rng.randrange(size + 1) for _ in range(2))
+                parts = (cuts[0], cuts[1] - cuts[0], size - cuts[1])
+                splits.append(Counter(dict(zip(weights, parts))))
+            cases += [(LeeEnumerator.from_counts(n, c), size) for c in splits]
+    return cases
+
+
+def test_transform_digit_bound_matches_binomial_oracle(rng):
+    cases = _digit_bound_cases(rng)
+    refused = 0
+    for e, size in cases:
+        got = _outcome(macwilliams, e, size)
+        assert got == _outcome(macwilliams_oracle, e, size)
+        refused += isinstance(got, str)
+    assert 0 < refused < len(cases)
+
+
+def test_transform_digit_bound_is_tight(rng, monkeypatch):
+    # one bit fewer per digit and the sum |C| * C(N, N//2) at weight
+    # N//2 of the all-at-zero distribution no longer fits its digit
+    bits = z2zu.weights._kronecker_bits
+    monkeypatch.setattr(z2zu.weights, "_kronecker_bits",
+                        lambda n, size: bits(n, size) - 1)
+    at_zero = [(e, size) for e, size in _digit_bound_cases(rng)
+               if e.entries == ((0, size),)]
+    assert len(at_zero) >= 20  # one per (N, |C|) at least
+    for e, size in at_zero:
+        assert (_outcome(macwilliams, e, size)
+                != _outcome(macwilliams_oracle, e, size))
 
 
 def test_reference_dual_distributions():
