@@ -1,9 +1,11 @@
 """Classification predicates and the verifiers behind them.
 
 The predicates are the standard ones for additive codes with a Lee
-weight: one-weight and two-weight, projective (dual minimum Lee weight
-at least 3), formally self-dual (code and dual share an enumerator),
-self-orthogonal and self-dual.
+weight: one-weight and two-weight, projective (no dual word of Lee
+weight 1 or 2, so a dual of {0} counts), formally self-dual (code and
+dual share an enumerator), self-orthogonal and self-dual.  Each is
+decided here once, as a bool; :func:`classify` and the CLI's
+``reproduce`` both read these functions.
 
 For a one-weight code of weight m without zero columns there is a
 positive integer lambda with
@@ -56,7 +58,6 @@ __all__ = [
     "weight_profile",
     "DualSummary",
     "dual_summary",
-    "ProjectivityCheck",
     "is_projective",
     "is_formally_self_dual",
     "is_self_orthogonal",
@@ -180,19 +181,10 @@ def dual_summary(code: AdditiveCode) -> DualSummary:
     return code._dual
 
 
-@dataclass(frozen=True)
-class ProjectivityCheck:
-    projective: bool
-    dual_min_weight: int | None
-    source: str
-
-
-def is_projective(code: AdditiveCode) -> ProjectivityCheck:
+def is_projective(code: AdditiveCode) -> bool:
     """Projective = no dual words of Lee weight 1 or 2."""
     dual = dual_summary(code)
-    return ProjectivityCheck(
-        dual.b1 == 0 and dual.b2 == 0, dual.min_weight, dual.source
-    )
+    return dual.b1 == 0 and dual.b2 == 0
 
 
 def is_formally_self_dual(code: AdditiveCode) -> bool:
@@ -244,11 +236,10 @@ class ClassificationReport:
 def classify(code: AdditiveCode) -> ClassificationReport:
     dual = dual_summary(code)
     weights = lee_enumerator(code).nonzero_weights()
-    proj = is_projective(code)
     report = ClassificationReport(
         one_lee_weight=len(weights) == 1,
         two_lee_weight=len(weights) == 2,
-        projective=proj.projective,
+        projective=is_projective(code),
         formally_self_dual=is_formally_self_dual(code),
         self_orthogonal=is_self_orthogonal(code),
         self_dual=is_self_dual(code),
@@ -402,10 +393,10 @@ def verify_two_weight_relations(code: AdditiveCode) -> TwoWeightReport:
         raise NotTwoWeight(
             f"code has nonzero weights {weights}, expected exactly two"
         )
-    proj = is_projective(code)
-    if not proj.projective:
+    if not is_projective(code):
         raise NotProjective(
-            f"dual has minimum Lee weight {proj.dual_min_weight}, need >= 3"
+            f"dual has minimum Lee weight {dual_summary(code).min_weight}, "
+            "need >= 3"
         )
     m1, m2 = weights
     size = code.cardinality

@@ -346,33 +346,26 @@ def _reproduce_one(key: str) -> list[dict]:
 
     # the module span backs every dual-side quantity; 5.4's rows are not
     # u-closed, so nothing dual-side is stated or checked for it
-    dual = None
-    if p.module_span and (p.dual_lee_counts or p.dual_gray
-                          or p.projective is not None
-                          or p.formally_self_dual is not None):
+    if p.module_span:
         dual = dual_summary(code)
-    if dual is not None and p.dual_lee_counts is not None:
-        results.append(_check(
-            "dual lee counts", dual.enumerator.entries, p.dual_lee_counts
-        ))
-    if dual is not None and p.dual_gray is not None:
-        dgp = gray_parameters(dual.dual_code)
-        results.append(_check("dual gray parameters", dgp, p.dual_gray))
-        if p.dual_gray_optimal:
-            results.append(_check("dual gray optimality",
-                                  optimality_check(*dgp), "optimal"))
-    if dual is not None and p.projective is not None:
-        results.append(_check("projective",
-                              dual.min_weight is not None
-                              and dual.min_weight >= 3,
-                              p.projective))
-    if dual is not None and p.formally_self_dual is not None:
-        fsd = enum == dual.enumerator
-        results.append(_check("formally self-dual", fsd,
-                              p.formally_self_dual))
-    if dual is not None and p.self_dual is not None:
-        sd = dual.dual_code == code
-        results.append(_check("self-dual", sd, p.self_dual))
+        if p.dual_lee_counts is not None:
+            results.append(_check("dual lee counts", dual.enumerator.entries,
+                                  p.dual_lee_counts))
+        if p.dual_gray is not None:
+            dgp = gray_parameters(dual.dual_code)
+            results.append(_check("dual gray parameters", dgp, p.dual_gray))
+            if p.dual_gray_optimal:
+                results.append(_check("dual gray optimality",
+                                      optimality_check(*dgp), "optimal"))
+        report = classify(code)
+        for name, got, stated in (
+            ("projective", report.projective, p.projective),
+            ("formally self-dual", report.formally_self_dual,
+             p.formally_self_dual),
+            ("self-dual", report.self_dual, p.self_dual),
+        ):
+            if stated is not None:
+                results.append(_check(name, got, stated))
 
     # type comparison: the known discrepancies report, they do not fail
     module = span(code.shape, code.generators) if not p.module_span else code

@@ -25,10 +25,10 @@ counted from it too, in cache-sized blocks of the Gray span, and keeps
 no words (:func:`_lee_counts`).  The codewords are built from the basis
 only for ``words``, the Gray image and the minimum Lee weight, once, as
 a numpy ``uint64`` array of shape (|C|, L) with L = ceil(N/64) limbs
-per word, limb 0 the most significant (:func:`_word_array`); ``words``,
-the same codewords as Python ints, is a view of it built only when
-read.  Counting and building are both capped at 2^MAX_CODE_WORD_BITS
-words.
+per word, limb 0 the most significant (:func:`_word_array`), and that
+array is the only word set kept; ``words``, the same codewords as
+Python ints, is converted from it on each read.  Counting and building
+are both capped at 2^MAX_CODE_WORD_BITS words.
 
 The Gray image of a packed word w is w ^ ((w >> 1) & ring_a_mask): it
 keeps the binary part and sends ring digit a + 2b to the pair
@@ -220,12 +220,6 @@ class MixedVector:
     def __rmul__(self, c) -> "MixedVector":
         return scalar_mul(c, self)
 
-    def lee_weight(self) -> int:
-        return lee_weight_vec(self)
-
-    def gray(self) -> tuple[int, ...]:
-        return gray_map(self)
-
     def __str__(self) -> str:
         return format_row(self)
 
@@ -367,10 +361,6 @@ class BinaryCode:
         for w in self.words:
             yield w.bit_count()
 
-    def min_weight(self) -> int | None:
-        nz = [w.bit_count() for w in self.words if w]
-        return min(nz) if nz else None
-
     def __len__(self) -> int:
         return len(self.words)
 
@@ -385,18 +375,20 @@ class AdditiveCode:
     XOR basis (packed integers, increasing), which identifies the code;
     ``generators`` are the rows it was built from (the basis itself when
     given as None, as for derived codes, built when first read).
-    ``array`` holds every codeword, in canonical order, and is built
-    from the basis on first access, only for ``words`` (the same list
-    as Python ints), the Gray image and the minimum Lee weight; the Lee
-    enumerator is counted from the basis without it.  Four invariants
+    ``array`` is the one word set kept: every codeword, in canonical
+    order, built from the basis on first access, for the Gray image,
+    the minimum Lee weight and ``words``, the same list as Python ints,
+    converted on each read; iterating yields each word as a
+    :class:`MixedVector` from that list.  The Lee enumerator is counted
+    from the basis without any of them.  Four invariants
     are kept once computed: ``_module``, set by :meth:`is_module`,
     ``_lee``, set by :func:`z2zu.weights.lee_enumerator`, ``_profile``,
     set by :func:`z2zu.weights.column_profile`, and ``_dual``, set by
     :func:`z2zu.classify.dual_summary`.
     """
 
-    __slots__ = ("shape", "_generators", "basis", "_array", "_words",
-                 "_codewords", "_module", "_lee", "_profile", "_dual")
+    __slots__ = ("shape", "_generators", "basis", "_array", "_module",
+                 "_lee", "_profile", "_dual")
 
     def __init__(
         self,
@@ -417,8 +409,6 @@ class AdditiveCode:
         self._generators = generators
         self.basis = basis
         self._array: np.ndarray | None = None
-        self._words: tuple[int, ...] | None = None
-        self._codewords: tuple[MixedVector, ...] | None = None
         self._module: bool | None = None
         self._lee: LeeEnumerator | None = None
         self._profile: ColumnProfile | None = None
@@ -451,18 +441,9 @@ class AdditiveCode:
 
     @property
     def words(self) -> tuple[int, ...]:
-        """All codewords as packed Python ints, in the order of ``array``."""
-        if self._words is None:
-            self._words = _ints(self.array)
-        return self._words
-
-    @property
-    def codewords(self) -> tuple[MixedVector, ...]:
-        if self._codewords is None:
-            self._codewords = tuple(
-                MixedVector.from_packed(self.shape, w) for w in self.words
-            )
-        return self._codewords
+        """All codewords as packed Python ints, in the order of ``array``;
+        converted from it on each read, not kept."""
+        return _ints(self.array)
 
     def __contains__(self, v: MixedVector) -> bool:
         if v.shape != self.shape:
@@ -473,7 +454,7 @@ class AdditiveCode:
         return self.cardinality
 
     def __iter__(self) -> Iterator[MixedVector]:
-        return iter(self.codewords)
+        return (MixedVector.from_packed(self.shape, w) for w in self.words)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, AdditiveCode):

@@ -3,8 +3,10 @@
 Each preset carries a generator matrix (in the matrix file grammar)
 together with every externally stated quantity for that code: Lee
 enumerator, type, Gray-image parameters, dual data and classification
-flags.  The ``reproduce`` CLI command recomputes everything from the
-matrix and compares.
+flags.  The ``PRESETS`` key names the code and the rows fix its shape,
+so neither is restated.  The ``reproduce`` CLI command recomputes
+everything from the matrix and compares, reading the flags from
+:func:`z2zu.classify.classify`.
 
 Most stated types disagree with the ones the standard-form reduction
 yields, though the exponent k0 + 2*k1 + k2, and with it the
@@ -46,10 +48,7 @@ __all__ = ["Preset", "PRESETS", "preset_code"]
 
 @dataclass(frozen=True)
 class Preset:
-    key: str
     rows: tuple[str, ...]
-    alpha: int
-    beta: int
     stated_type: tuple[int, int, int] | None  # (k0, k1, k2)
     type_discrepancy_known: bool
     lee_counts: tuple[tuple[int, int], ...]
@@ -78,8 +77,6 @@ def preset_code(key: str) -> AdditiveCode:
     """
     p = PRESETS[key]
     shape, rows = parse_matrix(p.matrix_text())
-    if (shape.alpha, shape.beta) != (p.alpha, p.beta):
-        raise AssertionError(f"preset {key} shape mismatch")
     closure = span if p.module_span else additive_span
     return closure(shape, rows)
 
@@ -90,13 +87,10 @@ def _c(d: dict[int, int]) -> tuple[tuple[int, int], ...]:
 
 PRESETS: dict[str, Preset] = {
     "3.6": Preset(
-        key="3.6",
         rows=(
             "1 1 1 0 0 0 1 | u",
             "0 0 0 1 1 1 1 | u",
         ),
-        alpha=7,
-        beta=1,
         stated_type=(1, 0, 1),
         type_discrepancy_known=True,
         lee_counts=_c({0: 1, 6: 3}),
@@ -113,13 +107,10 @@ PRESETS: dict[str, Preset] = {
         self_dual=None,
     ),
     "3.7": Preset(
-        key="3.7",
         rows=(
             "1 0 1 | u 0 u",
             "0 1 1 | u u 0",
         ),
-        alpha=3,
-        beta=3,
         stated_type=(1, 0, 1),
         type_discrepancy_known=True,
         lee_counts=_c({0: 1, 6: 3}),
@@ -136,14 +127,11 @@ PRESETS: dict[str, Preset] = {
         self_dual=None,
     ),
     "3.8": Preset(
-        key="3.8",
         rows=(
             "1 1 1 1 | u 0 u 0 0",
             "0 0 1 1 | u u 0 u 0",
             "0 0 0 0 | u u u 0 u",
         ),
-        alpha=4,
-        beta=5,
         stated_type=(2, 0, 1),
         type_discrepancy_known=False,
         lee_counts=_c({0: 1, 8: 7}),
@@ -160,10 +148,7 @@ PRESETS: dict[str, Preset] = {
         self_dual=None,
     ),
     "4.3a": Preset(
-        key="4.3a",
         rows=("1 1 |",),
-        alpha=2,
-        beta=0,
         stated_type=None,
         type_discrepancy_known=False,
         lee_counts=_c({0: 1, 2: 1}),
@@ -180,10 +165,7 @@ PRESETS: dict[str, Preset] = {
         self_dual=True,
     ),
     "4.3b": Preset(
-        key="4.3b",
         rows=("1 0 |",),
-        alpha=2,
-        beta=0,
         stated_type=None,
         type_discrepancy_known=False,
         lee_counts=_c({0: 1, 1: 1}),
@@ -200,15 +182,12 @@ PRESETS: dict[str, Preset] = {
         self_dual=False,
     ),
     "5.4": Preset(
-        key="5.4",
         rows=(
             "0 0 0 0 1 1 1 1 | 1 1 1+u 1+u",
             "1 1 0 1 1 0 1 0 | 0 0 u u",
             "1 0 1 1 0 0 1 1 | 0 u 0 u",
             "1 0 0 0 0 0 0 0 | u u u u",
         ),
-        alpha=8,
-        beta=4,
         stated_type=(2, 0, 2),
         type_discrepancy_known=True,
         module_span=False,
@@ -226,15 +205,12 @@ PRESETS: dict[str, Preset] = {
         self_dual=None,
     ),
     "5.5": Preset(
-        key="5.5",
         rows=(
             "1 0 0 1 0 1 | 1 1 1 1",
             "0 1 0 0 1 1 | 0 u 0 u",
             "0 0 1 1 1 1 | 0 0 u u",
             "0 0 0 0 0 0 | u u u u",
         ),
-        alpha=6,
-        beta=4,
         stated_type=(2, 0, 2),
         type_discrepancy_known=True,
         lee_counts=_c({0: 1, 7: 8, 8: 7}),
@@ -265,7 +241,6 @@ PRESETS: dict[str, Preset] = {
         self_dual=None,
     ),
     "5.6": Preset(
-        key="5.6",
         rows=(
             "0 0 0 0 0 0 0 0 | u u u u u u u u",
             "1 1 1 1 1 1 1 1 | 0 0 0 0 u u u u",
@@ -273,8 +248,6 @@ PRESETS: dict[str, Preset] = {
             "0 0 1 1 0 0 1 1 | 0 u 0 u 0 u 0 u",
             "0 1 0 1 0 1 1 0 | 1+u 1+u 1+u 1+u 1+u 1+u 1+u 1+u",
         ),
-        alpha=8,
-        beta=8,
         stated_type=(3, 0, 2),
         type_discrepancy_known=True,
         lee_counts=_c({0: 1, 12: 28, 16: 3}),
@@ -315,7 +288,6 @@ PRESETS: dict[str, Preset] = {
         self_dual=None,
     ),
     "5.7": Preset(
-        key="5.7",
         rows=(
             "1 1 1 1 1 1 1 1 | u u u u",
             "1 1 1 1 0 0 0 0 | 0 0 u u",
@@ -323,8 +295,6 @@ PRESETS: dict[str, Preset] = {
             "0 0 1 1 0 0 1 1 | 0 u 0 u",
             "0 1 0 1 0 1 0 1 | 1 1 1 1",
         ),
-        alpha=8,
-        beta=4,
         stated_type=(3, 0, 2),
         type_discrepancy_known=True,
         lee_counts=_c({0: 1, 8: 30, 16: 1}),

@@ -164,7 +164,7 @@ def test_gray_image_is_an_isometry():
         pairs = 0
         while pairs < 1000:
             code = codes[rng.randrange(len(codes))]
-            words = code.codewords
+            words = tuple(code)
             v = words[rng.randrange(len(words))]
             w = words[rng.randrange(len(words))]
             gv, gw = gray_map(v), gray_map(w)
@@ -217,7 +217,7 @@ def test_one_weight_codes_satisfy_the_weight_relations():
                 odd_seen += 1
                 assert size == 2
                 assert m == n  # all columns live: binary 1s and ring u's
-                (g,) = (w for w in code.codewords if w.packed)
+                (g,) = (w for w in code if w.packed)
                 assert all(b == 1 for b in g.bin_bits)
                 assert all(str(e) == "u" for e in g.ring_elems)
         assert odd_seen  # e.g. (1 | u) with m = 3
@@ -300,7 +300,7 @@ def test_algebraic_property_suite():
         # span closure is idempotent
         for _ in range(50):
             code = random_code(rng)
-            assert span(code.shape, code.codewords) == code
+            assert span(code.shape, tuple(code)) == code
 
         # dual involution over small ambients
         small = [preset_code(k) for k in ("3.6", "3.7", "3.8", "5.5", "5.7")]

@@ -18,7 +18,14 @@ from z2zu.classify import (
     weight_profile,
     _two_weight_quadratic,
 )
-from z2zu.core import AmbientShape, MixedVector, dual_brute, parse_matrix, span
+from z2zu.core import (
+    AmbientShape,
+    MixedVector,
+    dual,
+    dual_brute,
+    parse_matrix,
+    span,
+)
 from z2zu.errors import (
     InternalVerificationFailure,
     NotOneWeight,
@@ -27,8 +34,10 @@ from z2zu.errors import (
     PreconditionViolation,
     TrivialCode,
 )
-from z2zu.presets import preset_code
+from z2zu.presets import PRESETS, preset_code
 from z2zu.weights import LeeEnumerator, lee_enumerator
+
+from conftest import random_code
 
 
 def code_of(text):
@@ -124,18 +133,18 @@ def test_dual_summary_refuses_subgroup():
 
 
 def test_projectivity_of_references():
-    assert is_projective(preset_code("5.5")).projective
-    assert is_projective(preset_code("5.7")).projective
-    check = is_projective(preset_code("3.6"))
-    assert not check.projective
-    assert check.dual_min_weight == 2
+    assert is_projective(preset_code("5.5")) is True
+    assert is_projective(preset_code("5.7")) is True
+    code = preset_code("3.6")
+    assert is_projective(code) is False
+    assert dual_summary(code).min_weight == 2
 
 
 def test_projective_means_dual_min_weight_three():
-    check = is_projective(preset_code("5.5"))
-    assert check.dual_min_weight == 3
-    check = is_projective(preset_code("5.7"))
-    assert check.dual_min_weight == 4
+    for key, m in (("5.5", 3), ("5.7", 4)):
+        code = preset_code(key)
+        assert is_projective(code)
+        assert dual_summary(code).min_weight == m
 
 
 # ------------------------------------------- self-duality and formal duals
@@ -159,6 +168,30 @@ def test_formally_self_dual_but_not_self_dual():
 
 def test_formal_self_duality_needs_square_cardinality():
     assert not is_formally_self_dual(preset_code("3.6"))
+
+
+def test_predicates_match_their_definitions(rng):
+    # each predicate against the formula it stands for, read straight
+    # off the dual: every u-closed preset, random codes, and the full
+    # ambient, whose dual {0} has no nonzero weight at all
+    codes = [preset_code(k) for k, p in PRESETS.items() if p.module_span]
+    codes += [random_code(rng) for _ in range(200)]
+    codes.append(code_of("1 0 | 0\n0 1 | 0\n0 0 | 1\n"))
+    assert dual_summary(codes[-1]).cardinality == 1
+    seen = set()
+    for c in codes:
+        m = dual_summary(c).min_weight
+        verdicts = (
+            (is_self_dual(c), dual(c) == c),
+            (is_formally_self_dual(c),
+             lee_enumerator(c) == dual_summary(c).enumerator),
+            (is_projective(c), m is None or m >= 3),
+        )
+        for i, (got, oracle) in enumerate(verdicts):
+            assert got is oracle
+            seen.add((i, got))
+    # both verdicts of every predicate are exercised
+    assert len(seen) == 6
 
 
 def test_classification_report():

@@ -314,6 +314,8 @@ def test_reproduce_all(capsys):
     assert obj["failures"] == 0
     assert obj["assertions"] == 95
     assert [o["example"] for o in obj["examples"]] == list(PRESETS)
+    # every name, status and detail string, byte for byte as stored
+    assert out == (Path(__file__).parent / "reproduce_all.json").read_text()
 
 
 def test_reproduce_unknown_id(capsys):

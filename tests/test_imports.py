@@ -1,11 +1,14 @@
-"""Every name a package module imports is used in that module, and every
+"""Every name a package module imports is used in that module, every
 module-level private function or constant is used somewhere in the
-package."""
+package, and the package exports exactly the names it binds."""
 
 import ast
+import types
 from pathlib import Path
 
 import pytest
+
+import z2zu
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "z2zu"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
@@ -79,3 +82,13 @@ def test_no_unreferenced_private_names():
     sources = {p.name: p.read_text(encoding="utf-8")
                for p in SRC.glob("*.py")}
     assert unreferenced_private_names(sources) == []
+
+
+def test_package_exports_match_its_bindings():
+    # the import block and __all__ in __init__.py name the same objects
+    assert len(z2zu.__all__) == len(set(z2zu.__all__))
+    assert [n for n in z2zu.__all__ if not hasattr(z2zu, n)] == []
+    bound = {name for name, value in vars(z2zu).items()
+             if not name.startswith("_")
+             and not isinstance(value, types.ModuleType)}
+    assert set(z2zu.__all__) == bound

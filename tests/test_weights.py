@@ -12,6 +12,7 @@ from z2zu.core import (
     AmbientShape,
     MixedVector,
     additive_span,
+    dual,
     dual_brute,
     gray_image,
     gray_parameters,
@@ -458,12 +459,14 @@ def test_word_kernels_match_python_oracle(rng):
 
 
 def test_kernels_leave_python_words_unbuilt(rng):
+    # the kernels read the basis: no word array, let alone Python words,
+    # is built for a spanned code or a dual read off a basis
     for code in [preset_code("5.7"), random_code(rng, max_alpha=70),
-                 dual_brute(preset_code("3.6"))]:
+                 dual(preset_code("3.6"))]:
         lee_enumerator(code)
         column_profile(code)
         gray_parameters(code)
-        assert code._words is None
+        assert code._array is None
 
 
 def rank_k_rows(rng, shape, k, rows=()):
