@@ -41,11 +41,8 @@ from .core import (
 from .errors import (
     ClassificationViolation,
     InternalVerificationFailure,
-    MatrixParseError,
-    NotProjective,
     TrivialCode,
     Z2ZuError,
-    ZeroColumnPresent,
 )
 from .presets import PRESETS, preset_code
 from .search import (
@@ -92,13 +89,14 @@ def _enum_obj(enum) -> dict:
 # ---------------------------------------------------------------- analyze
 
 
-def _theorem_checks(code, profile) -> dict:
-    """The verifications that apply to this code, name -> outcome."""
+def _theorem_checks(code, profile, report) -> dict:
+    """The verifications that apply to this code, name -> outcome; the
+    column profile and the classification say which apply."""
     checks: dict[str, object] = {}
-    try:
-        checks["weight_sum_identity"] = weight_sum_identity(code)
-    except ZeroColumnPresent:
+    if profile.has_zero_column:
         checks["weight_sum_identity"] = "skipped: zero column present"
+    else:
+        checks["weight_sum_identity"] = weight_sum_identity(code)
     dual = dual_summary(code)
     moments = power_moments(lee_enumerator(code), code.cardinality,
                             dual.b1, dual.b2)
@@ -112,17 +110,15 @@ def _theorem_checks(code, profile) -> dict:
         else:
             rep = verify_one_weight_theorems(code)
             checks["one_weight_relations"] = bool(rep.all_ok)
-            try:
+            if report.formally_self_dual:
                 checks["fsd_even_weight_criterion"] = bool(
                     verify_fsd_even_weight_criterion(code)
                 )
-            except Z2ZuError:
-                pass
     if wp.is_two_weight:
-        try:
+        if report.projective:
             rep2 = verify_two_weight_relations(code)
             checks["two_weight_relations"] = bool(rep2.all_ok)
-        except NotProjective:
+        else:
             checks["two_weight_relations"] = "skipped: not projective"
     return checks
 
@@ -137,7 +133,7 @@ def cmd_analyze(args) -> int:
     report = classify(code)
     gp = gray_parameters(code)
     profile = column_profile(code)
-    checks = _theorem_checks(code, profile)
+    checks = _theorem_checks(code, profile, report)
     warnings = []
     if not u_closed:
         warnings.append(
@@ -234,23 +230,24 @@ def cmd_dual(args) -> int:
 
 def cmd_gray(args) -> int:
     code, _ = _load(args.file)
-    img = gray_image(code)
     enum = lee_enumerator(code)
     gp = gray_parameters(code)
+    # the image holds every word; only --words needs it
+    words = ([format(w, f"0{gp[0]}b") for w in gray_image(code).words]
+             if args.words else [])
     if args.json:
         obj = {"n": gp[0], "k": gp[1], "d": gp[2],
                "optimality": optimality_check(*gp),
                "enumerator": _enum_obj(enum)}
         if args.words:
-            obj["words"] = [format(w, f"0{img.n}b") for w in img.words]
+            obj["words"] = words
         print(_dump(obj))
         return 0
     print(f"gray image: [{gp[0]},{gp[1]},{gp[2]}] "
           f"({optimality_check(*gp)})")
     print(f"weight enumerator: {enum.poly_str()}")
-    if args.words:
-        for w in img.words:
-            print(format(w, f"0{img.n}b"))
+    for w in words:
+        print(w)
     return 0
 
 
@@ -442,12 +439,12 @@ def cmd_search(args) -> int:
     beta = _parse_range(args.beta)
     if args.verify_thm_4_5:
         # the survey covers every shape from alpha = beta = 0 up to the
-        # given bounds and has no target, budget, mode or include rows
+        # given bounds and has no target, budget or include rows
         if (".." in args.alpha and alpha[0]) or (".." in args.beta and beta[0]):
             print("error: --verify-thm-4.5 surveys alpha and beta from 0; "
                   "give only their upper bounds", file=sys.stderr)
             return 2
-        for flag in ("mode", "budget", "target", "include"):
+        for flag in ("budget", "target", "include"):
             if getattr(args, flag) is not None:
                 print(f"error: --verify-thm-4.5 takes no --{flag}",
                       file=sys.stderr)
@@ -482,8 +479,7 @@ def cmd_search(args) -> int:
                   "searched ranges", file=sys.stderr)
             return 2
         include = (rows,)
-    mode = args.mode or (
-        "random" if args.budget is not None else "exhaustive")
+    mode = "random" if args.budget is not None else "exhaustive"
     space = SearchSpace(
         alpha=alpha, beta=beta, max_rows=args.rows, mode=mode,
         budget=args.budget, seed=args.seed,
@@ -561,17 +557,15 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--beta", required=True, help="N or LO..HI")
     sp.add_argument("--rows", type=int, default=3,
                     help="max generator rows (default 3)")
-    sp.add_argument("--mode", choices=("exhaustive", "random"),
-                    default=None,
-                    help="default: random when --budget is given, "
-                         "else exhaustive")
     sp.add_argument("--budget", type=int, default=None,
-                    help="candidate draws in random mode")
+                    help="random candidate draws; without --budget "
+                         "every code is walked")
     sp.add_argument("--target",
                     choices=tuple(t.replace("_", "-") for t in TARGETS),
                     default=None)
     sp.add_argument("--include", default=None, metavar="FILE",
-                    help="matrix file whose rows every candidate contains")
+                    help="matrix file whose rows are examined ahead of "
+                         "the stream under the same filters")
     sp.add_argument("--verify-thm-4.5", dest="verify_thm_4_5",
                     action="store_true",
                     help="check the one-weight formally self-dual survey "
@@ -594,19 +588,13 @@ def main(argv: Sequence[str] | None = None) -> int:
             setattr(args, name, default)
     try:
         return args.func(args)
-    except MatrixParseError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
     except InternalVerificationFailure as e:
         print(f"internal verification failure: {e}", file=sys.stderr)
         return 3
     except ClassificationViolation as e:
         print(f"classification mismatch: {e}", file=sys.stderr)
         return 4
-    except Z2ZuError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except (OSError, ValueError) as e:
+    except (Z2ZuError, OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -21,14 +21,14 @@ key: the shape and the reduced basis, at most alpha + 2*beta integers.
 A random draw is handled rank first.  Its rows are drawn as packed
 integers and go through the echelon half of the elimination only
 (core._echelon), which gives the rank k of {g, u*g} and so |C| = 2^k.
-In a targeted search the size conditions below run on that number,
-read from a per-shape table indexed by k and filled before the first
-draw; only the draws that pass them are back-substituted to the reduced
-basis, deduplicated on (shape, basis) with the first drawing kept, and
-built as codes.  A code's size does not depend on which rows drew it,
-so this yields exactly the codes of the unfiltered stream that pass,
-in the same order; enumerate_candidates, with no target, yields them
-all.
+enumerate_candidates, the one candidate stream, applies a target's
+size rule (_size_fits): in random mode to k, read from a per-shape table
+filled before the first draw, so that only passing draws are
+back-substituted to the reduced basis, deduplicated on (shape, basis)
+with the first drawing kept, and built as codes; in exhaustive mode to
+each code walked.  A code's size does not depend on which rows drew it,
+so this yields exactly the untargeted stream's codes that pass, in the
+same order.
 
 Searches with a target prune candidates with cheap necessary
 conditions before any dual work:
@@ -56,10 +56,9 @@ the test suite asserts it.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from functools import partial
+from dataclasses import dataclass, replace
 from itertools import chain
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .classify import (
     ClassificationReport,
@@ -244,20 +243,15 @@ def _basis_weights_fit(code: AdditiveCode, t: int) -> bool:
     return len({_lee_packed(shape, b) for b in code.basis}) <= t
 
 
-def _always(shape: AmbientShape, size: int) -> bool:
-    return True
-
-
-def _random_candidates(
-    space: SearchSpace, keep: Callable[[AmbientShape, int], bool]
-) -> Iterator[AdditiveCode]:
+def _random_candidates(space: SearchSpace) -> Iterator[AdditiveCode]:
     """The random stream, rank first: each draw's rows stay packed ints
-    through the echelon elimination, and only draws whose 2^rank passes
-    ``keep(shape, size)`` are reduced, deduplicated and built as codes.
-    ``keep`` depends on (shape, size) alone, so a code either survives
-    every drawing or none, and the survivors come in the order of their
-    first drawing, as in the unfiltered stream.  It is read from a
-    per-shape table indexed by rank, filled before the first draw.
+    through the echelon elimination, and only draws whose 2^rank fits
+    the space's target (_size_fits; every size fits without a target)
+    are reduced, deduplicated and built as codes.  The rule depends on
+    (shape, size) alone, so a code either survives every drawing or
+    none, and the survivors come in the order of their first drawing,
+    as in the unfiltered stream.  It is read from a per-shape table
+    indexed by rank, filled before the first draw.
 
     The draws are those of ``random.Random(seed).randrange``: the shape
     index from range(len(shapes)), then per row the binary part from
@@ -274,12 +268,15 @@ def _random_candidates(
     n_shapes = len(shapes)
     shape_bits = n_shapes.bit_length()
     # per shape: alpha and 2*beta, each with the one-more bit count
-    # randrange draws for it, and keep() by rank; the rank of {g, u*g}
-    # over max_rows rows is at most 2*max_rows
+    # randrange draws for it, and the size rule by rank; the rank of
+    # {g, u*g} over max_rows rows is at most 2*max_rows
+    target = space.target
     ranks = range(2 * space.max_rows + 1)
     tables = [
         (shape, shape.alpha, shape.alpha + 1, 2 * shape.beta,
-         2 * shape.beta + 1, [keep(shape, 1 << r) for r in ranks])
+         2 * shape.beta + 1,
+         [target is None or _size_fits(target, shape, 1 << r)
+          for r in ranks])
         for shape in shapes
     ]
     # keys, not the codes: a long random run would otherwise pin the
@@ -315,12 +312,16 @@ def _random_candidates(
 def enumerate_candidates(space: SearchSpace) -> Iterator[AdditiveCode]:
     """Deduplicated candidate codes of the space, deterministic order.
 
+    The mode picks the stream, random draws or the walk of every code;
+    with a target, only codes whose size can meet it (_size_fits) are
+    yielded, in the untargeted stream's order.
+
     An exhaustive space whose total generator-tuple count, summed over
     all its shapes (:meth:`SearchSpace.tuple_count`), exceeds
     MAX_EXHAUSTIVE_TUPLES raises SpaceTooLarge before any code is
     yielded."""
     if space.mode == "random":
-        yield from _random_candidates(space, _always)
+        yield from _random_candidates(space)
         return
     count = space.tuple_count()
     if count > MAX_EXHAUSTIVE_TUPLES:
@@ -328,8 +329,11 @@ def enumerate_candidates(space: SearchSpace) -> Iterator[AdditiveCode]:
             f"space holds {count} generator tuples; "
             f"the exhaustive cap is {MAX_EXHAUSTIVE_TUPLES}"
         )
+    target = space.target
     for shape in space.shapes():
-        yield from _codes_by_closure(shape, space.max_rows)
+        walk = _codes_by_closure(shape, space.max_rows)
+        yield from walk if target is None else (
+            c for c in walk if _size_fits(target, shape, c.cardinality))
 
 
 @dataclass(frozen=True)
@@ -347,11 +351,12 @@ def search_with_pruning(
 ) -> list[SearchHit]:
     """Stream the space, keep codes matching the target, classify them.
 
-    ``include`` rows are spanned and examined ahead of the space's own
-    candidate stream (useful for confirming a known matrix under the
-    same filters); each code is examined once.  Pruners only ever skip
-    codes the target predicate would reject, so ``use_pruners`` does not
-    change the result.
+    The candidates come from :func:`enumerate_candidates`.  ``include``
+    rows are spanned and examined ahead of them under the same filters
+    (useful for confirming a known matrix); each code is examined once.
+    Pruners, the size rule among them, only ever skip codes the target
+    predicate would reject, so ``use_pruners`` does not change the
+    result.
     """
     if space.target is None:
         raise ValueError("search_with_pruning needs a target")
@@ -361,28 +366,22 @@ def search_with_pruning(
     included: dict[tuple[AmbientShape, tuple[int, ...]], AdditiveCode] = {}
     for rows in include:
         code = span(rows[0].shape, tuple(rows))
-        included.setdefault((code.shape, code.basis), code)
-    if space.mode == "random":
-        keep = partial(_size_fits, target) if use_pruners else _always
-        stream = _random_candidates(space, keep)
-    else:
-        stream = enumerate_candidates(space)
+        if not use_pruners or _size_fits(target, code.shape, code.cardinality):
+            included.setdefault((code.shape, code.basis), code)
+    stream = enumerate_candidates(
+        space if use_pruners else replace(space, target=None))
     if included:
         stream = (c for c in stream if (c.shape, c.basis) not in included)
     one_weight = target in ("one_weight", "fsd_one_weight")
     for code in chain(included.values(), stream):
-        size = code.cardinality
-        if size < 2 or use_pruners and not (
-            _size_fits(target, code.shape, size)
-            and _basis_weights_fit(code, 1 if one_weight else 2)
-        ):
+        if use_pruners and not _basis_weights_fit(code, 1 if one_weight else 2):
             continue
         weights = lee_enumerator(code).nonzero_weights()
         if one_weight:
             if len(weights) != 1 or weight_profile(code).lambda_ is None:
                 continue
         elif len(weights) != 2 or use_pruners and _two_weight_quadratic(
-            code.shape.big_n, size, weights[0], weights[1]
+            code.shape.big_n, code.cardinality, weights[0], weights[1]
         ):
             continue
         dual = dual_summary(code)

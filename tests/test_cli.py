@@ -9,6 +9,7 @@ import pytest
 
 from z2zu.cli import _build_parser, main
 from z2zu.core import MAX_CODE_WORD_BITS, additive_span, parse_matrix_file
+from z2zu.errors import InternalVerificationFailure
 from z2zu.presets import PRESETS, preset_code
 from z2zu.weights import ColumnProfile
 
@@ -200,6 +201,24 @@ def test_analyze_computes_each_invariant_once(monkeypatch, capsys, key):
     assert len(lee_counts) == 1 + algebraic
 
 
+def test_analyze_reports_a_failing_check_instead_of_dropping_it(
+    monkeypatch, capsys
+):
+    # 4.3a is one-weight and formally self-dual, so the even-weight
+    # criterion applies; a failure inside it is not read as "skipped"
+    rc, out, _ = run(capsys, ["analyze", data_file("4.3a"), "--json"])
+    assert rc == 0
+    assert json.loads(out)["checks"]["fsd_even_weight_criterion"] is True
+
+    def fail(code):
+        raise InternalVerificationFailure("criterion broke")
+
+    monkeypatch.setattr("z2zu.cli.verify_fsd_even_weight_criterion", fail)
+    rc, out, err = run(capsys, ["analyze", data_file("4.3a"), "--json"])
+    assert (rc, out) == (3, "")
+    assert err == "internal verification failure: criterion broke\n"
+
+
 def test_dual_command_on_transform_route_builds_no_dual_words(
     monkeypatch, capsys, tmp_path
 ):
@@ -226,6 +245,19 @@ def test_gray_with_words(capsys):
     assert lines[2:] == ["00", "11"]
 
 
+def test_gray_without_words_builds_no_image(monkeypatch, capsys):
+    def refuse(code):
+        raise AssertionError("gray image built")
+
+    monkeypatch.setattr("z2zu.cli.gray_image", refuse)
+    rc, out, err = run(capsys, ["gray", data_file("5.7")])
+    assert (rc, err) == (0, "")
+    assert out.startswith("gray image: [16,5,8] (optimal)\n")
+    rc, out, err = run(capsys, ["gray", data_file("5.7"), "--json"])
+    assert (rc, err) == (0, "")
+    assert [json.loads(out)[k] for k in ("n", "k", "d")] == [16, 5, 8]
+
+
 # ---------------------------------------------------------- standard-form
 
 
@@ -242,8 +274,9 @@ def test_standard_form_command(capsys):
 
 
 def test_data_file_outputs_are_pinned(capsys):
-    # the full standard-form rows and the dual generators (the dual's
-    # un-permuted standard-form rows) of every bundled matrix
+    # the full standard-form rows, the dual generators (the dual's
+    # un-permuted standard-form rows) and the Gray parameters and
+    # enumerator of every bundled matrix
     expected = json.loads(
         (Path(__file__).parent / "data_file_outputs.json").read_text())
     assert sorted(expected) == sorted(p.name for p in Path("data").iterdir())
@@ -395,13 +428,16 @@ def test_search_budget_below_one_is_an_input_error(capsys):
         assert "budget of at least 1" in err
 
 
-def test_search_exhaustive_with_budget_is_an_input_error(capsys):
-    rc, out, err = run(capsys, ["search", "--target", "one-weight",
-                                "--alpha", "2", "--beta", "0", "--rows", "1",
-                                "--mode", "exhaustive", "--budget", "5"])
-    assert rc == 2
-    assert out == ""
-    assert "takes no budget" in err
+def test_search_mode_flag_is_rejected(capsys):
+    # --budget alone picks the stream: random with it, exhaustive without
+    for mode in ("exhaustive", "random"):
+        rc, out, err = run(capsys, ["search", "--target", "one-weight",
+                                    "--alpha", "2", "--beta", "0",
+                                    "--rows", "1", "--mode", mode,
+                                    "--budget", "5"])
+        assert rc == 2
+        assert out == ""
+        assert "unrecognized arguments: --mode" in err
 
 
 def test_search_verify_classification(capsys):
@@ -415,7 +451,6 @@ def test_search_verify_classification(capsys):
 def test_search_verify_classification_refuses_ignored_flags(capsys):
     survey = ["search", "--verify-thm-4.5", "--alpha", "4", "--beta", "2"]
     for extra, message in (
-        (["--mode", "exhaustive"], "takes no --mode"),
         (["--budget", "5"], "takes no --budget"),
         (["--target", "one-weight"], "takes no --target"),
         (["--include", data_file("5.7")], "takes no --include"),
@@ -449,7 +484,7 @@ def test_search_verify_classification_guards_the_walk(capsys):
 def test_search_space_too_large(capsys):
     rc, _, err = run(capsys, ["search", "--target", "one-weight",
                               "--alpha", "20", "--beta", "20",
-                              "--rows", "5", "--mode", "exhaustive"])
+                              "--rows", "5"])
     assert rc == 2
     assert "exhaustive cap" in err
 
@@ -474,7 +509,7 @@ def test_search_requires_target(capsys):
 def test_search_include(capsys):
     rc, out, _ = run(capsys, ["search", "--target", "two-weight-projective",
                               "--alpha", "8", "--beta", "4", "--rows", "1",
-                              "--mode", "random", "--budget", "10",
+                              "--budget", "10",
                               "--seed", "3", "--include", data_file("5.7")])
     assert rc == 0
     hits = [json.loads(line) for line in out.splitlines()]

@@ -1,7 +1,7 @@
 """Candidate enumeration, pruned searches and the exhaustive screen."""
 
 import random
-from functools import partial
+from dataclasses import replace
 
 import pytest
 
@@ -30,7 +30,6 @@ from z2zu.search import (
     TARGETS,
     SearchSpace,
     _basis_weights_fit,
-    _random_candidates,
     _size_fits,
     enumerate_candidates,
     optimality_check,
@@ -278,20 +277,63 @@ def test_random_stream_matches_plain_draws(seed):
 
 @pytest.mark.parametrize("target", TARGETS)
 def test_rank_first_stream_is_the_filtered_stream(target):
-    # the size pruner on the echelon rank keeps exactly the codes of the
-    # full stream that it keeps on their cardinality, first drawings first
+    # a targeted stream holds exactly the codes of the untargeted stream
+    # that the size rule keeps on their cardinality, in the same order:
+    # in random mode the rule runs on the echelon rank, first drawings
+    # first, in exhaustive mode on each code walked
     kept = 0
     for seed in (0, 1, 2):
         for kw in RANDOM_SPACES:
             space = SearchSpace(mode="random", budget=400, seed=seed,
                                 target=target, **kw)
-            fits = partial(_size_fits, target)
             expected = [c for c in drawn_codes(space)
-                        if fits(c.shape, c.cardinality)]
-            got = list(_random_candidates(space, fits))
+                        if _size_fits(target, c.shape, c.cardinality)]
+            got = list(enumerate_candidates(space))
             assert stream_rows(got) == stream_rows(expected)
             kept += len(got)
     assert kept
+    kept = 0
+    for kw in (dict(alpha=(0, 3), beta=(0, 1), max_rows=2),
+               dict(alpha=(0, 4), beta=(0, 2), max_rows=2),
+               dict(alpha=2, beta=1, max_rows=3)):
+        space = SearchSpace(target=target, **kw)
+        walked = list(enumerate_candidates(replace(space, target=None)))
+        expected = [c for c in walked
+                    if _size_fits(target, c.shape, c.cardinality)]
+        got = list(enumerate_candidates(space))
+        assert [(c.shape, c.basis) for c in got] == [
+            (c.shape, c.basis) for c in expected]
+        # the zero code, at least, is dropped
+        assert len(got) < len(walked)
+        kept += len(got)
+    assert kept
+
+
+def test_search_reads_the_one_candidate_stream(monkeypatch):
+    # in both modes the search takes its candidates from
+    # enumerate_candidates: the targeted space when pruning, the
+    # untargeted one without the pruners
+    plain = z2zu.search.enumerate_candidates
+    spaces, yielded = [], []
+
+    def counted(space):
+        spaces.append(space)
+        for code in plain(space):
+            yielded.append(code)
+            yield code
+
+    monkeypatch.setattr(z2zu.search, "enumerate_candidates", counted)
+    kw = dict(alpha=(1, 3), beta=(0, 1), max_rows=2, target="one_weight")
+    for space in (SearchSpace(**kw),
+                  SearchSpace(mode="random", budget=300, seed=1, **kw)):
+        for use_pruners in (True, False):
+            spaces.clear()
+            yielded.clear()
+            hits = search_with_pruning(space, use_pruners=use_pruners)
+            assert hits
+            assert spaces == [
+                space if use_pruners else replace(space, target=None)]
+            assert len(yielded) >= len(hits)
 
 
 def test_random_stream_seed_matters():
