@@ -3,19 +3,21 @@
 Exhaustive enumeration walks distinct codes rather than generator
 tuples: starting from the zero code, each level extends every known
 code C by one more generator w, growing C's reduced basis by w and u*w.
-The candidates w are the words with no pivot bit of C, stepped through
-in increasing order, one per coset of C.  Such a w is already reduced
-against C, and C is closed under u, so only u*w is reduced, against C
-and w; each of the two that is left nonzero is inserted into C's basis,
-clearing its leading bit from the rows that have it, with no
-elimination from scratch (_grow).  Extending by any w' in (C + w) or
-(C + w + u*w) provably closes to the same code, so those cosets are
-skipped on the fly; together with the set of bases already grown this
-visits each code generated by up to g rows exactly once while touching
-far fewer candidates than the (2^(alpha+2*beta))^g generator tuples
-the space nominally contains.  That nominal count is still the budget
-guard: exhaustive mode refuses a space whose tuples, summed over all
-its shapes, exceed 2^26.  Random mode drops repeated codes by an exact
+The candidates w are the words with no pivot bit of C, in increasing
+order, one per coset of C.  Such a w is already reduced against C, and
+C is closed under u, so only u*w is reduced, against C and w; each of
+the two that is left nonzero is inserted into C's basis, clearing its
+leading bit from the rows that have it, with no elimination from
+scratch.  With r the reduced u*w, the cosets of w and of w + r close
+to the same code, and only the one with the smaller reduced word is
+grown.  The (C, w) pairs of a level are grown in numpy batches, each
+batch drops its repeated children by exact byte equality, and the
+rest meet an exact set of the bases already yielded; so each code
+generated by up to g rows is yielded once, while far fewer candidates
+are touched than the (2^(alpha+2*beta))^g generator tuples the space
+nominally contains.  That nominal count is still the budget guard:
+exhaustive mode refuses a space whose tuples, summed over all its
+shapes, exceed 2^26.  Random mode drops repeated codes by an exact
 key: the shape and the reduced basis, at most alpha + 2*beta integers.
 
 A random draw is handled rank first.  Its rows are drawn as packed
@@ -60,6 +62,8 @@ from dataclasses import dataclass, replace
 from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
+import numpy as np
+
 from .classify import (
     ClassificationReport,
     _two_weight_quadratic,
@@ -75,7 +79,6 @@ from .core import (
     _back_substitute,
     _echelon,
     _lee_packed,
-    _reduce,
     gray_parameters,
     span,
 )
@@ -99,6 +102,10 @@ TARGETS = ("one_weight", "two_weight_projective", "fsd_one_weight")
 # Exhaustive mode refuses spaces whose nominal generator-tuple count,
 # summed over all shapes, exceeds this.
 MAX_EXHAUSTIVE_TUPLES = 1 << 26
+
+# (base, w) pairs the exhaustive walk grows per numpy batch: enough to
+# spread numpy's per-call cost, few enough to keep the batch small.
+_RUN_PAIRS = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -154,67 +161,160 @@ class SearchSpace:
         return sum(s.ambient_size ** self.max_rows for s in self.shapes())
 
 
-def _grow(parent: tuple[int, ...], w: int, r: int) -> tuple[int, ...]:
-    """Reduced echelon basis of span(parent, w, r), where ``parent`` is a
-    reduced basis and w (nonzero) and r are reduced against it.
+def _top_bits(x: np.ndarray) -> np.ndarray:
+    """The highest set bit of each uint64 entry, 0 for 0.  float64 holds
+    every integer below 2^53 exactly, so its exponent is the bit length."""
+    length = np.frexp(x.astype(np.float64))[1].astype(np.uint64)
+    return (np.uint64(1) << length) >> np.uint64(1)
 
-    r is first reduced against w.  Then each of w and r that is nonzero
-    is added as it stands: it clears its leading bit from the rows that
-    have it, and no row gains a leading bit of another, since the added
-    row is zero at all of them.
+
+def _grow_pairs(
+    shape: AmbientShape, parents: np.ndarray, lo: int, hi: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Grow each of m reduced bases of rank k (the rows of ``parents``,
+    shape (m, k)) by its free words numbered lo to hi-1 in
+    increasing order: word i has bit t of i at the t-th lowest bit that
+    is no pivot of its parent.
+
+    Returns the child bases, one column of k + 2 increasing ``uint64``
+    per (parent, word) pair in that order, a leading 0 where the child
+    has rank k + 1, and the mask of the pairs the skip rule keeps.
     """
-    top = 1 << (w.bit_length() - 1)
-    rows = [b ^ w if b & top else b for b in parent]
-    rows.append(w)
-    if r & top:
-        r ^= w
-    if r:
-        top = 1 << (r.bit_length() - 1)
-        rows = [b ^ r if b & top else b for b in rows]
-        rows.append(r)
-    rows.sort()
-    return tuple(rows)
+    m, k = parents.shape
+    count = hi - lo
+    lead = _top_bits(parents)
+    free = (np.uint64(shape.ambient_size - 1)
+            ^ np.bitwise_or.reduce(lead, axis=1))
+    n = shape.big_n
+    bits = (free[:, None] >> np.arange(n, dtype=np.uint64)) & np.uint64(1)
+    at = np.nonzero(bits)[1].reshape(m, n - k)[:, :(hi - 1).bit_length()]
+    i = np.arange(lo, hi, dtype=np.uint64)
+    # the free bits are disjoint, so the product's sums are ORs
+    w = ((np.uint64(1) << at.astype(np.uint64))
+         @ ((i[:, None] >> np.arange(at.shape[1], dtype=np.uint64))
+            & np.uint64(1)).T).ravel()
+    rows = np.repeat(parents.T, count, axis=1)
+    # the rows of a reduced basis are zero at each other's leading bits,
+    # so u*w reduces by XOR with the rows whose leading bit it has
+    uw = (w & np.uint64(shape.ring_a_mask)) << np.uint64(1)
+    r = uw ^ np.bitwise_xor.reduce(
+        np.where(uw & np.repeat(lead.T, count, axis=1), rows, 0), axis=0)
+    wr = w ^ r
+    keep = (wr == 0) | (wr >= w)
+    # insert w, clearing its leading bit from the rows that have it, then
+    # r reduced against w, clearing its leading bit from w and the rows;
+    # no row's leading bit moves, so the rows stay sorted
+    top = _top_bits(w)
+    rows ^= np.where(rows & top, w, 0)
+    r ^= np.where(r & top, w, 0)
+    top = _top_bits(r)
+    rows ^= np.where(rows & top, r, 0)
+    w ^= np.where(w & top, r, 0)
+    return _insert(_insert(rows, w), r), keep
+
+
+def _insert(rows: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Columns of increasing ``rows`` with x put in its place; the
+    maximum moves up a slot and the minimum carries on down."""
+    out = np.empty((len(rows) + 1, len(x)), np.uint64)
+    for j in range(len(rows) - 1, -1, -1):
+        np.maximum(rows[j], x, out=out[j + 1])
+        x = np.minimum(rows[j], x)
+    out[0] = x
+    return out
+
+
+def _runs(
+    frontier: list[tuple[int, ...]], n: int
+) -> Iterator[list[tuple[tuple[int, ...], int, int]]]:
+    """The frontier's (base, w) pairs in order, cut into runs of at most
+    _RUN_PAIRS pairs.  A run is a list of (basis, lo, hi) segments: the
+    basis's free words numbered lo..hi-1.  A basis with more free words
+    than a run holds is cut across runs."""
+    run: list[tuple[tuple[int, ...], int, int]] = []
+    size = 0
+    for basis in frontier:
+        end = 1 << (n - len(basis))
+        for lo in range(1, end, _RUN_PAIRS):
+            hi = min(lo + _RUN_PAIRS, end)
+            if size + hi - lo > _RUN_PAIRS:
+                yield run
+                run, size = [], 0
+            run.append((basis, lo, hi))
+            size += hi - lo
+    if run:
+        yield run
+
+
+def _run_children(
+    shape: AmbientShape, run: list[tuple[tuple[int, ...], int, int]]
+) -> list[list[int]]:
+    """The kept children of a run, the first occurrence of each only,
+    in (base, w) order, as zero-padded rows of equal width."""
+    width = max(len(basis) for basis, _, _ in run) + 2
+    sizes = [hi - lo for _, lo, hi in run]
+    starts = np.cumsum([0] + sizes[:-1])
+    rows = np.zeros((sum(sizes), width), np.uint64)
+    keep = np.empty(len(rows), bool)
+    groups: dict[tuple[int, int, int], list[int]] = {}
+    for j, (basis, lo, hi) in enumerate(run):
+        groups.setdefault((len(basis), lo, hi), []).append(j)
+    for (k, lo, hi), members in groups.items():
+        parents = np.array([run[j][0] for j in members], np.uint64)
+        grown, kept = _grow_pairs(shape, parents.reshape(len(members), k),
+                                  lo, hi)
+        at = (starts[members][:, None] + np.arange(hi - lo)).ravel()
+        rows[at, width - k - 2:] = grown.T
+        keep[at] = kept
+    rows = rows[keep]
+    # exact byte equality of the fixed-width rows, first occurrence kept
+    _, first = np.unique(rows.view(np.dtype((np.void, 8 * width))).ravel(),
+                         return_index=True)
+    first.sort()
+    return rows[first].tolist()
 
 
 def _codes_by_closure(
     shape: AmbientShape, max_rows: int
 ) -> Iterator[AdditiveCode]:
-    """All distinct codes generated by up to max_rows rows, zero code first."""
-    zero = AdditiveCode(shape, (), ())
-    seen: set[tuple[int, ...]] = {zero.basis}
-    frontier = [zero]
-    yield zero
-    a_mask = shape.ring_a_mask
+    """All distinct codes generated by up to max_rows rows, zero code first.
+
+    Each level grows every basis of the frontier (the bases, not the
+    codes, of the last level's new codes) by each of its free words w,
+    the words with no pivot bit, in increasing order: the child is
+    span(base, w, u*w).  The (base, w) pairs are taken in that order in
+    runs of at most _RUN_PAIRS pairs, a basis with more free words
+    being split across runs, so the batch arrays stay small whatever
+    the shape.  One numpy pass per run and parent rank
+    (_grow_pairs) builds the children, the run keeps the first
+    occurrence of each by exact byte equality, and only those meet the
+    exact set of bases already yielded.  The stream is therefore that
+    of growing the pairs one by one: the same codes, bases and order.
+
+    Skip rule: w is not grown when 0 < w ^ r < w, r being u*w reduced
+    against the base.  The base is u-closed and u*u = 0, so u*r lies in
+    it; w' = w ^ r is then a free word whose u*w' reduces to r too, and
+    w' + base closes to the same code as w + base.  So w -> w ^ r pairs
+    up the free words, and the larger of a pair would only grow the
+    child of the smaller again; r = w, which pairs w with itself, is
+    grown.
+
+    Words are ``uint64``: the exhaustive cap of 2^26 tuples keeps
+    N <= 26, and leading bits are read through float64, exact up to
+    N = 53.
+    """
+    yield AdditiveCode(shape, (), ())
+    seen: set[tuple[int, ...]] = {()}
+    frontier: list[tuple[int, ...]] = [()]
     for _ in range(max_rows):
-        new_frontier: list[AdditiveCode] = []
-        for base in frontier:
-            parent = base.basis
-            pivots = sum(1 << (b.bit_length() - 1) for b in parent)
-            free = (shape.ambient_size - 1) & ~pivots
-            # cosets of base, each by its reduced word, the coset minimum;
-            # base itself is the coset of 0.  The words w with no pivot
-            # bit are exactly those reduced words, and the step below
-            # walks them in increasing order.
-            marked = {0}
-            w = 0
-            while True:
-                w = ((w | pivots) + 1) & free
-                if not w:
-                    break
-                if w in marked:
-                    continue
-                # base is u-closed, so span(base, w, u*w) needs only u*w
-                # reduced; reducing is linear and fixes w, so w + r is
-                # the reduced word of w + u*w, whose coset, like that of
-                # w, closes to the same code
-                r = _reduce(parent, (w & a_mask) << 1)
-                marked.add(w ^ r)
-                basis = _grow(parent, w, r)
+        new_frontier: list[tuple[int, ...]] = []
+        for run in _runs(frontier, shape.big_n):
+            for row in _run_children(shape, run):
+                basis = tuple(filter(None, row))
                 if basis not in seen:
                     seen.add(basis)
-                    code = AdditiveCode(shape, None, basis)
-                    new_frontier.append(code)
-                    yield code
+                    new_frontier.append(basis)
+                    yield AdditiveCode(shape, None, basis)
         frontier = new_frontier
 
 

@@ -418,6 +418,20 @@ def test_search_random_output_is_pinned(capsys, target, hits):
     assert out == (Path(__file__).parent / "search_outputs" / name).read_text()
 
 
+@pytest.mark.parametrize("target, hits", [("one-weight", 28),
+                                           ("two-weight-projective", 25)])
+def test_search_exhaustive_output_is_pinned(capsys, target, hits):
+    # the exhaustive walk of every code of alpha <= 4, beta <= 2 at 3
+    # rows: its hits, rows and all, stay byte for byte as stored
+    rc, out, err = run(capsys, ["search", "--alpha", "0..4",
+                                "--beta", "0..2", "--rows", "3",
+                                "--target", target])
+    assert rc == 0
+    assert err == f"# {hits} hit(s)\n"
+    name = "exhaustive_" + target.replace("-", "_") + ".jsonl"
+    assert out == (Path(__file__).parent / "search_outputs" / name).read_text()
+
+
 def test_search_budget_below_one_is_an_input_error(capsys):
     for budget in ("0", "-5"):
         rc, out, err = run(capsys, ["search", "--target", "one-weight",

@@ -1,5 +1,6 @@
 """Candidate enumeration, pruned searches and the exhaustive screen."""
 
+import functools
 import random
 from dataclasses import replace
 
@@ -123,12 +124,17 @@ def test_exhaustive_walk_grows_each_coset_pair_once(monkeypatch):
     level1 = {span(shape, [MixedVector.from_packed(shape, w)])
               for w in range(1, shape.ambient_size)}
     expected = grown_by(span(shape, [])) + sum(map(grown_by, level1))
-    calls = []
-    real = z2zu.search._grow
-    monkeypatch.setattr(z2zu.search, "_grow",
-                        lambda *a, **k: calls.append(1) or real(*a, **k))
+    kept = []
+    real = z2zu.search._grow_pairs
+
+    def counting(*args):
+        children, keep = real(*args)
+        kept.append(int(keep.sum()))
+        return children, keep
+
+    monkeypatch.setattr(z2zu.search, "_grow_pairs", counting)
     codes = list(enumerate_candidates(SearchSpace(alpha=1, beta=2, max_rows=2)))
-    assert len(calls) == expected
+    assert sum(kept) == expected
     assert len(codes) == len(set(codes))
 
 
@@ -169,6 +175,60 @@ def test_walk_equals_rref_from_scratch_walk():
                     for c in rref_walk(shape, space.max_rows)]
         got = [(c.shape, c.basis) for c in enumerate_candidates(space)]
         assert got == expected
+
+
+@functools.cache
+def rref_stream(alpha, beta, max_rows):
+    """rref_walk over a space's shapes, as (shape, basis) pairs."""
+    space = SearchSpace(alpha=alpha, beta=beta, max_rows=max_rows)
+    return [(c.shape, c.basis) for shape in space.shapes()
+            for c in rref_walk(shape, max_rows)]
+
+
+@pytest.mark.parametrize("run_pairs, spaces", [
+    # one pair per run: every pair starts a run (rows 2 and 3 on fewer
+    # shapes, as each run costs a whole numpy pass)
+    (1, [((0, 4), (0, 2), 1), ((0, 4), (0, 1), 2), ((0, 2), (0, 2), 2),
+         ((0, 3), (0, 1), 3)]),
+    # (0, 3) has 63 free words at level 0, cut into 21 runs
+    (3, [((0, 4), (0, 2), 1), ((0, 4), (0, 2), 2), (3, 0, 3), (0, 3, 3)]),
+    (64, [((0, 4), (0, 2), rows) for rows in (1, 2, 3)]),
+])
+def test_walk_is_the_same_for_any_run_size(monkeypatch, run_pairs, spaces):
+    # runs cut the (base, w) pairs anywhere, a base's free words too;
+    # the stream must not see the cuts
+    monkeypatch.setattr(z2zu.search, "_RUN_PAIRS", run_pairs)
+    for alpha, beta, rows in spaces:
+        space = SearchSpace(alpha=alpha, beta=beta, max_rows=rows)
+        got = [(c.shape, c.basis) for c in enumerate_candidates(space)]
+        assert got == rref_stream(alpha, beta, rows)
+
+
+def test_complete_walk_counts_every_submodule():
+    # with enough rows the walk yields every submodule of the ambient:
+    # over F2^n that is every subspace, the sum of the Gaussian
+    # binomials [n, k]_2 over k
+    def gaussian(n, k):
+        num = den = 1
+        for i in range(k):
+            num *= (1 << (n - i)) - 1
+            den *= (1 << (i + 1)) - 1
+        return num // den
+
+    counts = []
+    for n in range(1, 7):
+        bases = [c.basis for c in
+                 z2zu.search._codes_by_closure(AmbientShape(n, 0), n)]
+        assert len(set(bases)) == len(bases)
+        counts.append(len(bases))
+        assert counts[-1] == sum(gaussian(n, k) for k in range(n + 1))
+    assert counts == [2, 5, 16, 67, 374, 2825]
+    for alpha, beta, total in ((0, 3, 129), (2, 2, 249)):
+        shape = AmbientShape(alpha, beta)
+        rows = shape.big_n
+        got = [c.basis for c in z2zu.search._codes_by_closure(shape, rows)]
+        assert got == [c.basis for c in rref_walk(shape, rows)]
+        assert len(got) == total
 
 
 def test_exhaustive_cap():
