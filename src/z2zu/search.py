@@ -21,16 +21,22 @@ shapes, exceed 2^26.  Random mode drops repeated codes by an exact
 key: the shape and the reduced basis, at most alpha + 2*beta integers.
 
 A random draw is handled rank first.  Its rows are drawn as packed
-integers and go through the echelon half of the elimination only
-(core._echelon), which gives the rank k of {g, u*g} and so |C| = 2^k.
-enumerate_candidates, the one candidate stream, applies a target's
-size rule (_size_fits): in random mode to k, read from a per-shape table
-filled before the first draw, so that only passing draws are
-back-substituted to the reduced basis, deduplicated on (shape, basis)
-with the first drawing kept, and built as codes; in exhaustive mode to
-each code walked.  A code's size does not depend on which rows drew it,
-so this yields exactly the untargeted stream's codes that pass, in the
-same order.
+integers, and only their rank k of {g, u*g}, so |C| = 2^k, is found
+before the size rule.  enumerate_candidates, the one candidate stream,
+applies a target's size rule (_size_fits): in random mode to k, read
+from a per-shape table filled before the first draw, so that only
+passing draws are back-substituted to the reduced basis, deduplicated
+on (shape, basis) with the first drawing kept, and built as codes; in
+exhaustive mode to each code walked.  A code's size does not depend on
+which rows drew it, so this yields exactly the untargeted stream's
+codes that pass, in the same order.  When every shape has alpha <= 31
+and beta <= 15, the draws come in numpy blocks of at most 2^12: one
+bulk getrandbits call gives a block's 32-bit words, randrange's
+rejections become masks on them, a batched elimination ranks every
+draw, and only the passing draws meet the scalar echelon
+(core._echelon), whose rank must agree.  A space with a wider shape
+keeps a loop per draw.  Either way a seed gives the stream that
+randrange draws would (see _random_candidates for why).
 
 Searches with a target prune candidates with cheap necessary
 conditions before any dual work:
@@ -82,7 +88,11 @@ from .core import (
     gray_parameters,
     span,
 )
-from .errors import ClassificationViolation, SpaceTooLarge
+from .errors import (
+    ClassificationViolation,
+    InternalVerificationFailure,
+    SpaceTooLarge,
+)
 from .weights import lee_enumerator
 
 __all__ = [
@@ -106,6 +116,16 @@ MAX_EXHAUSTIVE_TUPLES = 1 << 26
 # (base, w) pairs the exhaustive walk grows per numpy batch: enough to
 # spread numpy's per-call cost, few enough to keep the batch small.
 _RUN_PAIRS = 1 << 12
+
+# Random draws per numpy block, and the Mersenne Twister words a block
+# draws per field (a shape index or a row part) of the draws it wants:
+# a field takes 2 words on average, and a block short of words carries
+# its unfinished draw into the next, which draws more.
+_BLOCK_DRAWS = 1 << 12
+_WORDS_PER_FIELD = 2.2
+
+# the sign and exponent bits of a float64
+_EXPONENT = np.uint64(0xFFF << 52)
 
 
 @dataclass(frozen=True)
@@ -162,10 +182,13 @@ class SearchSpace:
 
 
 def _top_bits(x: np.ndarray) -> np.ndarray:
-    """The highest set bit of each uint64 entry, 0 for 0.  float64 holds
-    every integer below 2^53 exactly, so its exponent is the bit length."""
-    length = np.frexp(x.astype(np.float64))[1].astype(np.uint64)
-    return (np.uint64(1) << length) >> np.uint64(1)
+    """The highest set bit of each uint64 entry, 0 for 0, exact on all
+    of uint64.  y = x & ~(x >> 1) keeps x's highest bit 2^(L-1) and
+    clears the bit below it, so y < 1.5 * 2^(L-1) and its float64
+    rounding stays below 2^L; the float's exponent field alone, mantissa
+    cleared, is then exactly 2^(L-1)."""
+    y = (x & ~(x >> np.uint64(1))).astype(np.float64)
+    return (y.view(np.uint64) & _EXPONENT).view(np.float64).astype(np.uint64)
 
 
 def _grow_pairs(
@@ -300,8 +323,7 @@ def _codes_by_closure(
     grown.
 
     Words are ``uint64``: the exhaustive cap of 2^26 tuples keeps
-    N <= 26, and leading bits are read through float64, exact up to
-    N = 53.
+    N <= 26.
     """
     yield AdditiveCode(shape, (), ())
     seen: set[tuple[int, ...]] = {()}
@@ -344,51 +366,91 @@ def _basis_weights_fit(code: AdditiveCode, t: int) -> bool:
 
 
 def _random_candidates(space: SearchSpace) -> Iterator[AdditiveCode]:
-    """The random stream, rank first: each draw's rows stay packed ints
-    through the echelon elimination, and only draws whose 2^rank fits
-    the space's target (_size_fits; every size fits without a target)
-    are reduced, deduplicated and built as codes.  The rule depends on
-    (shape, size) alone, so a code either survives every drawing or
-    none, and the survivors come in the order of their first drawing,
-    as in the unfiltered stream.  It is read from a per-shape table
-    indexed by rank, filled before the first draw.
+    """The random stream, rank first: a draw's rows stay packed ints,
+    and only draws whose 2^rank fits the space's target (_size_fits;
+    every size fits without a target) are reduced, deduplicated and
+    built as codes.  The rule depends on (shape, size) alone, so a code
+    either survives every drawing or none, and the survivors come in
+    the order of their first drawing, as in the unfiltered stream.  It
+    is read from a per-shape table indexed by rank, filled before the
+    first draw.
 
     The draws are those of ``random.Random(seed).randrange``: the shape
     index from range(len(shapes)), then per row the binary part from
-    range(2^alpha) and the ring part from range(2^(2*beta)).  Their bits
-    are taken straight from ``getrandbits`` by randrange's own rule for
-    range(n): draw n.bit_length() bits, and draw again while the value
-    is n or more.  For n = 2^a that is a+1 bits, redrawn while bit a is
-    set.  The same bits are used in the same order, so a seed gives the
-    same stream as randrange would."""
+    range(2^alpha) and the ring part from range(2^(2*beta)).  randrange
+    draws range(n) as n.bit_length() bits from ``getrandbits``, drawn
+    again while the value is n or more; for n = 2^a that is a+1 bits,
+    redrawn while bit a is set.  Four facts of CPython's ``random``
+    let a block of draws take its bits from one call:
+
+    1. getrandbits(k), 1 <= k <= 32, takes one 32-bit Mersenne Twister
+       word w and returns w >> (32 - k).
+    2. getrandbits(32 * n) returns the next n words, the first lowest,
+       so its little-endian bytes read as ``<u4`` are the words the
+       calls per field would take, in the same order.
+    3. A row part for range(2^a) draws a+1 bits and is redrawn while
+       the top one, bit 31 of w, is set: a row word is accepted
+       exactly when w < 2^31, whatever the shape.
+    4. The shape index draws s = n_shapes.bit_length() bits, and
+       n_shapes >= 2^(s-1), so every w < 2^31 is an accepted shape
+       word too, and every rejected shape word is >= 2^31.
+
+    When every shape has alpha <= 31 and beta <= 15, every field fits
+    one word and N <= 61 fits uint64: the draws are then taken in numpy
+    blocks of at most _BLOCK_DRAWS (_batched_draws).  A space with a
+    wider shape draws field by field (_plain_draws).  Both use
+    randrange's bits in randrange's order, so a seed gives the same
+    stream as randrange would."""
     shapes = space.shapes()
     if not shapes:
         return
-    getrandbits = random.Random(space.seed).getrandbits
-    n_shapes = len(shapes)
-    shape_bits = n_shapes.bit_length()
-    # per shape: alpha and 2*beta, each with the one-more bit count
-    # randrange draws for it, and the size rule by rank; the rank of
-    # {g, u*g} over max_rows rows is at most 2*max_rows
+    assert space.budget is not None
     target = space.target
-    ranks = range(2 * space.max_rows + 1)
-    tables = [
-        (shape, shape.alpha, shape.alpha + 1, 2 * shape.beta,
-         2 * shape.beta + 1,
-         [target is None or _size_fits(target, shape, 1 << r)
-          for r in ranks])
-        for shape in shapes
-    ]
+    # the rank of {g, u*g} over max_rows rows is at most 2*max_rows
+    fits = [[target is None or _size_fits(target, shape, 1 << r)
+             for r in range(2 * space.max_rows + 1)] for shape in shapes]
+    getrandbits = random.Random(space.seed).getrandbits
+    if all(s.alpha <= 31 and s.beta <= 15 for s in shapes):
+        draws = _batched_draws(shapes, space.max_rows, space.budget, fits,
+                               getrandbits)
+    else:
+        draws = _plain_draws(shapes, space.max_rows, space.budget, fits,
+                             getrandbits)
     # keys, not the codes: a long random run would otherwise pin the
     # words of every distinct code whose words a consumer built
     seen: set[tuple[AmbientShape, tuple[int, ...]]] = set()
-    assert space.budget is not None
-    rows_range = range(space.max_rows)
-    for _ in range(space.budget):
+    for shape, rows, lead in draws:
+        key = (shape, _back_substitute(lead))
+        if key not in seen:
+            seen.add(key)
+            generators = tuple(MixedVector.from_packed(shape, g) for g in rows)
+            yield AdditiveCode(shape, generators, key[1])
+
+
+_Draws = Iterator[tuple[AmbientShape, list[int], dict[int, int]]]
+
+
+def _plain_draws(
+    shapes: list[AmbientShape], max_rows: int, budget: int,
+    fits: list[list[bool]], getrandbits,
+) -> _Draws:
+    """The draws that pass the size rule, as (shape, packed rows,
+    _echelon result), drawn one field per ``getrandbits`` call."""
+    n_shapes = len(shapes)
+    shape_bits = n_shapes.bit_length()
+    # per shape: alpha and 2*beta, each with the one-more bit count
+    # randrange draws for it
+    tables = [
+        (shape, shape.alpha, shape.alpha + 1, 2 * shape.beta,
+         2 * shape.beta + 1, fit)
+        for shape, fit in zip(shapes, fits)
+    ]
+    rows_range = range(max_rows)
+    for _ in range(budget):
         i = getrandbits(shape_bits)
         while i >= n_shapes:
             i = getrandbits(shape_bits)
-        shape, bin_bits, bin_k, ring_bits, ring_k, fits = tables[i]
+        shape, bin_bits, bin_k, ring_bits, ring_k, fit = tables[i]
         rows = []
         # binary part drawn before ring part, row by row
         for _ in rows_range:
@@ -400,13 +462,117 @@ def _random_candidates(space: SearchSpace) -> Iterator[AdditiveCode]:
                 r = getrandbits(ring_k)
             rows.append((b << ring_bits) | r)
         lead = _echelon(shape, rows)
-        if not fits[len(lead)]:
+        if fit[len(lead)]:
+            yield shape, rows, lead
+
+
+def _batched_draws(
+    shapes: list[AmbientShape], max_rows: int, budget: int,
+    fits: list[list[bool]], getrandbits,
+) -> _Draws:
+    """The draws of _plain_draws, in blocks of at most _BLOCK_DRAWS,
+    for shapes with alpha <= 31 and beta <= 15.
+
+    By facts 1-4 of _random_candidates, call the words below 2^31
+    accepted, and a word >= 2^31 whose top s bits are below n_shapes a
+    lone shape word.  After a draw that ends on accepted word a, the
+    next shape word is the first lone word between accepted words a
+    and a + 1 if there is one, and accepted word a + 1 otherwise; its
+    2*max_rows row parts are the accepted words after it.  So that draw
+    ends on accepted word a + 2*max_rows or a + 2*max_rows + 1, one byte
+    lookup per draw.
+
+    A block draws its words in one ``getrandbits`` call, walks the draw
+    ends, gathers the shape indices and packed rows, and ranks
+    {g, u*g} in numpy (_ranks).  Only the draws the size rule keeps go
+    through the scalar _echelon, and a rank it does not confirm raises
+    InternalVerificationFailure.  The words after a block's last whole
+    draw carry over to the next block, which draws more, so a block
+    short of words only ends early; the arrays stay bounded by
+    _BLOCK_DRAWS whatever the budget."""
+    n_shapes = len(shapes)
+    shift = np.uint32(32 - n_shapes.bit_length())
+    two_r = 2 * max_rows
+    stride = two_r + 1
+    # per shape: the shifts that take a row word to its binary and ring
+    # parts (getrandbits(a + 1) of an accepted word), and u's mask
+    bin_shift = np.array([31 - s.alpha for s in shapes], np.uint64)
+    ring_shift = np.array([31 - 2 * s.beta for s in shapes], np.uint64)
+    ring_bits = np.array([2 * s.beta for s in shapes], np.uint64)
+    a_mask = np.array([s.ring_a_mask for s in shapes], np.uint64)
+    fit = np.array(fits)
+    carry = np.empty(0, np.uint32)
+    left = budget
+    while left:
+        want = min(_BLOCK_DRAWS, left)
+        fresh = max(1, int(want * stride * _WORDS_PER_FIELD) - len(carry))
+        words = np.concatenate((carry, np.frombuffer(
+            getrandbits(32 * fresh).to_bytes(4 * fresh, "little"), "<u4")))
+        accepted = words < np.uint32(1 << 31)
+        at = np.flatnonzero(accepted)
+        acc = words[at]
+        # gap j runs from accepted word j-1 to accepted word j; a draw
+        # starting in gap j takes its shape from the gap's first lone
+        # word if it holds one, else from accepted word j
+        lone = np.flatnonzero(~accepted & (words >> shift < n_shapes))
+        gap_of = np.searchsorted(at, lone)
+        first = np.ones(len(lone), bool)
+        first[1:] = gap_of[1:] != gap_of[:-1]
+        gaps = gap_of[first]
+        has = np.zeros(len(at) + 1, bool)
+        has[gaps] = True
+        shape_word = np.append(acc, np.uint32(0))
+        shape_word[gaps] = words[lone[first]]
+        lone_in = has.tobytes()
+        last = len(at) - 1
+        ends: list[int] = []
+        append = ends.append
+        end = -1
+        for _ in range(want):
+            end += stride - lone_in[end + 1]
+            if end > last:
+                break
+            append(end)
+        if not ends:
+            carry = words
             continue
-        key = (shape, _back_substitute(lead))
-        if key not in seen:
-            seen.add(key)
-            generators = tuple(MixedVector.from_packed(shape, g) for g in rows)
-            yield AdditiveCode(shape, generators, key[1])
+        stop = np.array(ends)
+        idx = (shape_word[np.concatenate(([0], stop[:-1] + 1))]
+               >> shift).astype(np.intp)
+        fields = acc[stop[:, None] + np.arange(1 - two_r, 1)].astype(np.uint64)
+        ring = ring_bits[idx][:, None]
+        rows = (((fields[:, 0::2] >> bin_shift[idx][:, None]) << ring)
+                | (fields[:, 1::2] >> ring_shift[idx][:, None]))
+        rank = _ranks(rows, a_mask[idx])
+        keep = np.flatnonzero(fit[idx, rank])
+        for i, packed, k in zip(idx[keep].tolist(), rows[keep].tolist(),
+                                rank[keep].tolist()):
+            shape = shapes[i]
+            lead = _echelon(shape, packed)
+            if len(lead) != k:
+                raise InternalVerificationFailure(
+                    f"rows {packed} of {shape}: echelon rank {len(lead)}, "
+                    f"batched rank {k}")
+            yield shape, packed, lead
+        carry = words[at[ends[-1]] + 1:]
+        left -= len(ends)
+
+
+def _ranks(rows: np.ndarray, a_mask: np.ndarray) -> np.ndarray:
+    """The rank of {g, u*g} over the rows g of each line of ``rows``.
+
+    Each line's basis is a column of increasing rows with distinct
+    leading bits (_insert).  Taken from the top down, min(x, x ^ row)
+    clears a row's leading bit from x when x has it, and the lower rows
+    leave that bit alone; so a vector reduces to 0 exactly when it lies
+    in the span, and otherwise brings a new leading bit."""
+    basis = np.zeros((0, len(rows)), np.uint64)
+    for g in rows.T:
+        for x in (g, (g & a_mask) << np.uint64(1)):
+            for row in basis[::-1]:
+                x = np.minimum(x, x ^ row)
+            basis = _insert(basis, x)
+    return np.count_nonzero(basis, axis=0)
 
 
 def enumerate_candidates(space: SearchSpace) -> Iterator[AdditiveCode]:

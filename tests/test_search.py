@@ -4,6 +4,7 @@ import functools
 import random
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 import z2zu.search
@@ -21,7 +22,11 @@ from z2zu.core import (
     parse_matrix,
     span,
 )
-from z2zu.errors import ClassificationViolation, SpaceTooLarge
+from z2zu.errors import (
+    ClassificationViolation,
+    InternalVerificationFailure,
+    SpaceTooLarge,
+)
 from z2zu.presets import preset_code
 from z2zu.ring import U
 from z2zu.classify import is_formally_self_dual
@@ -136,6 +141,14 @@ def test_exhaustive_walk_grows_each_coset_pair_once(monkeypatch):
     codes = list(enumerate_candidates(SearchSpace(alpha=1, beta=2, max_rows=2)))
     assert sum(kept) == expected
     assert len(codes) == len(set(codes))
+
+
+def test_top_bits_is_exact_on_uint64():
+    # float64 rounds 2^54 - 1 up to 2^54, and 2^63 + 5 has 64 bits
+    values = [0, 1, (1 << 53) - 1, (1 << 53) + 1, (1 << 54) - 1,
+              (1 << 61) - 1, (1 << 63) + 5, (1 << 64) - 1]
+    got = z2zu.search._top_bits(np.array(values, np.uint64)).tolist()
+    assert got == [1 << (v.bit_length() - 1) if v else 0 for v in values]
 
 
 def rref_walk(shape, max_rows):
@@ -314,9 +327,13 @@ def stream_rows(codes):
 
 
 # spaces with alpha = 0 and beta = 0 shapes and one to three rows; the
-# last two have one shape, where randrange(1) still draws a bit until it
-# is 0, and a power-of-two count of shapes (4), where the top half of
-# the shape-index bits is rejected
+# fifth and sixth have one shape, where randrange(1) still draws a bit
+# until it is 0, and a power-of-two count of shapes (4), where the top
+# half of the shape-index bits is rejected.  The last three sit at the
+# width boundary of the numpy blocks: alpha = 31, beta = 15 is the
+# widest batched space (fields of exactly 32 bits), a shape with
+# alpha = 32 or beta = 16 sends its space to the loop per draw, and 35
+# shapes at 5 rows give lone shape words and 10 rank vectors
 RANDOM_SPACES = [
     dict(alpha=(0, 3), beta=(0, 2), max_rows=1),
     dict(alpha=(0, 4), beta=(0, 1), max_rows=2),
@@ -324,6 +341,9 @@ RANDOM_SPACES = [
     dict(alpha=(2, 6), beta=(1, 4), max_rows=3),
     dict(alpha=3, beta=2, max_rows=3),
     dict(alpha=(1, 2), beta=(0, 1), max_rows=2),
+    dict(alpha=31, beta=15, max_rows=2),
+    dict(alpha=(31, 32), beta=(15, 16), max_rows=2),
+    dict(alpha=(0, 6), beta=(0, 4), max_rows=5),
 ]
 
 
@@ -333,6 +353,33 @@ def test_random_stream_matches_plain_draws(seed):
         space = SearchSpace(mode="random", budget=400, seed=seed, **kw)
         assert (stream_rows(enumerate_candidates(space))
                 == stream_rows(drawn_codes(space)))
+
+
+@pytest.mark.parametrize("block_draws, words_per_field", [
+    (1, 0.5), (3, 0.3), (7, 1.0)])
+def test_random_stream_ignores_blocks_and_refills(
+        monkeypatch, block_draws, words_per_field):
+    # blocks of a few draws that draw too few words for them: a block
+    # ends inside a draw, carries its words over and the next draws more
+    monkeypatch.setattr(z2zu.search, "_BLOCK_DRAWS", block_draws)
+    monkeypatch.setattr(z2zu.search, "_WORDS_PER_FIELD", words_per_field)
+    for seed in (0, 11):
+        for kw in RANDOM_SPACES:
+            space = SearchSpace(mode="random", budget=101, seed=seed, **kw)
+            assert (stream_rows(enumerate_candidates(space))
+                    == stream_rows(drawn_codes(space)))
+
+
+def test_batched_rank_is_checked_against_echelon(monkeypatch):
+    # the scalar echelon of a surviving draw must report the batched
+    # rank; an echelon that drops a row disagrees on some draw
+    plain = z2zu.search._echelon
+    monkeypatch.setattr(z2zu.search, "_echelon",
+                        lambda shape, rows: plain(shape, rows[1:]))
+    space = SearchSpace(alpha=(0, 4), beta=(0, 2), max_rows=2,
+                        mode="random", budget=400, seed=0)
+    with pytest.raises(InternalVerificationFailure, match="batched rank"):
+        list(enumerate_candidates(space))
 
 
 @pytest.mark.parametrize("target", TARGETS)
