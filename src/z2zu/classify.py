@@ -37,8 +37,8 @@ from fractions import Fraction
 
 from .core import (
     AdditiveCode,
-    MixedVector,
     _orthogonal,
+    _reduce,
     _require_module,
     dual,
     gray_parameters,
@@ -440,6 +440,6 @@ def verify_fsd_even_weight_criterion(code: AdditiveCode) -> bool:
     if not is_formally_self_dual(code):
         raise PreconditionViolation("code is not formally self-dual")
     m = weights[0]
-    rep = MixedVector.from_packed(code.shape, _repetition_word(code))
-    rhs = rep in code and code.shape.alpha % 2 == 0
+    rhs = (_reduce(code.basis, _repetition_word(code)) == 0
+           and code.shape.alpha % 2 == 0)
     return (m % 2 == 0) == rhs

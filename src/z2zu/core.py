@@ -373,8 +373,8 @@ class AdditiveCode:
     plain subgroup generated by the rows, which is a submodule only when
     the rows happen to be u-closed.  ``basis`` is the reduced echelon
     XOR basis (packed integers, increasing), which identifies the code;
-    ``generators`` are the rows it was built from (the basis itself when
-    given as None, as for derived codes, built when first read).
+    ``rows`` are the packed rows it was built from, None for derived
+    codes; ``generators`` builds them, else the basis, on each read.
     ``array`` is the one word set kept: every codeword, in canonical
     order, built from the basis on first access, for the Gray image,
     the minimum Lee weight and ``words``, the same list as Python ints,
@@ -387,13 +387,13 @@ class AdditiveCode:
     :func:`z2zu.classify.dual_summary`.
     """
 
-    __slots__ = ("shape", "_generators", "basis", "_array", "_module",
+    __slots__ = ("shape", "rows", "basis", "_array", "_module",
                  "_lee", "_profile", "_dual")
 
     def __init__(
         self,
         shape: AmbientShape,
-        generators: tuple[MixedVector, ...] | None,
+        rows: tuple[int, ...] | None,
         basis: tuple[int, ...],
     ):
         # sorted by leading bit, each row zero at the lower rows' ones
@@ -406,7 +406,7 @@ class AdditiveCode:
         if lead > shape.big_n:
             raise ValueError("basis row out of range for shape")
         self.shape = shape
-        self._generators = generators
+        self.rows = rows
         self.basis = basis
         self._array: np.ndarray | None = None
         self._module: bool | None = None
@@ -416,11 +416,8 @@ class AdditiveCode:
 
     @property
     def generators(self) -> tuple[MixedVector, ...]:
-        if self._generators is None:
-            self._generators = tuple(
-                MixedVector.from_packed(self.shape, b) for b in self.basis
-            )
-        return self._generators
+        rows = self.basis if self.rows is None else self.rows
+        return tuple(MixedVector.from_packed(self.shape, g) for g in rows)
 
     @property
     def cardinality(self) -> int:
@@ -517,8 +514,8 @@ def _echelon(
     lead: dict[int, int] = {}
     a_mask = shape.ring_a_mask
     for g in rows:
-        # (g & a_mask) << 1 is u*g (_u_mul_packed), inlined: the
-        # exhaustive walk and the random search run this per candidate
+        # (g & a_mask) << 1 is u*g (_u_mul_packed), inlined: the random
+        # search runs this per draw, only on size-rule survivors if batched
         for x in (g, (g & a_mask) << 1) if u_closed else (g,):
             while x:
                 n = x.bit_length()
@@ -549,16 +546,17 @@ def _rref(
     return _back_substitute(_echelon(shape, rows, u_closed))
 
 
-def _packed(shape: AmbientShape, rows: Sequence[MixedVector]) -> list[int]:
+def _packed(shape: AmbientShape, rows: Sequence[MixedVector]) -> tuple[int, ...]:
     if any(v.shape != shape for v in rows):
         raise ShapeMismatch("row shape does not match ambient shape")
-    return [v.packed for v in rows]
+    return tuple(v.packed for v in rows)
 
 
 def span(shape: AmbientShape, rows: Sequence[MixedVector]) -> AdditiveCode:
     """Smallest code containing the rows: the additive span of the
     generating set {row, u*row}."""
-    return AdditiveCode(shape, tuple(rows), _rref(shape, _packed(shape, rows)))
+    packed = _packed(shape, rows)
+    return AdditiveCode(shape, packed, _rref(shape, packed))
 
 
 def additive_span(
@@ -573,8 +571,8 @@ def additive_span(
     codeword set only in this weaker sense, which is why the distinction
     is exposed at all.
     """
-    basis = _rref(shape, _packed(shape, rows), u_closed=False)
-    return AdditiveCode(shape, tuple(rows), basis)
+    packed = _packed(shape, rows)
+    return AdditiveCode(shape, packed, _rref(shape, packed, u_closed=False))
 
 
 def _to_limbs(shape: AmbientShape, xs: Sequence[int]) -> np.ndarray:

@@ -35,7 +35,7 @@ bulk getrandbits call gives a block's 32-bit words, randrange's
 rejections become masks on them, a batched elimination ranks every
 draw, and only the passing draws meet the scalar echelon
 (core._echelon), whose rank must agree.  A space with a wider shape
-keeps a loop per draw.  Either way a seed gives the stream that
+calls randrange per field.  Either way a seed gives the stream that
 randrange draws would (see _random_candidates for why).
 
 Searches with a target prune candidates with cheap necessary
@@ -57,14 +57,14 @@ one-weight survey: basis rows are nonzero codewords, so a code with at
 most t nonzero Lee weights shows at most t distinct weights on them,
 and the check reads the basis alone, before any word is built.
 
-Pruned and unpruned runs return identical hit lists by construction;
-the test suite asserts it.
+Each pruner only skips codes the target rejects; the test suite checks
+the hits against an unpruned search of its own.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
@@ -397,10 +397,10 @@ def _random_candidates(space: SearchSpace) -> Iterator[AdditiveCode]:
 
     When every shape has alpha <= 31 and beta <= 15, every field fits
     one word and N <= 61 fits uint64: the draws are then taken in numpy
-    blocks of at most _BLOCK_DRAWS (_batched_draws).  A space with a
-    wider shape draws field by field (_plain_draws).  Both use
-    randrange's bits in randrange's order, so a seed gives the same
-    stream as randrange would."""
+    blocks of at most _BLOCK_DRAWS (_batched_draws), which copy
+    randrange's bits in randrange's order.  A space with a wider shape
+    calls randrange itself, field by field (_plain_draws).  So a seed
+    gives the same stream either way."""
     shapes = space.shapes()
     if not shapes:
         return
@@ -409,13 +409,12 @@ def _random_candidates(space: SearchSpace) -> Iterator[AdditiveCode]:
     # the rank of {g, u*g} over max_rows rows is at most 2*max_rows
     fits = [[target is None or _size_fits(target, shape, 1 << r)
              for r in range(2 * space.max_rows + 1)] for shape in shapes]
-    getrandbits = random.Random(space.seed).getrandbits
+    rng = random.Random(space.seed)
     if all(s.alpha <= 31 and s.beta <= 15 for s in shapes):
         draws = _batched_draws(shapes, space.max_rows, space.budget, fits,
-                               getrandbits)
+                               rng.getrandbits)
     else:
-        draws = _plain_draws(shapes, space.max_rows, space.budget, fits,
-                             getrandbits)
+        draws = _plain_draws(shapes, space.max_rows, space.budget, fits, rng)
     # keys, not the codes: a long random run would otherwise pin the
     # words of every distinct code whose words a consumer built
     seen: set[tuple[AmbientShape, tuple[int, ...]]] = set()
@@ -423,8 +422,7 @@ def _random_candidates(space: SearchSpace) -> Iterator[AdditiveCode]:
         key = (shape, _back_substitute(lead))
         if key not in seen:
             seen.add(key)
-            generators = tuple(MixedVector.from_packed(shape, g) for g in rows)
-            yield AdditiveCode(shape, generators, key[1])
+            yield AdditiveCode(shape, tuple(rows), key[1])
 
 
 _Draws = Iterator[tuple[AmbientShape, list[int], dict[int, int]]]
@@ -432,37 +430,20 @@ _Draws = Iterator[tuple[AmbientShape, list[int], dict[int, int]]]
 
 def _plain_draws(
     shapes: list[AmbientShape], max_rows: int, budget: int,
-    fits: list[list[bool]], getrandbits,
+    fits: list[list[bool]], rng: random.Random,
 ) -> _Draws:
     """The draws that pass the size rule, as (shape, packed rows,
-    _echelon result), drawn one field per ``getrandbits`` call."""
-    n_shapes = len(shapes)
-    shape_bits = n_shapes.bit_length()
-    # per shape: alpha and 2*beta, each with the one-more bit count
-    # randrange draws for it
-    tables = [
-        (shape, shape.alpha, shape.alpha + 1, 2 * shape.beta,
-         2 * shape.beta + 1, fit)
-        for shape, fit in zip(shapes, fits)
-    ]
-    rows_range = range(max_rows)
+    _echelon result), drawn one field per ``randrange`` call."""
+    randrange = rng.randrange
     for _ in range(budget):
-        i = getrandbits(shape_bits)
-        while i >= n_shapes:
-            i = getrandbits(shape_bits)
-        shape, bin_bits, bin_k, ring_bits, ring_k, fit = tables[i]
-        rows = []
+        i = randrange(len(shapes))
+        shape = shapes[i]
+        ring_bits = 2 * shape.beta
         # binary part drawn before ring part, row by row
-        for _ in rows_range:
-            b = getrandbits(bin_k)
-            while b >> bin_bits:
-                b = getrandbits(bin_k)
-            r = getrandbits(ring_k)
-            while r >> ring_bits:
-                r = getrandbits(ring_k)
-            rows.append((b << ring_bits) | r)
+        rows = [randrange(1 << shape.alpha) << ring_bits
+                | randrange(1 << ring_bits) for _ in range(max_rows)]
         lead = _echelon(shape, rows)
-        if fit[len(lead)]:
+        if fits[i][len(lead)]:
             yield shape, rows, lead
 
 
@@ -613,16 +594,15 @@ class SearchHit:
 def search_with_pruning(
     space: SearchSpace,
     include: Iterable[Sequence[MixedVector]] = (),
-    use_pruners: bool = True,
 ) -> list[SearchHit]:
     """Stream the space, keep codes matching the target, classify them.
 
     The candidates come from :func:`enumerate_candidates`.  ``include``
     rows are spanned and examined ahead of them under the same filters
     (useful for confirming a known matrix); each code is examined once.
-    Pruners, the size rule among them, only ever skip codes the target
-    predicate would reject, so ``use_pruners`` does not change the
-    result.
+    The pruners (the size rule, the basis-row weights and the
+    two-weight quadratic) only skip codes the target rejects, so the
+    hits are those the target's predicate alone would keep.
     """
     if space.target is None:
         raise ValueError("search_with_pruning needs a target")
@@ -632,24 +612,24 @@ def search_with_pruning(
     included: dict[tuple[AmbientShape, tuple[int, ...]], AdditiveCode] = {}
     for rows in include:
         code = span(rows[0].shape, tuple(rows))
-        if not use_pruners or _size_fits(target, code.shape, code.cardinality):
+        if _size_fits(target, code.shape, code.cardinality):
             included.setdefault((code.shape, code.basis), code)
-    stream = enumerate_candidates(
-        space if use_pruners else replace(space, target=None))
+    stream = enumerate_candidates(space)
     if included:
         stream = (c for c in stream if (c.shape, c.basis) not in included)
     one_weight = target in ("one_weight", "fsd_one_weight")
     for code in chain(included.values(), stream):
-        if use_pruners and not _basis_weights_fit(code, 1 if one_weight else 2):
+        if not _basis_weights_fit(code, 1 if one_weight else 2):
             continue
         weights = lee_enumerator(code).nonzero_weights()
         if one_weight:
             if len(weights) != 1 or weight_profile(code).lambda_ is None:
                 continue
-        elif len(weights) != 2 or use_pruners and _two_weight_quadratic(
+        elif len(weights) != 2 or _two_weight_quadratic(
             code.shape.big_n, code.cardinality, weights[0], weights[1]
         ):
             continue
+        # a direct call: perfbench's funnel counts these as dual_calls
         dual = dual_summary(code)
         if target == "fsd_one_weight" and not is_formally_self_dual(code):
             continue

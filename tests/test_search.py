@@ -29,7 +29,7 @@ from z2zu.errors import (
 )
 from z2zu.presets import preset_code
 from z2zu.ring import U
-from z2zu.classify import is_formally_self_dual
+from z2zu.classify import classify, is_formally_self_dual, weight_profile
 from z2zu.search import (
     MAX_EXHAUSTIVE_TUPLES,
     OPTIMALITY_TABLE,
@@ -418,8 +418,7 @@ def test_rank_first_stream_is_the_filtered_stream(target):
 
 def test_search_reads_the_one_candidate_stream(monkeypatch):
     # in both modes the search takes its candidates from
-    # enumerate_candidates: the targeted space when pruning, the
-    # untargeted one without the pruners
+    # enumerate_candidates, on the targeted space
     plain = z2zu.search.enumerate_candidates
     spaces, yielded = [], []
 
@@ -433,14 +432,12 @@ def test_search_reads_the_one_candidate_stream(monkeypatch):
     kw = dict(alpha=(1, 3), beta=(0, 1), max_rows=2, target="one_weight")
     for space in (SearchSpace(**kw),
                   SearchSpace(mode="random", budget=300, seed=1, **kw)):
-        for use_pruners in (True, False):
-            spaces.clear()
-            yielded.clear()
-            hits = search_with_pruning(space, use_pruners=use_pruners)
-            assert hits
-            assert spaces == [
-                space if use_pruners else replace(space, target=None)]
-            assert len(yielded) >= len(hits)
+        spaces.clear()
+        yielded.clear()
+        hits = search_with_pruning(space)
+        assert hits
+        assert spaces == [space]
+        assert len(yielded) >= len(hits)
 
 
 def test_random_stream_seed_matters():
@@ -493,6 +490,26 @@ def test_basis_weight_prune_is_exact():
     assert few[1] and few[2] > few[1]
 
 
+def unpruned_hits(space):
+    """The codes a search of the space must hit, in hit order: every
+    code of the untargeted stream, kept by weight_profile and classify
+    alone, with none of the search's pruners."""
+    kept = []
+    for code in enumerate_candidates(replace(space, target=None)):
+        if code.cardinality < 2:
+            continue
+        profile = weight_profile(code)
+        if space.target == "two_weight_projective":
+            keep = profile.is_two_weight and classify(code).projective
+        else:
+            keep = (profile.is_one_weight and profile.lambda_ is not None
+                    and (space.target == "one_weight"
+                         or classify(code).formally_self_dual))
+        if keep:
+            kept.append(code)
+    return sorted(kept, key=lambda c: (c.shape.alpha, c.shape.beta, c.basis))
+
+
 def test_pruned_equals_unpruned():
     # exhaustive spaces where the basis-weight prune fires, then the
     # random spaces, where the size pruner runs on the rank first
@@ -504,9 +521,8 @@ def test_pruned_equals_unpruned():
         fired = 0
         for kw in exhaustive:
             space = SearchSpace(target=target, **kw)
-            pruned = search_with_pruning(space, use_pruners=True)
-            plain = search_with_pruning(space, use_pruners=False)
-            assert [h.code for h in pruned] == [h.code for h in plain]
+            pruned = search_with_pruning(space)
+            assert [h.code for h in pruned] == unpruned_hits(space)
             fired += sum(
                 _size_fits(target, c.shape, c.cardinality)
                 and not _basis_weights_fit(c, t)
@@ -519,10 +535,9 @@ def test_pruned_equals_unpruned():
             for kw in RANDOM_SPACES:
                 space = SearchSpace(mode="random", budget=300, seed=seed,
                                     target=target, **kw)
-                pruned = search_with_pruning(space, use_pruners=True)
-                plain = search_with_pruning(space, use_pruners=False)
+                pruned = search_with_pruning(space)
                 assert stream_rows(h.code for h in pruned) == stream_rows(
-                    h.code for h in plain)
+                    unpruned_hits(space))
                 found += len(pruned)
         assert found
 
