@@ -17,15 +17,14 @@ with the first sum in Z2 and the second in R; a code's dual is taken
 with respect to it.
 
 A code is stored as its reduced echelon XOR basis, built by the one
-elimination routine :func:`_rref`: echelon form (:func:`_echelon`),
-which alone gives the rank, then back-substitution.  The basis is
-canonical, so size, equality, membership, the module test, the dual
-and the column profile all come from it.  The Lee enumerator is
-counted from it too, in cache-sized blocks of the Gray span, and keeps
-no words (:func:`_lee_counts`).  The codewords are built from the basis
-only for ``words``, the Gray image and the minimum Lee weight, once, as
-a numpy ``uint64`` array of shape (|C|, L) with L = ceil(N/64) limbs
-per word, limb 0 the most significant (:func:`_word_array`), and that
+elimination routine :func:`_rref`.  The basis is canonical, so size,
+equality, membership, the module test, the dual and the column profile
+all come from it.  The Lee enumerator is counted from it too, in
+cache-sized blocks of the Gray span, and keeps no words
+(:func:`_lee_counts`).  The codewords are built from the basis only
+for ``words``, the Gray image and the minimum Lee weight, once, as a
+numpy ``uint64`` array of shape (|C|, L) with L = ceil(N/64) limbs per
+word, limb 0 the most significant (:func:`_word_array`), and that
 array is the only word set kept; ``words``, the same codewords as
 Python ints, is converted from it on each read.  Counting and building
 are both capped at 2^MAX_CODE_WORD_BITS words.
@@ -503,19 +502,19 @@ def _reduce(basis: Iterable[int], x: int) -> int:
     return x
 
 
-def _echelon(
+def _rref(
     shape: AmbientShape,
     rows: Iterable[int],
     u_closed: bool = True,
-) -> dict[int, int]:
-    """Echelon half of :func:`_rref`: the packed rows (and u*rows when
-    u_closed), kept one per leading bit.  Its size is the rank, so the
-    code has 2^len words."""
+) -> tuple[int, ...]:
+    """Reduced echelon XOR basis of the packed rows (and u*rows when
+    u_closed), sorted increasing: the rows are kept one per leading bit,
+    then each is reduced by the rows below it, lowest first."""
     lead: dict[int, int] = {}
     a_mask = shape.ring_a_mask
     for g in rows:
         # (g & a_mask) << 1 is u*g (_u_mul_packed), inlined: the random
-        # search runs this per draw, only on size-rule survivors if batched
+        # search runs this per draw
         for x in (g, (g & a_mask) << 1) if u_closed else (g,):
             while x:
                 n = x.bit_length()
@@ -524,26 +523,10 @@ def _echelon(
                     lead[n] = x
                     break
                 x ^= r
-    return lead
-
-
-def _back_substitute(lead: dict[int, int]) -> tuple[int, ...]:
-    """Reduced echelon basis of an :func:`_echelon` result, sorted
-    increasing: each row reduced by the rows below it, lowest first."""
     basis: list[int] = []
     for n in sorted(lead):
         basis.append(_reduce(basis, lead[n]))
     return tuple(basis)
-
-
-def _rref(
-    shape: AmbientShape,
-    rows: Iterable[int],
-    u_closed: bool = True,
-) -> tuple[int, ...]:
-    """Reduced echelon XOR basis of the packed rows (and u*rows when
-    u_closed), sorted increasing."""
-    return _back_substitute(_echelon(shape, rows, u_closed))
 
 
 def _packed(shape: AmbientShape, rows: Sequence[MixedVector]) -> tuple[int, ...]:

@@ -6,12 +6,12 @@ code C by one more generator w, growing C's reduced basis by w and u*w.
 The candidates w are the words with no pivot bit of C, in increasing
 order, one per coset of C.  Such a w is already reduced against C, and
 C is closed under u, so only u*w is reduced, against C and w; each of
-the two that is left nonzero is inserted into C's basis, clearing its
+the two that is left nonzero is joined to C's basis, clearing its
 leading bit from the rows that have it, with no elimination from
 scratch.  With r the reduced u*w, the cosets of w and of w + r close
 to the same code, and only the one with the smaller reduced word is
-grown.  The (C, w) pairs of a level are grown in numpy batches, each
-batch drops its repeated children by exact byte equality, and the
+grown.  The (C, w) pairs of a level are grown in numpy runs, each
+run drops its repeated children by exact byte equality, and the
 rest meet an exact set of the bases already yielded; so each code
 generated by up to g rows is yielded once, while far fewer candidates
 are touched than the (2^(alpha+2*beta))^g generator tuples the space
@@ -20,23 +20,29 @@ exhaustive mode refuses a space whose tuples, summed over all its
 shapes, exceed 2^26.  Random mode drops repeated codes by an exact
 key: the shape and the reduced basis, at most alpha + 2*beta integers.
 
+Both modes reduce and join in one batched kernel, on columns of
+reduced, increasing ``uint64`` bases: _reduced reduces a word against
+a basis and _join joins a reduced word to it.  The walk grows a whole
+run of (C, w) pairs with it, and the random blocks build each draw's
+basis of {g, u*g} with it.
+
 A random draw is handled rank first.  Its rows are drawn as packed
-integers, and only their rank k of {g, u*g}, so |C| = 2^k, is found
-before the size rule.  enumerate_candidates, the one candidate stream,
-applies a target's size rule (_size_fits): in random mode to k, read
-from a per-shape table filled before the first draw, so that only
-passing draws are back-substituted to the reduced basis, deduplicated
-on (shape, basis) with the first drawing kept, and built as codes; in
-exhaustive mode to each code walked.  A code's size does not depend on
-which rows drew it, so this yields exactly the untargeted stream's
-codes that pass, in the same order.  When every shape has alpha <= 31
-and beta <= 15, the draws come in numpy blocks of at most 2^12: one
-bulk getrandbits call gives a block's 32-bit words, randrange's
-rejections become masks on them, a batched elimination ranks every
-draw, and only the passing draws meet the scalar echelon
-(core._echelon), whose rank must agree.  A space with a wider shape
-calls randrange per field.  Either way a seed gives the stream that
-randrange draws would (see _random_candidates for why).
+integers and reduced to the basis of {g, u*g}, whose rank k gives
+|C| = 2^k.  enumerate_candidates, the one candidate stream, applies a
+target's size rule (_size_fits): in random mode to k, read from a
+per-shape table filled before the first draw, so that only passing
+draws are deduplicated on (shape, basis), the first drawing kept, and
+built as codes; in exhaustive mode to each code walked.  A code's size
+does not depend on which rows drew it, so this yields exactly the
+untargeted stream's codes that pass, in the same order.  When every
+shape has alpha <= 31 and beta <= 15, the draws come in numpy blocks
+of at most 2^12: one bulk getrandbits call gives a block's 32-bit
+words, randrange's rejections become masks on them, the kernel builds
+every draw's basis, and each passing draw's basis must equal the
+scalar core._rref of its rows.  A space with a wider shape calls
+randrange per field and core._rref per draw.  Either way a seed gives
+the stream that randrange draws would (see _random_candidates for
+why).
 
 Searches with a target prune candidates with cheap necessary
 conditions before any dual work:
@@ -82,9 +88,8 @@ from .core import (
     AdditiveCode,
     AmbientShape,
     MixedVector,
-    _back_substitute,
-    _echelon,
     _lee_packed,
+    _rref,
     gray_parameters,
     span,
 )
@@ -191,60 +196,61 @@ def _top_bits(x: np.ndarray) -> np.ndarray:
     return (y.view(np.uint64) & _EXPONENT).view(np.float64).astype(np.uint64)
 
 
-def _grow_pairs(
-    shape: AmbientShape, parents: np.ndarray, lo: int, hi: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Grow each of m reduced bases of rank k (the rows of ``parents``,
-    shape (m, k)) by its free words numbered lo to hi-1 in
-    increasing order: word i has bit t of i at the t-th lowest bit that
-    is no pivot of its parent.
-
-    Returns the child bases, one column of k + 2 increasing ``uint64``
-    per (parent, word) pair in that order, a leading 0 where the child
-    has rank k + 1, and the mask of the pairs the skip rule keeps.
-    """
-    m, k = parents.shape
-    count = hi - lo
-    lead = _top_bits(parents)
-    free = (np.uint64(shape.ambient_size - 1)
-            ^ np.bitwise_or.reduce(lead, axis=1))
-    n = shape.big_n
-    bits = (free[:, None] >> np.arange(n, dtype=np.uint64)) & np.uint64(1)
-    at = np.nonzero(bits)[1].reshape(m, n - k)[:, :(hi - 1).bit_length()]
-    i = np.arange(lo, hi, dtype=np.uint64)
-    # the free bits are disjoint, so the product's sums are ORs
-    w = ((np.uint64(1) << at.astype(np.uint64))
-         @ ((i[:, None] >> np.arange(at.shape[1], dtype=np.uint64))
-            & np.uint64(1)).T).ravel()
-    rows = np.repeat(parents.T, count, axis=1)
-    # the rows of a reduced basis are zero at each other's leading bits,
-    # so u*w reduces by XOR with the rows whose leading bit it has
-    uw = (w & np.uint64(shape.ring_a_mask)) << np.uint64(1)
-    r = uw ^ np.bitwise_xor.reduce(
-        np.where(uw & np.repeat(lead.T, count, axis=1), rows, 0), axis=0)
-    wr = w ^ r
-    keep = (wr == 0) | (wr >= w)
-    # insert w, clearing its leading bit from the rows that have it, then
-    # r reduced against w, clearing its leading bit from w and the rows;
-    # no row's leading bit moves, so the rows stay sorted
-    top = _top_bits(w)
-    rows ^= np.where(rows & top, w, 0)
-    r ^= np.where(r & top, w, 0)
-    top = _top_bits(r)
-    rows ^= np.where(rows & top, r, 0)
-    w ^= np.where(w & top, r, 0)
-    return _insert(_insert(rows, w), r), keep
+def _reduced(rows: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """x reduced against columns of reduced, increasing ``uint64``
+    bases: min(x, x ^ row) clears a row's leading bit from x when x has
+    it, and the other rows are zero there, so the rows may come in any
+    order.  x comes out 0 exactly when it lies in the span; zero rows
+    leave it alone."""
+    for row in rows:
+        x = np.minimum(x, x ^ row)
+    return x
 
 
-def _insert(rows: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Columns of increasing ``rows`` with x put in its place; the
-    maximum moves up a slot and the minimum carries on down."""
+def _join(rows: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Columns of reduced, increasing bases ``rows`` with x, reduced
+    against them, joined: min(row, row ^ x) clears x's leading bit from
+    the rows that have it, leaving every leading bit where it was, then
+    x takes its place in order, the maximum moving up a slot and the
+    minimum carrying on down.  A zero x joins as a leading 0."""
+    rows = np.minimum(rows, rows ^ x)
     out = np.empty((len(rows) + 1, len(x)), np.uint64)
     for j in range(len(rows) - 1, -1, -1):
         np.maximum(rows[j], x, out=out[j + 1])
         x = np.minimum(rows[j], x)
     out[0] = x
     return out
+
+
+def _grow_pairs(
+    shape: AmbientShape, parents: np.ndarray, owner: np.ndarray,
+    i: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Grow reduced bases by free words, one (parent, word) pair per
+    entry of ``owner`` and ``i``: the parents are the rows of
+    ``parents``, increasing and zero-padded on the left to one width k,
+    and word i of a parent has bit t of i at its t-th lowest bit that is
+    no pivot of the parent.
+
+    Returns the child bases, one column of k + 2 increasing ``uint64``
+    per pair, zero-padded the same way, and the mask of the pairs the
+    skip rule keeps.
+    """
+    n = shape.big_n
+    free = (np.uint64(shape.ambient_size - 1)
+            ^ np.bitwise_or.reduce(_top_bits(parents), axis=1))
+    bits = (free[:, None] >> np.arange(n, dtype=np.uint64)) & np.uint64(1)
+    # each parent's free bits, lowest first, as many as i's bits
+    t = int(i.max()).bit_length()
+    at = np.argsort(bits == 0, axis=1, kind="stable")[:, :t].astype(np.uint64)
+    # the free bits are disjoint, so the sum is an OR
+    w = (((i[:, None] >> np.arange(t, dtype=np.uint64)) & np.uint64(1))
+         << at[owner]).sum(axis=1, dtype=np.uint64)
+    rows = parents.T[:, owner]
+    r = _reduced(rows, (w & np.uint64(shape.ring_a_mask)) << np.uint64(1))
+    wr = w ^ r
+    keep = (wr == 0) | (wr >= w)
+    return _join(_join(rows, w), np.minimum(r, wr)), keep
 
 
 def _runs(
@@ -274,24 +280,20 @@ def _run_children(
 ) -> list[list[int]]:
     """The kept children of a run, the first occurrence of each only,
     in (base, w) order, as zero-padded rows of equal width."""
-    width = max(len(basis) for basis, _, _ in run) + 2
-    sizes = [hi - lo for _, lo, hi in run]
-    starts = np.cumsum([0] + sizes[:-1])
-    rows = np.zeros((sum(sizes), width), np.uint64)
-    keep = np.empty(len(rows), bool)
-    groups: dict[tuple[int, int, int], list[int]] = {}
-    for j, (basis, lo, hi) in enumerate(run):
-        groups.setdefault((len(basis), lo, hi), []).append(j)
-    for (k, lo, hi), members in groups.items():
-        parents = np.array([run[j][0] for j in members], np.uint64)
-        grown, kept = _grow_pairs(shape, parents.reshape(len(members), k),
-                                  lo, hi)
-        at = (starts[members][:, None] + np.arange(hi - lo)).ravel()
-        rows[at, width - k - 2:] = grown.T
-        keep[at] = kept
-    rows = rows[keep]
+    k = max(len(basis) for basis, _, _ in run)
+    parents = np.zeros((len(run), k), np.uint64)
+    for j, (basis, _, _) in enumerate(run):
+        parents[j, k - len(basis):] = basis
+    lo = np.array([lo for _, lo, _ in run])
+    size = np.array([hi for _, _, hi in run]) - lo
+    owner = np.repeat(np.arange(len(run)), size)
+    # a pair's word index: lo plus its place in its segment
+    i = (np.arange(len(owner)) + np.repeat(lo - np.cumsum(size) + size, size)
+         ).astype(np.uint64)
+    children, keep = _grow_pairs(shape, parents, owner, i)
+    rows = children.T[keep]
     # exact byte equality of the fixed-width rows, first occurrence kept
-    _, first = np.unique(rows.view(np.dtype((np.void, 8 * width))).ravel(),
+    _, first = np.unique(rows.view(np.dtype((np.void, 8 * (k + 2)))).ravel(),
                          return_index=True)
     first.sort()
     return rows[first].tolist()
@@ -308,11 +310,11 @@ def _codes_by_closure(
     span(base, w, u*w).  The (base, w) pairs are taken in that order in
     runs of at most _RUN_PAIRS pairs, a basis with more free words
     being split across runs, so the batch arrays stay small whatever
-    the shape.  One numpy pass per run and parent rank
-    (_grow_pairs) builds the children, the run keeps the first
-    occurrence of each by exact byte equality, and only those meet the
-    exact set of bases already yielded.  The stream is therefore that
-    of growing the pairs one by one: the same codes, bases and order.
+    the shape.  One _grow_pairs call per run builds the children of its
+    parents of every rank, the run keeps the first occurrence of each
+    by exact byte equality, and only those meet the exact set of bases
+    already yielded.  The stream is therefore that of growing the pairs
+    one by one: the same codes, bases and order.
 
     Skip rule: w is not grown when 0 < w ^ r < w, r being u*w reduced
     against the base.  The base is u-closed and u*u = 0, so u*r lies in
@@ -367,13 +369,13 @@ def _basis_weights_fit(code: AdditiveCode, t: int) -> bool:
 
 def _random_candidates(space: SearchSpace) -> Iterator[AdditiveCode]:
     """The random stream, rank first: a draw's rows stay packed ints,
-    and only draws whose 2^rank fits the space's target (_size_fits;
-    every size fits without a target) are reduced, deduplicated and
-    built as codes.  The rule depends on (shape, size) alone, so a code
-    either survives every drawing or none, and the survivors come in
-    the order of their first drawing, as in the unfiltered stream.  It
-    is read from a per-shape table indexed by rank, filled before the
-    first draw.
+    reduced to the basis of {g, u*g}, and only draws whose 2^rank fits
+    the space's target (_size_fits; every size fits without a target)
+    are deduplicated and built as codes.  The rule depends on (shape,
+    size) alone, so a code either survives every drawing or none, and
+    the survivors come in the order of their first drawing, as in the
+    unfiltered stream.  It is read from a per-shape table indexed by
+    rank, filled before the first draw.
 
     The draws are those of ``random.Random(seed).randrange``: the shape
     index from range(len(shapes)), then per row the binary part from
@@ -418,14 +420,13 @@ def _random_candidates(space: SearchSpace) -> Iterator[AdditiveCode]:
     # keys, not the codes: a long random run would otherwise pin the
     # words of every distinct code whose words a consumer built
     seen: set[tuple[AmbientShape, tuple[int, ...]]] = set()
-    for shape, rows, lead in draws:
-        key = (shape, _back_substitute(lead))
-        if key not in seen:
-            seen.add(key)
-            yield AdditiveCode(shape, tuple(rows), key[1])
+    for shape, rows, basis in draws:
+        if (shape, basis) not in seen:
+            seen.add((shape, basis))
+            yield AdditiveCode(shape, tuple(rows), basis)
 
 
-_Draws = Iterator[tuple[AmbientShape, list[int], dict[int, int]]]
+_Draws = Iterator[tuple[AmbientShape, list[int], tuple[int, ...]]]
 
 
 def _plain_draws(
@@ -433,7 +434,8 @@ def _plain_draws(
     fits: list[list[bool]], rng: random.Random,
 ) -> _Draws:
     """The draws that pass the size rule, as (shape, packed rows,
-    _echelon result), drawn one field per ``randrange`` call."""
+    reduced basis), drawn one field per ``randrange`` call and reduced
+    by the scalar _rref."""
     randrange = rng.randrange
     for _ in range(budget):
         i = randrange(len(shapes))
@@ -442,9 +444,9 @@ def _plain_draws(
         # binary part drawn before ring part, row by row
         rows = [randrange(1 << shape.alpha) << ring_bits
                 | randrange(1 << ring_bits) for _ in range(max_rows)]
-        lead = _echelon(shape, rows)
-        if fits[i][len(lead)]:
-            yield shape, rows, lead
+        basis = _rref(shape, rows)
+        if fits[i][len(basis)]:
+            yield shape, rows, basis
 
 
 def _batched_draws(
@@ -464,13 +466,13 @@ def _batched_draws(
     lookup per draw.
 
     A block draws its words in one ``getrandbits`` call, walks the draw
-    ends, gathers the shape indices and packed rows, and ranks
-    {g, u*g} in numpy (_ranks).  Only the draws the size rule keeps go
-    through the scalar _echelon, and a rank it does not confirm raises
-    InternalVerificationFailure.  The words after a block's last whole
-    draw carry over to the next block, which draws more, so a block
-    short of words only ends early; the arrays stay bounded by
-    _BLOCK_DRAWS whatever the budget."""
+    ends, gathers the shape indices and packed rows, and builds each
+    draw's basis of {g, u*g} in numpy (_bases).  The draws the size rule
+    keeps on its rank go through the scalar _rref too, and a basis it
+    does not confirm raises InternalVerificationFailure.  The words
+    after a block's last whole draw carry over to the next block, which
+    draws more, so a block short of words only ends early; the arrays
+    stay bounded by _BLOCK_DRAWS whatever the budget."""
     n_shapes = len(shapes)
     shift = np.uint32(32 - n_shapes.bit_length())
     two_r = 2 * max_rows
@@ -524,36 +526,31 @@ def _batched_draws(
         ring = ring_bits[idx][:, None]
         rows = (((fields[:, 0::2] >> bin_shift[idx][:, None]) << ring)
                 | (fields[:, 1::2] >> ring_shift[idx][:, None]))
-        rank = _ranks(rows, a_mask[idx])
-        keep = np.flatnonzero(fit[idx, rank])
-        for i, packed, k in zip(idx[keep].tolist(), rows[keep].tolist(),
-                                rank[keep].tolist()):
+        bases = _bases(rows, a_mask[idx])
+        keep = np.flatnonzero(fit[idx, np.count_nonzero(bases, axis=0)])
+        for i, packed, column in zip(idx[keep].tolist(), rows[keep].tolist(),
+                                     bases.T[keep].tolist()):
             shape = shapes[i]
-            lead = _echelon(shape, packed)
-            if len(lead) != k:
+            basis = _rref(shape, packed)
+            if basis != tuple(filter(None, column)):
                 raise InternalVerificationFailure(
-                    f"rows {packed} of {shape}: echelon rank {len(lead)}, "
-                    f"batched rank {k}")
-            yield shape, packed, lead
+                    f"rows {packed} of {shape}: reduced basis {basis}, "
+                    f"batched basis {column}")
+            yield shape, packed, basis
         carry = words[at[ends[-1]] + 1:]
         left -= len(ends)
 
 
-def _ranks(rows: np.ndarray, a_mask: np.ndarray) -> np.ndarray:
-    """The rank of {g, u*g} over the rows g of each line of ``rows``.
-
-    Each line's basis is a column of increasing rows with distinct
-    leading bits (_insert).  Taken from the top down, min(x, x ^ row)
-    clears a row's leading bit from x when x has it, and the lower rows
-    leave that bit alone; so a vector reduces to 0 exactly when it lies
-    in the span, and otherwise brings a new leading bit."""
+def _bases(rows: np.ndarray, a_mask: np.ndarray) -> np.ndarray:
+    """The reduced basis of {g, u*g} over the rows g of each line of
+    ``rows``, as a column of 2 * rows.shape[1] increasing ``uint64``
+    with a leading 0 per rank short of that; the rank is the column's
+    count of nonzero entries."""
     basis = np.zeros((0, len(rows)), np.uint64)
     for g in rows.T:
         for x in (g, (g & a_mask) << np.uint64(1)):
-            for row in basis[::-1]:
-                x = np.minimum(x, x ^ row)
-            basis = _insert(basis, x)
-    return np.count_nonzero(basis, axis=0)
+            basis = _join(basis, _reduced(basis, x))
+    return basis
 
 
 def enumerate_candidates(space: SearchSpace) -> Iterator[AdditiveCode]:

@@ -370,23 +370,48 @@ def test_random_stream_ignores_blocks_and_refills(
                     == stream_rows(drawn_codes(space)))
 
 
-def test_batched_rank_is_checked_against_echelon(monkeypatch):
-    # the scalar echelon of a surviving draw must report the batched
-    # rank; an echelon that drops a row disagrees on some draw
-    plain = z2zu.search._echelon
-    monkeypatch.setattr(z2zu.search, "_echelon",
+def test_batched_basis_is_checked_against_rref(monkeypatch):
+    # the scalar _rref of a surviving draw must give the batched basis;
+    # an _rref that drops a row disagrees on some draw
+    plain = z2zu.search._rref
+    monkeypatch.setattr(z2zu.search, "_rref",
                         lambda shape, rows: plain(shape, rows[1:]))
     space = SearchSpace(alpha=(0, 4), beta=(0, 2), max_rows=2,
                         mode="random", budget=400, seed=0)
-    with pytest.raises(InternalVerificationFailure, match="batched rank"):
+    with pytest.raises(InternalVerificationFailure, match="batched basis"):
         list(enumerate_candidates(space))
+
+
+def test_batched_bases_equal_rref():
+    # 2^12 draws of 5 rows over mixed shapes up to the width boundary
+    # (alpha = 31, beta = 15, N = 61), in one call, with forced zero,
+    # repeated and u-only rows: each column is the draw's _rref basis
+    rng = random.Random(5)
+    shapes = [AmbientShape(31, 15), AmbientShape(0, 15), AmbientShape(31, 0),
+              AmbientShape(7, 9), AmbientShape(1, 1)]
+    picked, draws = [], []
+    for _ in range(1 << 12):
+        shape = rng.choice(shapes)
+        rows = [rng.randrange(shape.ambient_size) for _ in range(5)]
+        for j in rng.sample(range(5), rng.randrange(4)):
+            rows[j] = rng.choice([0, rows[j - 1],
+                                  _u_mul_packed(shape, rows[j])])
+        picked.append(shape)
+        draws.append(rows)
+    bases = z2zu.search._bases(
+        np.array(draws, np.uint64),
+        np.array([s.ring_a_mask for s in picked], np.uint64))
+    assert bases.shape == (10, 1 << 12)
+    for shape, rows, column in zip(picked, draws, bases.T.tolist()):
+        assert tuple(filter(None, column)) == _rref(shape, rows)
+        assert column == sorted(column)
 
 
 @pytest.mark.parametrize("target", TARGETS)
 def test_rank_first_stream_is_the_filtered_stream(target):
     # a targeted stream holds exactly the codes of the untargeted stream
     # that the size rule keeps on their cardinality, in the same order:
-    # in random mode the rule runs on the echelon rank, first drawings
+    # in random mode the rule runs on each draw's rank, first drawings
     # first, in exhaustive mode on each code walked
     kept = 0
     for seed in (0, 1, 2):
