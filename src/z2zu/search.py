@@ -10,15 +10,17 @@ the two that is left nonzero is joined to C's basis, clearing its
 leading bit from the rows that have it, with no elimination from
 scratch.  With r the reduced u*w, the cosets of w and of w + r close
 to the same code, and only the one with the smaller reduced word is
-grown.  The (C, w) pairs of a level are grown in numpy runs, each
-run drops its repeated children by exact byte equality, and the
-rest meet an exact set of the bases already yielded; so each code
-generated by up to g rows is yielded once, while far fewer candidates
-are touched than the (2^(alpha+2*beta))^g generator tuples the space
-nominally contains.  That nominal count is still the budget guard:
-exhaustive mode refuses a space whose tuples, summed over all its
-shapes, exceed 2^26.  Random mode drops repeated codes by an exact
-key: the shape and the reduced basis, at most alpha + 2*beta integers.
+grown.  A level's (C, w) pairs are numbered in that order, and a
+numpy run grows the next 2^12 numbers, cutting C's free words
+anywhere; it drops its repeated children by exact byte equality,
+and the rest meet an exact set of the bases already yielded.  So
+each code generated by up to g rows is yielded once, while far fewer
+candidates are touched than the (2^(alpha+2*beta))^g generator
+tuples the space nominally contains.  That nominal count is still
+the budget guard: exhaustive mode refuses a space whose tuples,
+summed over all its shapes, exceed 2^26.  Random mode drops repeated
+codes by an exact key: the shape and the reduced basis, at most
+alpha + 2*beta integers.
 
 Both modes reduce and join in one batched kernel, on columns of
 reduced, increasing ``uint64`` bases: _reduced reduces a word against
@@ -253,52 +255,6 @@ def _grow_pairs(
     return _join(_join(rows, w), np.minimum(r, wr)), keep
 
 
-def _runs(
-    frontier: list[tuple[int, ...]], n: int
-) -> Iterator[list[tuple[tuple[int, ...], int, int]]]:
-    """The frontier's (base, w) pairs in order, cut into runs of at most
-    _RUN_PAIRS pairs.  A run is a list of (basis, lo, hi) segments: the
-    basis's free words numbered lo..hi-1.  A basis with more free words
-    than a run holds is cut across runs."""
-    run: list[tuple[tuple[int, ...], int, int]] = []
-    size = 0
-    for basis in frontier:
-        end = 1 << (n - len(basis))
-        for lo in range(1, end, _RUN_PAIRS):
-            hi = min(lo + _RUN_PAIRS, end)
-            if size + hi - lo > _RUN_PAIRS:
-                yield run
-                run, size = [], 0
-            run.append((basis, lo, hi))
-            size += hi - lo
-    if run:
-        yield run
-
-
-def _run_children(
-    shape: AmbientShape, run: list[tuple[tuple[int, ...], int, int]]
-) -> list[list[int]]:
-    """The kept children of a run, the first occurrence of each only,
-    in (base, w) order, as zero-padded rows of equal width."""
-    k = max(len(basis) for basis, _, _ in run)
-    parents = np.zeros((len(run), k), np.uint64)
-    for j, (basis, _, _) in enumerate(run):
-        parents[j, k - len(basis):] = basis
-    lo = np.array([lo for _, lo, _ in run])
-    size = np.array([hi for _, _, hi in run]) - lo
-    owner = np.repeat(np.arange(len(run)), size)
-    # a pair's word index: lo plus its place in its segment
-    i = (np.arange(len(owner)) + np.repeat(lo - np.cumsum(size) + size, size)
-         ).astype(np.uint64)
-    children, keep = _grow_pairs(shape, parents, owner, i)
-    rows = children.T[keep]
-    # exact byte equality of the fixed-width rows, first occurrence kept
-    _, first = np.unique(rows.view(np.dtype((np.void, 8 * (k + 2)))).ravel(),
-                         return_index=True)
-    first.sort()
-    return rows[first].tolist()
-
-
 def _codes_by_closure(
     shape: AmbientShape, max_rows: int
 ) -> Iterator[AdditiveCode]:
@@ -307,14 +263,14 @@ def _codes_by_closure(
     Each level grows every basis of the frontier (the bases, not the
     codes, of the last level's new codes) by each of its free words w,
     the words with no pivot bit, in increasing order: the child is
-    span(base, w, u*w).  The (base, w) pairs are taken in that order in
-    runs of at most _RUN_PAIRS pairs, a basis with more free words
-    being split across runs, so the batch arrays stay small whatever
-    the shape.  One _grow_pairs call per run builds the children of its
-    parents of every rank, the run keeps the first occurrence of each
-    by exact byte equality, and only those meet the exact set of bases
-    already yielded.  The stream is therefore that of growing the pairs
-    one by one: the same codes, bases and order.
+    span(base, w, u*w).  A level's (base, w) pairs are numbered
+    0, 1, ... in that order, and a run is the next _RUN_PAIRS numbers,
+    which may cut a base's free words anywhere, so the batch arrays
+    stay small whatever the shape.  One _grow_pairs call per run builds
+    the children of its parents of every rank, the run keeps the first
+    occurrence of each by exact byte equality, and only those meet the
+    exact set of bases already yielded.  The stream is therefore that
+    of growing the pairs one by one: the same codes, bases and order.
 
     Skip rule: w is not grown when 0 < w ^ r < w, r being u*w reduced
     against the base.  The base is u-closed and u*u = 0, so u*r lies in
@@ -332,8 +288,29 @@ def _codes_by_closure(
     frontier: list[tuple[int, ...]] = [()]
     for _ in range(max_rows):
         new_frontier: list[tuple[int, ...]] = []
-        for run in _runs(frontier, shape.big_n):
-            for row in _run_children(shape, run):
+        # base j's free words w = 1 .. free[j] are the pairs numbered
+        # ends[j] - free[j] .. ends[j] - 1
+        ranks = np.fromiter(map(len, frontier), np.int64)
+        free = (1 << (shape.big_n - ranks)) - 1
+        ends = np.cumsum(free)
+        total = int(free.sum())
+        for start in range(0, total, _RUN_PAIRS):
+            pair = np.arange(start, min(start + _RUN_PAIRS, total))
+            owner = np.searchsorted(ends, pair, side="right")
+            i = (pair - ends[owner] + free[owner] + 1).astype(np.uint64)
+            bases = frontier[owner[0]:owner[-1] + 1]
+            k = max(map(len, bases))
+            parents = np.zeros((len(bases), k), np.uint64)
+            for j, b in enumerate(bases):
+                parents[j, k - len(b):] = b
+            children, keep = _grow_pairs(shape, parents, owner - owner[0], i)
+            rows = children.T[keep]
+            # first occurrence of each row, by exact byte equality
+            _, first = np.unique(
+                rows.view(np.dtype((np.void, 8 * (k + 2)))).ravel(),
+                return_index=True)
+            first.sort()
+            for row in rows[first].tolist():
                 basis = tuple(filter(None, row))
                 if basis not in seen:
                     seen.add(basis)
@@ -677,12 +654,14 @@ def verify_fsd_classification(
     ``max_rows`` generators: the exhaustive stream of
     :func:`enumerate_candidates`, so max_rows below 1 raises ValueError
     and a range past the 2^26-tuple cap raises SpaceTooLarge (at 3
-    rows, (4, 2) fits and (6, 3) does not).  A code of size
-    2^(N/2) is skipped on its basis rows' Lee weights when they differ,
-    and only the rest get their words built for the Lee enumerator.
-    The survivor list must be exactly the four known two-word codes
-    (those with shapes inside the range); anything else raises
-    ClassificationViolation.
+    rows, (4, 2) fits and (6, 3) does not).  The screen's own cap,
+    max_alpha <= 6 and max_beta <= 3, raises ValueError: the tuple cap
+    alone admits (25, 0) at 1 row, a walk of about 2^26 codes.  A code
+    of size 2^(N/2) is skipped on its basis rows' Lee weights when they
+    differ, and only the rest get their words built for the Lee
+    enumerator.  The survivor list must be exactly the four known
+    two-word codes (those with shapes inside the range); anything else
+    raises ClassificationViolation.
     """
     if max_alpha > 6 or max_beta > 3:
         raise ValueError("screen is capped at max_alpha = 6, max_beta = 3")

@@ -484,11 +484,14 @@ def test_search_verify_classification_refuses_ignored_flags(capsys):
 
 def test_search_verify_classification_guards_the_walk(capsys):
     # no rows would survey the zero code alone; (6, 3) at 3 rows holds
-    # 2^36 generator tuples, past the exhaustive cap
+    # 2^36 generator tuples, past the exhaustive cap; (7, 0) at 1 row
+    # fits that cap but not the survey's own range cap
     for argv, message in (
         (["--alpha", "4", "--beta", "2", "--rows", "0"],
          "max_rows must be positive"),
         (["--alpha", "6", "--beta", "3"], "exhaustive cap"),
+        (["--alpha", "7", "--beta", "0", "--rows", "1"],
+         "screen is capped at max_alpha = 6, max_beta = 3\n"),
     ):
         rc, out, err = run(capsys, ["search", "--verify-thm-4.5"] + argv)
         assert (rc, out) == (2, "")

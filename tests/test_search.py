@@ -236,12 +236,19 @@ def test_complete_walk_counts_every_submodule():
         counts.append(len(bases))
         assert counts[-1] == sum(gaussian(n, k) for k in range(n + 1))
     assert counts == [2, 5, 16, 67, 374, 2825]
-    for alpha, beta, total in ((0, 3, 129), (2, 2, 249)):
+    # (4, 2) and (6, 1) reach N = 8, where the whole ambient, a base
+    # with no free words, sits among other bases of its level
+    for alpha, beta, total in ((0, 3, 129), (2, 2, 249), (4, 2, 12015)):
         shape = AmbientShape(alpha, beta)
         rows = shape.big_n
         got = [c.basis for c in z2zu.search._codes_by_closure(shape, rows)]
         assert got == [c.basis for c in rref_walk(shape, rows)]
         assert len(got) == total
+    # count only: the scalar walk takes seconds here
+    shape = AmbientShape(6, 1)
+    bases = [c.basis for c in
+             z2zu.search._codes_by_closure(shape, shape.big_n)]
+    assert len(set(bases)) == len(bases) == 55599
 
 
 def test_exhaustive_cap():
@@ -685,10 +692,12 @@ def test_screen_equals_unpruned_survey():
 
 
 def test_screen_range_caps():
-    with pytest.raises(ValueError):
-        verify_fsd_classification(7, 1)
-    with pytest.raises(ValueError):
-        verify_fsd_classification(2, 4)
+    # the screen's own cap, which the tuple cap alone would not give:
+    # (7, 0) and (2, 4) at 1 row fit 2^26 tuples
+    cap = "screen is capped at max_alpha = 6, max_beta = 3"
+    for args in ((7, 1), (2, 4), (7, 0, 1), (2, 4, 1)):
+        with pytest.raises(ValueError, match=cap):
+            verify_fsd_classification(*args)
     with pytest.raises(ValueError):
         verify_fsd_classification(0, 0)
     # the walk's own guards: at least one row, at most 2^26 tuples
