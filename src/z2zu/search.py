@@ -12,15 +12,30 @@ scratch.  With r the reduced u*w, the cosets of w and of w + r close
 to the same code, and only the one with the smaller reduced word is
 grown.  A level's (C, w) pairs are numbered in that order, and a
 numpy run grows the next 2^12 numbers, cutting C's free words
-anywhere; it drops its repeated children by exact byte equality,
-and the rest meet an exact set of the bases already yielded.  So
-each code generated by up to g rows is yielded once, while far fewer
-candidates are touched than the (2^(alpha+2*beta))^g generator
-tuples the space nominally contains.  That nominal count is still
-the budget guard: exhaustive mode refuses a space whose tuples,
-summed over all its shapes, exceed 2^26.  Random mode drops repeated
-codes by an exact key: the shape and the reduced basis, at most
-alpha + 2*beta integers.
+anywhere.  The walk never holds a basis as a tuple or a code: each
+run yields its new bases as one batch, a ``uint64`` array with one
+basis per line, zero-padded on the left to W = min(2*g, N) entries,
+and the next level's frontier is the level's batches stacked.  A
+child's exact key packs its W entries, N bits each, into
+ceil(W*N / 64) ``uint64`` limbs (one on every space the survey
+walks), with no hash: the run keeps the first child of each key, and
+a binary search in ``seen``, the sorted keys of the bases already
+yielded, drops the rest, whose keys are then inserted in place.  One
+vectorized check per batch (_check_bases) confirms that every basis
+is in sorted reduced echelon form, below 2^N and closed under u
+before the batch is yielded.  So each code generated by up to g rows
+is yielded once, while far fewer candidates are touched than the
+(2^(alpha+2*beta))^g generator tuples the space nominally contains.
+That nominal count is still the budget guard: exhaustive mode
+refuses a space whose tuples, summed over all its shapes, exceed
+2^26.  Random mode drops repeated codes by an exact key: the shape
+and the reduced basis, at most alpha + 2*beta integers.
+
+The consumers of the walk build an AdditiveCode only for the bases
+they keep, choosing them on the batch: enumerate_candidates by each
+basis's rank against the per-shape rank table the random stream also
+reads (_rank_fits), and verify_fsd_classification by rank N/2 and the
+basis-row rule on the whole batch (_batch_weights_fit).
 
 Both modes reduce and join in one batched kernel, on columns of
 reduced, increasing ``uint64`` bases: _reduced reduces a word against
@@ -31,20 +46,20 @@ basis of {g, u*g} with it.
 A random draw is handled rank first.  Its rows are drawn as packed
 integers and reduced to the basis of {g, u*g}, whose rank k gives
 |C| = 2^k.  enumerate_candidates, the one candidate stream, applies a
-target's size rule (_size_fits): in random mode to k, read from a
-per-shape table filled before the first draw, so that only passing
-draws are deduplicated on (shape, basis), the first drawing kept, and
-built as codes; in exhaustive mode to each code walked.  A code's size
-does not depend on which rows drew it, so this yields exactly the
-untargeted stream's codes that pass, in the same order.  When every
-shape has alpha <= 31 and beta <= 15, the draws come in numpy blocks
-of at most 2^12: one bulk getrandbits call gives a block's 32-bit
-words, randrange's rejections become masks on them, the kernel builds
-every draw's basis, and each passing draw's basis must equal the
-scalar core._rref of its rows.  A space with a wider shape calls
-randrange per field and core._rref per draw.  Either way a seed gives
-the stream that randrange draws would (see _random_candidates for
-why).
+target's size rule (_size_fits), read on k from a per-shape table
+filled before the first draw or walk: in random mode so that only
+passing draws are deduplicated on (shape, basis), the first drawing
+kept, and built as codes; in exhaustive mode on each walked basis.  A
+code's size does not depend on which rows drew it, so this yields
+exactly the untargeted stream's codes that pass, in the same order.
+When every shape has alpha <= 31 and beta <= 15, the draws come in
+numpy blocks of at most 2^12: one bulk getrandbits call gives a
+block's 32-bit words, randrange's rejections become masks on them, the
+kernel builds every draw's basis, and each passing draw's basis must
+equal the scalar core._rref of its rows.  A space with a wider shape
+calls randrange per field and core._rref per draw.  Either way a seed
+gives the stream that randrange draws would (see _random_candidates
+for why).
 
 Searches with a target prune candidates with cheap necessary
 conditions before any dual work:
@@ -60,10 +75,12 @@ conditions before any dual work:
                    (N, |C|, m1, m2) vanishes
   fsd_one_weight   the one_weight conditions plus |C|^2 = 2^N
 
-The basis-row rule (_basis_weights_fit) is shared with the
-one-weight survey: basis rows are nonzero codewords, so a code with at
-most t nonzero Lee weights shows at most t distinct weights on them,
-and the check reads the basis alone, before any word is built.
+The basis-row rule is shared with the one-weight survey: basis rows
+are nonzero codewords, so a code with at most t nonzero Lee weights
+shows at most t distinct weights on them, and the check reads the
+basis alone, before any word is built.  The search reads it per code
+(_basis_weights_fit), the survey per walk batch (_batch_weights_fit);
+the test suite checks that the two agree on every code of a walk.
 
 Each pruner only skips codes the target rejects; the test suite checks
 the hits against an unpruned search of its own.
@@ -257,20 +274,28 @@ def _grow_pairs(
 
 def _codes_by_closure(
     shape: AmbientShape, max_rows: int
-) -> Iterator[AdditiveCode]:
-    """All distinct codes generated by up to max_rows rows, zero code first.
+) -> Iterator[np.ndarray]:
+    """All distinct codes generated by up to max_rows rows, zero code
+    first, as batches of reduced bases: each batch is an (n, W)
+    ``uint64`` array, W = min(2 * max_rows, N), one basis per line,
+    increasing and zero-padded on the left.
 
-    Each level grows every basis of the frontier (the bases, not the
-    codes, of the last level's new codes) by each of its free words w,
-    the words with no pivot bit, in increasing order: the child is
-    span(base, w, u*w).  A level's (base, w) pairs are numbered
-    0, 1, ... in that order, and a run is the next _RUN_PAIRS numbers,
-    which may cut a base's free words anywhere, so the batch arrays
-    stay small whatever the shape.  One _grow_pairs call per run builds
-    the children of its parents of every rank, the run keeps the first
-    occurrence of each by exact byte equality, and only those meet the
-    exact set of bases already yielded.  The stream is therefore that
-    of growing the pairs one by one: the same codes, bases and order.
+    Each level grows every basis of the frontier (the last level's
+    batches, stacked) by each of its free words w, the words with no
+    pivot bit, in increasing order: the child is span(base, w, u*w).
+    A level's (base, w) pairs are numbered 0, 1, ... in that order, and
+    a run is the next _RUN_PAIRS numbers, which may cut a base's free
+    words anywhere, so the batch arrays stay small whatever the shape.
+    One _grow_pairs call per run builds the children of its parents of
+    every rank.  Each child packs into an exact key (_keys: its W
+    entries, N bits each, no hash), the run keeps the first occurrence
+    of each key, and ``seen``, the sorted keys of every basis yielded
+    so far, drops those already yielded by a binary search; the new
+    keys are inserted in place, and the run's new bases, in the order
+    of their first occurrence, are its batch.  The stream is therefore
+    that of growing the pairs one by one: the same codes, bases and
+    order.  A batch is yielded only after _check_bases confirms every
+    line is a sorted reduced echelon basis below 2^N, closed under u.
 
     Skip rule: w is not grown when 0 < w ^ r < w, r being u*w reduced
     against the base.  The base is u-closed and u*u = 0, so u*r lies in
@@ -283,40 +308,85 @@ def _codes_by_closure(
     Words are ``uint64``: the exhaustive cap of 2^26 tuples keeps
     N <= 26.
     """
-    yield AdditiveCode(shape, (), ())
-    seen: set[tuple[int, ...]] = {()}
-    frontier: list[tuple[int, ...]] = [()]
+    n = shape.big_n
+    width = min(2 * max_rows, n)
+    frontier = np.zeros((1, width), np.uint64)
+    yield frontier
+    seen = _keys(frontier, n, width)
     for _ in range(max_rows):
-        new_frontier: list[tuple[int, ...]] = []
+        level: list[np.ndarray] = []
         # base j's free words w = 1 .. free[j] are the pairs numbered
         # ends[j] - free[j] .. ends[j] - 1
-        ranks = np.fromiter(map(len, frontier), np.int64)
-        free = (1 << (shape.big_n - ranks)) - 1
+        ranks = np.count_nonzero(frontier, axis=1)
+        free = (1 << (n - ranks)) - 1
         ends = np.cumsum(free)
         total = int(free.sum())
         for start in range(0, total, _RUN_PAIRS):
             pair = np.arange(start, min(start + _RUN_PAIRS, total))
             owner = np.searchsorted(ends, pair, side="right")
             i = (pair - ends[owner] + free[owner] + 1).astype(np.uint64)
-            bases = frontier[owner[0]:owner[-1] + 1]
-            k = max(map(len, bases))
-            parents = np.zeros((len(bases), k), np.uint64)
-            for j, b in enumerate(bases):
-                parents[j, k - len(b):] = b
-            children, keep = _grow_pairs(shape, parents, owner - owner[0], i)
+            lo, hi = owner[0], owner[-1] + 1
+            k = int(ranks[lo:hi].max())
+            children, keep = _grow_pairs(
+                shape, frontier[lo:hi, width - k:], owner - lo, i)
             rows = children.T[keep]
-            # first occurrence of each row, by exact byte equality
-            _, first = np.unique(
-                rows.view(np.dtype((np.void, 8 * (k + 2)))).ravel(),
-                return_index=True)
-            first.sort()
-            for row in rows[first].tolist():
-                basis = tuple(filter(None, row))
-                if basis not in seen:
-                    seen.add(basis)
-                    new_frontier.append(basis)
-                    yield AdditiveCode(shape, None, basis)
-        frontier = new_frontier
+            new, first = np.unique(_keys(rows, n, width), return_index=True)
+            at = np.searchsorted(seen, new)
+            fresh = np.searchsorted(seen, new, side="right") == at
+            if not fresh.any():
+                continue
+            seen = np.insert(seen, at[fresh], new[fresh])
+            # the new bases in order, padded or cut to W columns: a
+            # child's rank is at most W, so only zeros are cut
+            rows = rows[np.sort(first[fresh]), -width:]
+            batch = np.zeros((len(rows), width), np.uint64)
+            batch[:, width - rows.shape[1]:] = rows
+            _check_bases(shape, batch)
+            level.append(batch)
+            yield batch
+        if not level:
+            return
+        frontier = np.concatenate(level)
+
+
+def _keys(rows: np.ndarray, n: int, width: int) -> np.ndarray:
+    """Exact keys of bases zero-padded on the left, one per line of
+    ``rows``: the j-th entry from the right at bits n*j .. n*j + n - 1
+    of a width*n-bit number, in ceil(width*n / 64) ``uint64`` limbs, so
+    two bases have equal keys exactly when they are equal.  One limb is
+    returned as ``uint64``, more as one void item per line; either
+    sorts, and the sort is all that ``seen`` needs."""
+    limbs = -(-width * n // 64)
+    key = np.zeros((len(rows), limbs), np.uint64)
+    for j in range(min(width, rows.shape[1])):
+        x = rows[:, -1 - j]
+        q, r = divmod(n * j, 64)
+        key[:, q] |= x << np.uint64(r)
+        if r + n > 64:
+            key[:, q + 1] |= x >> np.uint64(64 - r)
+    if limbs == 1:
+        return key[:, 0]
+    return key.view(np.dtype((np.void, 8 * limbs))).ravel()
+
+
+def _check_bases(shape: AmbientShape, batch: np.ndarray) -> None:
+    """Raise InternalVerificationFailure unless every line of ``batch``
+    is a basis in sorted reduced echelon form (leading zeros, then
+    rising leading bits, no row with another's leading bit), below 2^N
+    and closed under u: u*x of each row reduces to 0 against its line."""
+    top = _top_bits(batch)
+    pivots = np.bitwise_or.reduce(top, axis=1)
+    prior, later = top[:, :-1], top[:, 1:]
+    ux = (batch.T & np.uint64(shape.ring_a_mask)) << np.uint64(1)
+    good = (((prior < later) | ((prior | later) == 0)).all(axis=1)
+            & ((batch & pivots[:, None]) == top).all(axis=1)
+            & (batch >> np.uint64(shape.big_n) == 0).all(axis=1)
+            & (_reduced(batch.T, ux) == 0).all(axis=0))
+    if not good.all():
+        bad = batch[np.argmin(good)].tolist()
+        raise InternalVerificationFailure(
+            f"walk of {shape} built {bad}: not a sorted, reduced, u-closed "
+            f"basis below 2^{shape.big_n}")
 
 
 def _size_fits(target: str, shape: AmbientShape, size: int) -> bool:
@@ -342,6 +412,30 @@ def _basis_weights_fit(code: AdditiveCode, t: int) -> bool:
     than t nonzero Lee weights; no word is built to see it."""
     shape = code.shape
     return len({_lee_packed(shape, b) for b in code.basis}) <= t
+
+
+def _batch_weights_fit(
+    shape: AmbientShape, batch: np.ndarray, t: int
+) -> np.ndarray:
+    """_basis_weights_fit on each basis of a walk batch, as a mask.  A
+    word's Lee weight is the popcount of its Gray image (core._lee_packed)
+    and is 0 only for the zero word, so sorting each line's weights puts
+    its padding first, and each rise from 0 on counts one distinct
+    weight of a basis row."""
+    gray = batch ^ ((batch >> np.uint64(1)) & np.uint64(shape.ring_a_mask))
+    lee = np.sort(np.bitwise_count(gray), axis=1)
+    return np.count_nonzero(np.diff(lee, axis=1, prepend=0), axis=1) <= t
+
+
+def _rank_fits(space: SearchSpace) -> list[list[bool]]:
+    """Per shape of the space, whether a code of rank r can meet its
+    target (_size_fits; every size fits without a target), for
+    r = 0 .. 2 * max_rows: the rank of max_rows rows and their u
+    multiples is at most that."""
+    target = space.target
+    return [[target is None or _size_fits(target, shape, 1 << r)
+             for r in range(2 * space.max_rows + 1)]
+            for shape in space.shapes()]
 
 
 def _random_candidates(space: SearchSpace) -> Iterator[AdditiveCode]:
@@ -384,10 +478,7 @@ def _random_candidates(space: SearchSpace) -> Iterator[AdditiveCode]:
     if not shapes:
         return
     assert space.budget is not None
-    target = space.target
-    # the rank of {g, u*g} over max_rows rows is at most 2*max_rows
-    fits = [[target is None or _size_fits(target, shape, 1 << r)
-             for r in range(2 * space.max_rows + 1)] for shape in shapes]
+    fits = _rank_fits(space)
     rng = random.Random(space.seed)
     if all(s.alpha <= 31 and s.beta <= 15 for s in shapes):
         draws = _batched_draws(shapes, space.max_rows, space.budget, fits,
@@ -535,7 +626,9 @@ def enumerate_candidates(space: SearchSpace) -> Iterator[AdditiveCode]:
 
     The mode picks the stream, random draws or the walk of every code;
     with a target, only codes whose size can meet it (_size_fits) are
-    yielded, in the untargeted stream's order.
+    yielded, in the untargeted stream's order.  A walked basis is read
+    on its rank against the per-shape table (_rank_fits), and only the
+    bases that pass are built as codes.
 
     An exhaustive space whose total generator-tuple count, summed over
     all its shapes (:meth:`SearchSpace.tuple_count`), exceeds
@@ -544,17 +637,29 @@ def enumerate_candidates(space: SearchSpace) -> Iterator[AdditiveCode]:
     if space.mode == "random":
         yield from _random_candidates(space)
         return
+    fits = dict(zip(space.shapes(), map(np.array, _rank_fits(space))))
+    for shape, batch in _exhaustive_batches(space):
+        kept = batch[fits[shape][np.count_nonzero(batch, axis=1)]]
+        for row in kept.tolist():
+            yield AdditiveCode(shape, None, tuple(filter(None, row)))
+
+
+def _exhaustive_batches(
+    space: SearchSpace,
+) -> Iterator[tuple[AmbientShape, np.ndarray]]:
+    """The walk of every shape of an exhaustive space, as (shape, batch
+    of bases), after the tuple cap: a space whose total generator-tuple
+    count exceeds MAX_EXHAUSTIVE_TUPLES raises SpaceTooLarge before the
+    first batch."""
     count = space.tuple_count()
     if count > MAX_EXHAUSTIVE_TUPLES:
         raise SpaceTooLarge(
             f"space holds {count} generator tuples; "
             f"the exhaustive cap is {MAX_EXHAUSTIVE_TUPLES}"
         )
-    target = space.target
     for shape in space.shapes():
-        walk = _codes_by_closure(shape, space.max_rows)
-        yield from walk if target is None else (
-            c for c in walk if _size_fits(target, shape, c.cardinality))
+        for batch in _codes_by_closure(shape, space.max_rows):
+            yield shape, batch
 
 
 @dataclass(frozen=True)
@@ -656,12 +761,13 @@ def verify_fsd_classification(
     and a range past the 2^26-tuple cap raises SpaceTooLarge (at 3
     rows, (4, 2) fits and (6, 3) does not).  The screen's own cap,
     max_alpha <= 6 and max_beta <= 3, raises ValueError: the tuple cap
-    alone admits (25, 0) at 1 row, a walk of about 2^26 codes.  A code
-    of size 2^(N/2) is skipped on its basis rows' Lee weights when they
-    differ, and only the rest get their words built for the Lee
-    enumerator.  The survivor list must be exactly the four known
-    two-word codes (those with shapes inside the range); anything else
-    raises ClassificationViolation.
+    alone admits (25, 0) at 1 row, a walk of about 2^26 codes.  Every
+    walked basis counts as examined; the screen keeps, on each batch,
+    the bases of rank N/2 (|C|^2 = 2^N) whose basis rows show one Lee
+    weight, and builds codes only for those, for their Lee count.  The
+    survivor list must be exactly the four known two-word codes (those
+    with shapes inside the range); anything else raises
+    ClassificationViolation.
     """
     if max_alpha > 6 or max_beta > 3:
         raise ValueError("screen is capped at max_alpha = 6, max_beta = 3")
@@ -671,16 +777,18 @@ def verify_fsd_classification(
                         max_rows=max_rows)
     survivors: list[AdditiveCode] = []
     examined = 0
-    for code in enumerate_candidates(space):
-        examined += 1
-        size = code.cardinality
-        if (size < 2 or size * size != code.shape.ambient_size
-                or not _basis_weights_fit(code, 1)):
+    for shape, batch in _exhaustive_batches(space):
+        examined += len(batch)
+        n = shape.big_n
+        if n % 2:
             continue
-        if len(lee_enumerator(code).nonzero_weights()) != 1:
-            continue
-        if is_formally_self_dual(code):
-            survivors.append(code)
+        # |C|^2 = 2^N: rank N/2, at least 1
+        rows = batch[np.count_nonzero(batch, axis=1) == n // 2]
+        for row in rows[_batch_weights_fit(shape, rows, 1)].tolist():
+            code = AdditiveCode(shape, None, tuple(filter(None, row)))
+            if (len(lee_enumerator(code).nonzero_weights()) == 1
+                    and is_formally_self_dual(code)):
+                survivors.append(code)
     survivors.sort(key=lambda c: (c.shape.alpha, c.shape.beta, c.basis))
     expected = [
         AdditiveCode(shape, None, basis)

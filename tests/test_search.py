@@ -217,6 +217,13 @@ def test_walk_is_the_same_for_any_run_size(monkeypatch, run_pairs, spaces):
         assert got == rref_stream(alpha, beta, rows)
 
 
+def walk_bases(shape, max_rows):
+    """The bases of _codes_by_closure's batches, in order, as tuples."""
+    return [tuple(filter(None, row))
+            for batch in z2zu.search._codes_by_closure(shape, max_rows)
+            for row in batch.tolist()]
+
+
 def test_complete_walk_counts_every_submodule():
     # with enough rows the walk yields every submodule of the ambient:
     # over F2^n that is every subspace, the sum of the Gaussian
@@ -230,8 +237,7 @@ def test_complete_walk_counts_every_submodule():
 
     counts = []
     for n in range(1, 7):
-        bases = [c.basis for c in
-                 z2zu.search._codes_by_closure(AmbientShape(n, 0), n)]
+        bases = walk_bases(AmbientShape(n, 0), n)
         assert len(set(bases)) == len(bases)
         counts.append(len(bases))
         assert counts[-1] == sum(gaussian(n, k) for k in range(n + 1))
@@ -241,14 +247,93 @@ def test_complete_walk_counts_every_submodule():
     for alpha, beta, total in ((0, 3, 129), (2, 2, 249), (4, 2, 12015)):
         shape = AmbientShape(alpha, beta)
         rows = shape.big_n
-        got = [c.basis for c in z2zu.search._codes_by_closure(shape, rows)]
+        got = walk_bases(shape, rows)
         assert got == [c.basis for c in rref_walk(shape, rows)]
         assert len(got) == total
     # count only: the scalar walk takes seconds here
     shape = AmbientShape(6, 1)
-    bases = [c.basis for c in
-             z2zu.search._codes_by_closure(shape, shape.big_n)]
+    bases = walk_bases(shape, shape.big_n)
     assert len(set(bases)) == len(bases) == 55599
+
+
+def test_walk_with_multi_limb_keys_equals_rref_walk():
+    # N = 9 and W = min(2 * 4, 9) = 8 rows give 72-bit keys in two
+    # limbs; every other walk test keys in one
+    shape, rows = AmbientShape(1, 4), 4
+    assert z2zu.search._keys(np.zeros((1, 8), np.uint64), 9, 8).itemsize == 16
+    got = walk_bases(shape, rows)
+    assert len(got) == len(set(got)) == 13439
+    assert got == [c.basis for c in rref_walk(shape, rows)]
+
+
+def test_keys_hold_every_bit_of_every_entry(rng):
+    # decoding a key gives its row back: (8, 8) and (5, 3) fit one
+    # limb, and each other case splits an entry across two limbs
+    for n, width in ((8, 8), (9, 8), (10, 10), (11, 6), (26, 6), (5, 3)):
+        rows = np.array([[rng.getrandbits(n) for _ in range(width)]
+                         for _ in range(50)], np.uint64)
+        keys = z2zu.search._keys(rows, n, width)
+        limbs = keys.view(np.uint64).reshape(len(rows), -1).tolist()
+        assert len(limbs[0]) == -(-width * n // 64)
+        for row, key in zip(rows.tolist(), limbs):
+            value = sum(x << (64 * q) for q, x in enumerate(key))
+            assert [(value >> (n * j)) & ((1 << n) - 1)
+                    for j in reversed(range(width))] == row
+
+
+def corrupt_first_child(mode):
+    """A _grow_pairs that corrupts the first kept child of its first
+    call (the zero parent's, so a basis {w, r} of rank 2) and records
+    the corrupted basis: 'reduced' sets the lower row's leading bit in
+    the upper row, 'u_closed' drops the row of the two whose u multiple
+    is 0, leaving {x} with u*x not in it."""
+    real = z2zu.search._grow_pairs
+    corrupted = []
+
+    def grow(shape, parents, owner, i):
+        children, keep = real(shape, parents, owner, i)
+        if corrupted:
+            return children, keep
+        a = np.uint64(shape.ring_a_mask)
+        for p in np.flatnonzero(keep):
+            low, high = children[-2:, p]
+            if not low:
+                continue
+            if mode == "reduced":
+                top = 1 << (int(low).bit_length() - 1)
+                children[-1, p] = high | np.uint64(top)
+            else:
+                x = high if high & a else low
+                if not x & a:
+                    continue
+                children[:, p] = 0
+                children[-1, p] = x
+            corrupted.append(tuple(filter(None, children[:, p].tolist())))
+            break
+        return children, keep
+
+    return grow, corrupted
+
+
+@pytest.mark.parametrize("mode", ["reduced", "u_closed"])
+def test_walk_checks_each_batch_before_yielding_it(monkeypatch, mode):
+    # a child the kernel got wrong raises before its batch is yielded
+    grow, corrupted = corrupt_first_child(mode)
+    monkeypatch.setattr(z2zu.search, "_grow_pairs", grow)
+    shape = AmbientShape(2, 2)
+    yielded = []
+    with pytest.raises(InternalVerificationFailure, match="not a sorted"):
+        for batch in z2zu.search._codes_by_closure(shape, 2):
+            yielded += [tuple(filter(None, row)) for row in batch.tolist()]
+    assert len(corrupted) == 1
+    assert yielded == [()]
+    assert corrupted[0] not in yielded
+    # each mode breaks one property: a reduced basis is its own
+    # elimination, a u-closed one its own with the u multiples
+    basis = corrupted[0]
+    reduced = _rref(shape, basis, u_closed=False) == basis
+    assert (reduced, _rref(shape, basis) == basis) == (
+        (False, False) if mode == "reduced" else (True, False))
 
 
 def test_exhaustive_cap():
@@ -520,6 +605,42 @@ def test_basis_weight_prune_is_exact():
                     assert _basis_weights_fit(code, t)
                     few[t] += 1
     assert few[1] and few[2] > few[1]
+
+
+def test_batched_basis_rule_equals_the_scalar_rule():
+    # the survey reads the basis-row rule on a whole batch; it must
+    # agree with _basis_weights_fit, the search's rule, on every code
+    space = SearchSpace(alpha=(0, 4), beta=(0, 2), max_rows=3)
+    fired = {1: 0, 2: 0}
+    for shape, batch in z2zu.search._exhaustive_batches(space):
+        codes = [AdditiveCode(shape, None, tuple(filter(None, row)))
+                 for row in batch.tolist()]
+        for t in (1, 2):
+            mask = z2zu.search._batch_weights_fit(shape, batch, t)
+            assert mask.tolist() == [_basis_weights_fit(c, t) for c in codes]
+            fired[t] += len(codes) - int(mask.sum())
+    assert fired[1] > fired[2] > 0
+
+
+def test_walk_consumers_build_only_the_codes_they_keep(monkeypatch):
+    # count the codes z2zu.search builds
+    built = []
+
+    def counting(*args):
+        built.append(args)
+        return AdditiveCode(*args)
+
+    monkeypatch.setattr(z2zu.search, "AdditiveCode", counting)
+    report = verify_fsd_classification(4, 2, 3)
+    assert report.codes_examined == 11150
+    # 4,407 codes have |C|^2 = 2^N; the expected list adds its own
+    assert len(built) <= 4407 + len(report.expected)
+    built.clear()
+    space = SearchSpace(alpha=(0, 4), beta=(0, 2), max_rows=3,
+                        target="one_weight")
+    yielded = sum(1 for _ in enumerate_candidates(space))
+    assert yielded == len(built) > 0
+    assert yielded < 11150
 
 
 def unpruned_hits(space):
