@@ -5,176 +5,26 @@ four-element ring {0, 1, u, 1+u}.  The package computes spans, standard
 generator matrices, Lee weight enumerators, Gray images, duals (read
 off the basis, enumerators by transform), and the structural
 predicates used to classify one- and two-Lee-weight codes.
+
+The package re-exports every name in each module's ``__all__``, which
+is the one list of that module's public names.
 """
 
-from .classify import (
-    ClassificationReport,
-    DualSummary,
-    OneWeightReport,
-    TwoWeightReport,
-    WeightProfile,
-    classify,
-    dual_summary,
-    is_formally_self_dual,
-    is_projective,
-    is_self_dual,
-    is_self_orthogonal,
-    verify_fsd_even_weight_criterion,
-    verify_one_weight_theorems,
-    verify_two_weight_relations,
-    weight_profile,
-)
-from .core import (
-    MAX_BRUTE_AMBIENT_BITS,
-    MAX_CODE_WORD_BITS,
-    AdditiveCode,
-    AmbientShape,
-    BinaryCode,
-    MixedVector,
-    additive_span,
-    dual,
-    dual_brute,
-    format_matrix,
-    format_row,
-    gray_image,
-    gray_map,
-    gray_parameters,
-    inner_product,
-    lee_weight_vec,
-    min_lee_weight,
-    parse_matrix,
-    parse_matrix_file,
-    scalar_mul,
-    span,
-    vec_add,
-    zero_vector,
-)
-from .errors import (
-    AmbientTooLarge,
-    ClassificationViolation,
-    CodeTooLarge,
-    InternalVerificationFailure,
-    MatrixParseError,
-    NonIntegralTransform,
-    NotOneWeight,
-    NotProjective,
-    NotTwoWeight,
-    PreconditionViolation,
-    ShapeMismatch,
-    SpaceTooLarge,
-    TrivialCode,
-    Z2ZuError,
-    ZeroColumnPresent,
-)
-from .presets import PRESETS, Preset, preset_code
-from .ring import ONE, U, V, ZERO, RingElem, parse_ring_token
-from .search import (
-    OPTIMALITY_TABLE,
-    FsdSurveyReport,
-    SearchHit,
-    SearchSpace,
-    enumerate_candidates,
-    optimality_check,
-    search_with_pruning,
-    verify_fsd_classification,
-)
-from .standard_form import CodeType, StandardFormMatrix, standard_form, type_of
-from .weights import (
-    ColumnProfile,
-    LeeEnumerator,
-    PowerMoments,
-    column_profile,
-    hamming_enumerator,
-    lee_enumerator,
-    macwilliams,
-    power_moments,
-    weight_sum_identity,
-)
+from . import classify, core, errors, presets, ring, search, standard_form, weights
+
+# read before the star imports rebind z2zu.classify and
+# z2zu.standard_form to the functions of those names
+__all__ = [name for module in (classify, core, errors, presets, ring, search,
+                               standard_form, weights)
+           for name in module.__all__]
+
+from .classify import *  # noqa: E402, F403
+from .core import *  # noqa: E402, F403
+from .errors import *  # noqa: E402, F403
+from .presets import *  # noqa: E402, F403
+from .ring import *  # noqa: E402, F403
+from .search import *  # noqa: E402, F403
+from .standard_form import *  # noqa: E402, F403
+from .weights import *  # noqa: E402, F403
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AdditiveCode",
-    "AmbientShape",
-    "AmbientTooLarge",
-    "BinaryCode",
-    "ClassificationReport",
-    "ClassificationViolation",
-    "CodeTooLarge",
-    "CodeType",
-    "ColumnProfile",
-    "DualSummary",
-    "FsdSurveyReport",
-    "InternalVerificationFailure",
-    "LeeEnumerator",
-    "MAX_BRUTE_AMBIENT_BITS",
-    "MAX_CODE_WORD_BITS",
-    "MatrixParseError",
-    "MixedVector",
-    "NonIntegralTransform",
-    "NotOneWeight",
-    "NotProjective",
-    "NotTwoWeight",
-    "ONE",
-    "OPTIMALITY_TABLE",
-    "OneWeightReport",
-    "PRESETS",
-    "PowerMoments",
-    "PreconditionViolation",
-    "Preset",
-    "RingElem",
-    "SearchHit",
-    "SearchSpace",
-    "ShapeMismatch",
-    "SpaceTooLarge",
-    "StandardFormMatrix",
-    "TrivialCode",
-    "TwoWeightReport",
-    "U",
-    "V",
-    "WeightProfile",
-    "Z2ZuError",
-    "ZERO",
-    "ZeroColumnPresent",
-    "additive_span",
-    "classify",
-    "column_profile",
-    "dual",
-    "dual_brute",
-    "dual_summary",
-    "enumerate_candidates",
-    "format_matrix",
-    "format_row",
-    "gray_image",
-    "gray_map",
-    "gray_parameters",
-    "hamming_enumerator",
-    "inner_product",
-    "is_formally_self_dual",
-    "is_projective",
-    "is_self_dual",
-    "is_self_orthogonal",
-    "lee_enumerator",
-    "lee_weight_vec",
-    "macwilliams",
-    "min_lee_weight",
-    "optimality_check",
-    "parse_matrix",
-    "parse_matrix_file",
-    "parse_ring_token",
-    "power_moments",
-    "preset_code",
-    "scalar_mul",
-    "search_with_pruning",
-    "span",
-    "standard_form",
-    "type_of",
-    "vec_add",
-    "verify_fsd_classification",
-    "verify_fsd_even_weight_criterion",
-    "verify_one_weight_theorems",
-    "verify_two_weight_relations",
-    "weight_profile",
-    "weight_sum_identity",
-    "zero_vector",
-]

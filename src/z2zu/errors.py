@@ -2,6 +2,24 @@
 
 from __future__ import annotations
 
+__all__ = [
+    "Z2ZuError",
+    "ShapeMismatch",
+    "MatrixParseError",
+    "AmbientTooLarge",
+    "CodeTooLarge",
+    "TrivialCode",
+    "InternalVerificationFailure",
+    "NonIntegralTransform",
+    "ZeroColumnPresent",
+    "NotOneWeight",
+    "NotTwoWeight",
+    "NotProjective",
+    "PreconditionViolation",
+    "SpaceTooLarge",
+    "ClassificationViolation",
+]
+
 
 class Z2ZuError(Exception):
     """Base class for all package-specific errors."""

@@ -17,13 +17,16 @@ run yields its new bases as one batch, a ``uint64`` array with one
 basis per line, zero-padded on the left to W = min(2*g, N) entries,
 and the next level's frontier is the level's batches stacked.  A
 child's exact key packs its W entries, N bits each, into
-ceil(W*N / 64) ``uint64`` limbs (one on every space the survey
-walks), with no hash: the run keeps the first child of each key, and
-a binary search in ``seen``, the sorted keys of the bases already
-yielded, drops the rest, whose keys are then inserted in place.  One
-vectorized check per batch (_check_bases) confirms that every basis
-is in sorted reduced echelon form, below 2^N and closed under u
-before the batch is yielded.  So each code generated by up to g rows
+ceil(W*N / 64) ``uint64`` limbs, with no hash.  The tuple cap below
+gives N*g <= 26 on every shape, so W*N <= 2*g*N <= 52 and every walk
+reached through a public call keys in one limb; only a complete walk
+called directly as _codes_by_closure(shape, N) can need more.  A run
+keeps the first child of each key, and a binary search in ``seen``,
+the sorted keys of the bases already yielded, drops the rest, whose
+keys are then inserted in place.  One vectorized check per batch
+(_check_bases) confirms that every basis is in sorted reduced echelon
+form, below 2^N and closed under u before the batch is yielded.  So
+each code generated by up to g rows
 is yielded once, while far fewer candidates are touched than the
 (2^(alpha+2*beta))^g generator tuples the space nominally contains.
 That nominal count is still the budget guard: exhaustive mode
@@ -159,6 +162,10 @@ class SearchSpace:
     ``alpha``/``beta`` are (lo, hi) pairs; a bare int means a single
     value.  ``budget`` is the number of generator tuples drawn in
     random mode; exhaustive mode walks every code and takes none.
+    The random stream is deterministic for a given ``seed``; with
+    ``seed=None`` it is seeded from the OS, as ``random.Random(None)``
+    is, and differs from run to run.  The CLI always passes a seed
+    (default 0).
     """
 
     alpha: tuple[int, int]
@@ -355,7 +362,10 @@ def _keys(rows: np.ndarray, n: int, width: int) -> np.ndarray:
     of a width*n-bit number, in ceil(width*n / 64) ``uint64`` limbs, so
     two bases have equal keys exactly when they are equal.  One limb is
     returned as ``uint64``, more as one void item per line; either
-    sorts, and the sort is all that ``seen`` needs."""
+    sorts, and the sort is all that ``seen`` needs.  Every walk behind
+    a public call keys in one limb (the tuple cap gives width*n <= 52);
+    only a complete walk called directly, _codes_by_closure(shape, N),
+    can reach more."""
     limbs = -(-width * n // 64)
     key = np.zeros((len(rows), limbs), np.uint64)
     for j in range(min(width, rows.shape[1])):
@@ -622,11 +632,14 @@ def _bases(rows: np.ndarray, a_mask: np.ndarray) -> np.ndarray:
 
 
 def enumerate_candidates(space: SearchSpace) -> Iterator[AdditiveCode]:
-    """Deduplicated candidate codes of the space, deterministic order.
+    """Deduplicated candidate codes of the space.
 
     The mode picks the stream, random draws or the walk of every code;
     with a target, only codes whose size can meet it (_size_fits) are
-    yielded, in the untargeted stream's order.  A walked basis is read
+    yielded, in the untargeted stream's order.  The walk's order is
+    fixed; the draws are deterministic for a given ``space.seed``, and
+    ``seed=None`` seeds from the OS, as ``random.Random(None)`` does,
+    so that stream differs from run to run.  A walked basis is read
     on its rank against the per-shape table (_rank_fits), and only the
     bases that pass are built as codes.
 
@@ -679,6 +692,8 @@ def search_with_pruning(
     The candidates come from :func:`enumerate_candidates`.  ``include``
     rows are spanned and examined ahead of them under the same filters
     (useful for confirming a known matrix); each code is examined once.
+    An include with no rows raises ValueError before any code is
+    examined.
     The pruners (the size rule, the basis-row weights and the
     two-weight quadratic) only skip codes the target rejects, so the
     hits are those the target's predicate alone would keep.
@@ -690,6 +705,8 @@ def search_with_pruning(
     # the stream is deduplicated already; drop repeats of an include
     included: dict[tuple[AmbientShape, tuple[int, ...]], AdditiveCode] = {}
     for rows in include:
+        if not rows:
+            raise ValueError("empty include matrix: an include needs a row")
         code = span(rows[0].shape, tuple(rows))
         if _size_fits(target, code.shape, code.cardinality):
             included.setdefault((code.shape, code.basis), code)

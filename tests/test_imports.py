@@ -1,8 +1,10 @@
 """Every name a package module imports is used in that module, every
 module-level private function or constant is used somewhere in the
-package, and the package exports exactly the names it binds."""
+package, and the package exports exactly the names it binds: the union
+of its modules' ``__all__``."""
 
 import ast
+import sys
 import types
 from pathlib import Path
 
@@ -12,6 +14,34 @@ import z2zu
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "z2zu"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+
+# the package's exports from before the modules' __all__ became their one
+# record; none may be dropped by accident
+EXPORTED_BEFORE = (
+    "AdditiveCode", "AmbientShape", "AmbientTooLarge", "BinaryCode",
+    "ClassificationReport", "ClassificationViolation", "CodeTooLarge",
+    "CodeType", "ColumnProfile", "DualSummary", "FsdSurveyReport",
+    "InternalVerificationFailure", "LeeEnumerator",
+    "MAX_BRUTE_AMBIENT_BITS", "MAX_CODE_WORD_BITS", "MatrixParseError",
+    "MixedVector", "NonIntegralTransform", "NotOneWeight", "NotProjective",
+    "NotTwoWeight", "ONE", "OPTIMALITY_TABLE", "OneWeightReport", "PRESETS",
+    "PowerMoments", "PreconditionViolation", "Preset", "RingElem",
+    "SearchHit", "SearchSpace", "ShapeMismatch", "SpaceTooLarge",
+    "StandardFormMatrix", "TrivialCode", "TwoWeightReport", "U", "V",
+    "WeightProfile", "Z2ZuError", "ZERO", "ZeroColumnPresent",
+    "additive_span", "classify", "column_profile", "dual", "dual_brute",
+    "dual_summary", "enumerate_candidates", "format_matrix", "format_row",
+    "gray_image", "gray_map", "gray_parameters", "hamming_enumerator",
+    "inner_product", "is_formally_self_dual", "is_projective",
+    "is_self_dual", "is_self_orthogonal", "lee_enumerator",
+    "lee_weight_vec", "macwilliams", "min_lee_weight", "optimality_check",
+    "parse_matrix", "parse_matrix_file", "parse_ring_token",
+    "power_moments", "preset_code", "scalar_mul", "search_with_pruning",
+    "span", "standard_form", "type_of", "vec_add",
+    "verify_fsd_classification", "verify_fsd_even_weight_criterion",
+    "verify_one_weight_theorems", "verify_two_weight_relations",
+    "weight_profile", "weight_sum_identity", "zero_vector",
+)
 
 
 def unused_imports(source: str) -> list[str]:
@@ -85,7 +115,17 @@ def test_no_unreferenced_private_names():
 
 
 def test_package_exports_match_its_bindings():
-    # the import block and __all__ in __init__.py name the same objects
+    # z2zu.__all__ is the union of the re-exported modules' __all__, each
+    # name listed once and bound to its module's object
+    modules = [sys.modules[f"z2zu.{p.stem}"] for p in MODULES
+               if p.stem != "cli"]
+    assert len(modules) == 8
+    assert sorted(z2zu.__all__) == sorted(
+        name for module in modules for name in module.__all__)
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(z2zu, name) is getattr(module, name), name
+    assert set(EXPORTED_BEFORE) <= set(z2zu.__all__)
     assert len(z2zu.__all__) == len(set(z2zu.__all__))
     assert [n for n in z2zu.__all__ if not hasattr(z2zu, n)] == []
     bound = {name for name, value in vars(z2zu).items()

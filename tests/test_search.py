@@ -742,6 +742,18 @@ def test_include_rows_are_examined_with_the_stream():
     assert [h.code for h in hits] == [code]
 
 
+def test_empty_include_matrix_is_refused_before_the_stream(monkeypatch):
+    def no_stream(space):
+        raise AssertionError("the stream was opened")
+
+    monkeypatch.setattr(z2zu.search, "enumerate_candidates", no_stream)
+    space = SearchSpace(alpha=2, beta=0, max_rows=1, target="one_weight")
+    shape, rows = parse_matrix("1 1 |\n")
+    for include in ([[]], [rows, ()]):
+        with pytest.raises(ValueError, match="empty include matrix"):
+            search_with_pruning(space, include=include)
+
+
 def test_random_rediscovery_of_optimal_one_weight_code():
     # with this seed the uniform row draws land on an 8-word one-weight
     # code whose binary image meets the best known [14, 3] distance
