@@ -12,7 +12,9 @@ scratch.  With r the reduced u*w, the cosets of w and of w + r close
 to the same code, and only the one with the smaller reduced word is
 grown.  A level's (C, w) pairs are numbered in that order, and a
 numpy run grows the next 2^12 numbers, cutting C's free words
-anywhere.  The walk never holds a basis as a tuple or a code: each
+anywhere; C's free word i is i with a 0 inserted at each pivot bit of
+C, lowest first, so bit t of i lands on C's t-th lowest free bit.
+The walk never holds a basis as a tuple or a code: each
 run yields its new bases as one batch, a ``uint64`` array with one
 basis per line, zero-padded on the left to W = min(2*g, N) entries,
 and the next level's frontier is the level's batches stacked.  A
@@ -34,11 +36,27 @@ refuses a space whose tuples, summed over all its shapes, exceed
 2^26.  Random mode drops repeated codes by an exact key: the shape
 and the reduced basis, at most alpha + 2*beta integers.
 
+An exhaustive space is walked once, on its top shape (A, B), the last
+of its shapes; every other shape's stream is read off that walk.
+Shape (a, b) sits in (A, B) on the last a binary and the last b ring
+columns, the low bits of each part, so its codes are the top's codes
+that are zero outside those bits.  Only a (C, w) pair inside that
+sub-ambient grows a code inside it, and dropping bits that are zero
+never reorders words, so it keeps the order of those pairs, the skip
+rule and the first occurrence of each code: by induction on the
+levels, the top walk's bases inside the sub-ambient, compressed, are
+the sub-ambient's own walk, the same bases in the same order.  Any a
+binary and b ring columns would give that stream; the low bits of
+each part are the ones one shift of the binary part compresses.  A
+map that permuted the columns would give the same codes in another
+order.
+
 The consumers of the walk build an AdditiveCode only for the bases
 they keep, choosing them on the batch: enumerate_candidates by each
 basis's rank against the per-shape rank table the random stream also
-reads (_rank_fits), and verify_fsd_classification by rank N/2 and the
-basis-row rule on the whole batch (_batch_weights_fit).
+reads (_rank_fits), and verify_fsd_classification by rank N/2, the
+basis-row rule and the one-weight rule, each on the whole batch
+(_batch_weights_fit, _batch_one_weight).
 
 Both modes reduce and join in one batched kernel, on columns of
 reduced, increasing ``uint64`` bases: _reduced reduces a word against
@@ -256,22 +274,20 @@ def _grow_pairs(
     entry of ``owner`` and ``i``: the parents are the rows of
     ``parents``, increasing and zero-padded on the left to one width k,
     and word i of a parent has bit t of i at its t-th lowest bit that is
-    no pivot of the parent.
+    no pivot of the parent.  It is numbered by pivot insertion: over the
+    parent's leading bits p, rising, the bits of w at and above p move
+    up one, starting from w = i.
 
     Returns the child bases, one column of k + 2 increasing ``uint64``
     per pair, zero-padded the same way, and the mask of the pairs the
     skip rule keeps.
     """
-    n = shape.big_n
-    free = (np.uint64(shape.ambient_size - 1)
-            ^ np.bitwise_or.reduce(_top_bits(parents), axis=1))
-    bits = (free[:, None] >> np.arange(n, dtype=np.uint64)) & np.uint64(1)
-    # each parent's free bits, lowest first, as many as i's bits
-    t = int(i.max()).bit_length()
-    at = np.argsort(bits == 0, axis=1, kind="stable")[:, :t].astype(np.uint64)
-    # the free bits are disjoint, so the sum is an OR
-    w = (((i[:, None] >> np.arange(t, dtype=np.uint64)) & np.uint64(1))
-         << at[owner]).sum(axis=1, dtype=np.uint64)
+    # insert a 0 at each pivot, lowest first; a zero row's p - 1 wraps
+    # to all ones and leaves w alone
+    w = i
+    for below in (_top_bits(parents) - np.uint64(1)).T[:, owner]:
+        low = w & below
+        w = ((w ^ low) << np.uint64(1)) | low
     rows = parents.T[:, owner]
     r = _reduced(rows, (w & np.uint64(shape.ring_a_mask)) << np.uint64(1))
     wr = w ^ r
@@ -292,7 +308,9 @@ def _codes_by_closure(
     pivot bit, in increasing order: the child is span(base, w, u*w).
     A level's (base, w) pairs are numbered 0, 1, ... in that order, and
     a run is the next _RUN_PAIRS numbers, which may cut a base's free
-    words anywhere, so the batch arrays stay small whatever the shape.
+    words anywhere, so the batch arrays stay small whatever the shape
+    (_exhaustive_batches, which reads every shape of a space off its top
+    shape's walk, holds that walk whole).
     One _grow_pairs call per run builds the children of its parents of
     every rank.  Each child packs into an exact key (_keys: its W
     entries, N bits each, no hash), the run keeps the first occurrence
@@ -435,6 +453,21 @@ def _batch_weights_fit(
     gray = batch ^ ((batch >> np.uint64(1)) & np.uint64(shape.ring_a_mask))
     lee = np.sort(np.bitwise_count(gray), axis=1)
     return np.count_nonzero(np.diff(lee, axis=1, prepend=0), axis=1) <= t
+
+
+def _batch_one_weight(shape: AmbientShape, batch: np.ndarray) -> np.ndarray:
+    """Whether each basis of a walk batch spans a code with exactly one
+    nonzero Lee weight, as a mask.  Each line's words are built by
+    doubling, one row at a time (a zero row only repeats them), and
+    weighed as the popcounts of their Gray images; only the zero word
+    weighs 0, so the zero code is not one-weight."""
+    words = np.zeros((len(batch), 1), np.uint64)
+    for row in batch.T:
+        words = np.concatenate((words, words ^ row[:, None]), axis=1)
+    gray = words ^ ((words >> np.uint64(1)) & np.uint64(shape.ring_a_mask))
+    lee = np.bitwise_count(gray)
+    top = lee.max(axis=1)
+    return (top > 0) & ((lee == 0) | (lee == top[:, None])).all(axis=1)
 
 
 def _rank_fits(space: SearchSpace) -> list[list[bool]]:
@@ -663,16 +696,49 @@ def _exhaustive_batches(
     """The walk of every shape of an exhaustive space, as (shape, batch
     of bases), after the tuple cap: a space whose total generator-tuple
     count exceeds MAX_EXHAUSTIVE_TUPLES raises SpaceTooLarge before the
-    first batch."""
+    first batch.
+
+    Only the top shape (A, B), the last of space.shapes(), is walked.
+    A space with one shape streams that walk.  Otherwise its batches are
+    held, and each smaller shape (a, b) is read off them: the lines that
+    are zero outside its last a binary and last b ring columns (see the
+    module docstring for why that is its own walk, in its own order),
+    cut to W' = min(2 * max_rows, a + 2*b) entries (the rank is at most
+    a + 2*b, so only zeros are cut), then, _RUN_PAIRS lines a batch,
+    compressed to its words by one shift and two masks and checked by
+    _check_bases.  The top shape's own batches come last."""
     count = space.tuple_count()
     if count > MAX_EXHAUSTIVE_TUPLES:
         raise SpaceTooLarge(
             f"space holds {count} generator tuples; "
             f"the exhaustive cap is {MAX_EXHAUSTIVE_TUPLES}"
         )
-    for shape in space.shapes():
-        for batch in _codes_by_closure(shape, space.max_rows):
+    shapes = space.shapes()
+    if not shapes:
+        return
+    top = shapes[-1]
+    walk: Iterable[np.ndarray] = _codes_by_closure(top, space.max_rows)
+    if len(shapes) > 1:
+        walk = list(walk)
+        lines = np.concatenate(walk)
+        # a basis lies in a sub-ambient when the OR of its rows does
+        union = np.bitwise_or.reduce(lines, axis=1)
+    for shape in shapes[:-1]:
+        # shape's bits in top's words: its binary part at top's binary
+        # part's low end, its ring part at the ring part's low end
+        shift = 2 * (top.beta - shape.beta)
+        binary = ((1 << shape.alpha) - 1) << 2 * shape.beta
+        outside = top.ambient_size - 1 - (binary << shift) - shape.ring_mask
+        inside = lines[union & np.uint64(outside) == 0,
+                       -min(2 * space.max_rows, shape.big_n):]
+        for start in range(0, len(inside), _RUN_PAIRS):
+            part = inside[start:start + _RUN_PAIRS]
+            batch = (((part >> np.uint64(shift)) & np.uint64(binary))
+                     | (part & np.uint64(shape.ring_mask)))
+            _check_bases(shape, batch)
             yield shape, batch
+    for batch in walk:
+        yield top, batch
 
 
 @dataclass(frozen=True)
@@ -779,9 +845,12 @@ def verify_fsd_classification(
     rows, (4, 2) fits and (6, 3) does not).  The screen's own cap,
     max_alpha <= 6 and max_beta <= 3, raises ValueError: the tuple cap
     alone admits (25, 0) at 1 row, a walk of about 2^26 codes.  Every
-    walked basis counts as examined; the screen keeps, on each batch,
-    the bases of rank N/2 (|C|^2 = 2^N) whose basis rows show one Lee
-    weight, and builds codes only for those, for their Lee count.  The
+    basis of every shape's stream counts as examined, those read off
+    the top shape's walk as well as the walk's own; the screen keeps, on
+    each batch, the bases of rank N/2 (|C|^2 = 2^N) whose basis rows
+    show one Lee weight and whose words, built in numpy, show one
+    nonzero Lee weight (_batch_one_weight), and builds codes only for
+    those, for the scalar Lee count and formal self-duality.  The
     survivor list must be exactly the four known two-word codes (those
     with shapes inside the range); anything else raises
     ClassificationViolation.
@@ -799,9 +868,10 @@ def verify_fsd_classification(
         n = shape.big_n
         if n % 2:
             continue
-        # |C|^2 = 2^N: rank N/2, at least 1
-        rows = batch[np.count_nonzero(batch, axis=1) == n // 2]
-        for row in rows[_batch_weights_fit(shape, rows, 1)].tolist():
+        # |C|^2 = 2^N: rank N/2, at least 1, in the last N/2 entries
+        rows = batch[np.count_nonzero(batch, axis=1) == n // 2, -(n // 2):]
+        rows = rows[_batch_weights_fit(shape, rows, 1)]
+        for row in rows[_batch_one_weight(shape, rows)].tolist():
             code = AdditiveCode(shape, None, tuple(filter(None, row)))
             if (len(lee_enumerator(code).nonzero_weights()) == 1
                     and is_formally_self_dual(code)):

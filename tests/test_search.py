@@ -224,6 +224,52 @@ def walk_bases(shape, max_rows):
             for row in batch.tolist()]
 
 
+def test_exhaustive_batches_read_every_shape_off_the_top_walk():
+    # each smaller shape's stream is read off the top shape's walk; it
+    # must be that shape's own walk, the same bases in the same order
+    spaces = [SearchSpace(alpha=(2, 4), beta=(1, 2), max_rows=3),
+              SearchSpace(alpha=0, beta=(0, 4), max_rows=2),
+              SearchSpace(alpha=(0, 5), beta=0, max_rows=3),
+              SearchSpace(alpha=3, beta=2, max_rows=3),
+              SearchSpace(alpha=(0, 6), beta=(0, 1), max_rows=3),
+              SearchSpace(alpha=(0, 2), beta=(0, 3), max_rows=3)]
+    for space in spaces:
+        got = [(shape, tuple(filter(None, row)))
+               for shape, batch in z2zu.search._exhaustive_batches(space)
+               for row in batch.tolist()]
+        expected = [(shape, basis) for shape in space.shapes()
+                    for basis in walk_bases(shape, space.max_rows)]
+        assert got == expected
+
+
+def test_free_words_are_numbered_by_pivot_insertion(monkeypatch):
+    # word i of a parent is the i-th word below 2^N, in rising order,
+    # with no pivot bit of the parent.  The frontier parents of a 3-row
+    # walk are the bases of its 2-row walk, the zero parent first; each
+    # is padded on the left to 4 rows, so zero rows are skipped too.
+    # _grow_pairs joins each pair's word to its parent first.
+    joined = []
+    real = z2zu.search._join
+
+    def join(rows, x):
+        joined.append(x.tolist())
+        return real(rows, x)
+
+    monkeypatch.setattr(z2zu.search, "_join", join)
+    for shape in (AmbientShape(4, 2), AmbientShape(0, 4)):
+        parents = walk_bases(shape, 2)
+        assert parents[0] == ()
+        for basis in parents:
+            pivots = sum(1 << (b.bit_length() - 1) for b in basis)
+            free = [w for w in range(shape.ambient_size) if not w & pivots]
+            assert len(free) == shape.ambient_size >> len(basis)
+            i = np.arange(1, len(free), dtype=np.uint64)
+            padded = np.array([(0,) * (4 - len(basis)) + basis], np.uint64)
+            joined.clear()
+            z2zu.search._grow_pairs(shape, padded, np.zeros(len(i), np.intp), i)
+            assert joined[0] == free[1:]
+
+
 def test_complete_walk_counts_every_submodule():
     # with enough rows the walk yields every submodule of the ambient:
     # over F2^n that is every subspace, the sum of the Gaussian
@@ -622,6 +668,21 @@ def test_batched_basis_rule_equals_the_scalar_rule():
     assert fired[1] > fired[2] > 0
 
 
+def test_batched_one_weight_rule_equals_the_lee_count():
+    # the survey reads one-weightness on the batch; it must agree with
+    # the Lee enumerator on every code of the survey's walk
+    space = SearchSpace(alpha=(0, 4), beta=(0, 2), max_rows=3)
+    one = nonzero = 0
+    for shape, batch in z2zu.search._exhaustive_batches(space):
+        mask = z2zu.search._batch_one_weight(shape, batch).tolist()
+        for row, fits in zip(batch.tolist(), mask):
+            code = AdditiveCode(shape, None, tuple(filter(None, row)))
+            assert fits == (len(lee_enumerator(code).nonzero_weights()) == 1)
+            one += fits
+            nonzero += code.cardinality > 1
+    assert (one, nonzero) == (316, 11136)
+
+
 def test_walk_consumers_build_only_the_codes_they_keep(monkeypatch):
     # count the codes z2zu.search builds
     built = []
@@ -633,8 +694,9 @@ def test_walk_consumers_build_only_the_codes_they_keep(monkeypatch):
     monkeypatch.setattr(z2zu.search, "AdditiveCode", counting)
     report = verify_fsd_classification(4, 2, 3)
     assert report.codes_examined == 11150
-    # 4,407 codes have |C|^2 = 2^N; the expected list adds its own
-    assert len(built) <= 4407 + len(report.expected)
+    # 4,407 codes have |C|^2 = 2^N, and 10 of them pass the batched
+    # one-weight rule; the expected list adds its own
+    assert len(built) <= 10 + len(report.expected)
     built.clear()
     space = SearchSpace(alpha=(0, 4), beta=(0, 2), max_rows=3,
                         target="one_weight")
