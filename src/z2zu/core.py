@@ -254,7 +254,8 @@ def scalar_mul(c: RingElem | int, v: MixedVector) -> MixedVector:
 
 
 def _u_mul_packed(shape: AmbientShape, word: int) -> int:
-    """u * word on packed single-integer form (binary part dies)."""
+    """u * word on packed single-integer form (binary part dies).  It
+    works elementwise on a ``uint64`` array of words too, when N <= 64."""
     return (word & shape.ring_a_mask) << 1
 
 
@@ -514,7 +515,8 @@ def _rref(
     a_mask = shape.ring_a_mask
     for g in rows:
         # (g & a_mask) << 1 is u*g (_u_mul_packed), inlined: the random
-        # search runs this per draw
+        # search runs this per size-rule survivor, or per draw in a
+        # space with a shape too wide for its numpy blocks
         for x in (g, (g & a_mask) << 1) if u_closed else (g,):
             while x:
                 n = x.bit_length()
@@ -584,7 +586,9 @@ def _check_code_size(basis: Sequence[int]) -> None:
 
 def _doubled(rows: np.ndarray) -> np.ndarray:
     """Every XOR combination of the rows of a (k, L) limb array, by
-    doubling: rows [2^i, 2^(i+1)) are rows [0, 2^i) plus row i."""
+    doubling: rows [2^i, 2^(i+1)) are rows [0, 2^i) plus row i.  The
+    columns are independent, so a (k, n) array of n single-limb bases,
+    one per column, gives each basis's words in its column."""
     array = np.zeros((1 << len(rows), rows.shape[1]), dtype=np.uint64)
     n = 1
     for row in rows:
@@ -612,7 +616,9 @@ def _reduced_basis(array: np.ndarray) -> tuple[int, ...]:
 
 
 def _gray_array(shape: AmbientShape, array: np.ndarray) -> np.ndarray:
-    """Gray images of a codeword array's rows (the _gray_packed formula)."""
+    """Gray images of a codeword array's rows (the _gray_packed formula).
+    With N <= 64 every entry is one word, so any array of single-limb
+    words, a batch of many codes' words included, maps entry by entry."""
     return array ^ ((array >> 1) & _to_limbs(shape, (shape.ring_a_mask,)))
 
 

@@ -54,9 +54,8 @@ order.
 The consumers of the walk build an AdditiveCode only for the bases
 they keep, choosing them on the batch: enumerate_candidates by each
 basis's rank against the per-shape rank table the random stream also
-reads (_rank_fits), and verify_fsd_classification by rank N/2, the
-basis-row rule and the one-weight rule, each on the whole batch
-(_batch_weights_fit, _batch_one_weight).
+reads (_rank_fits), and verify_fsd_classification by rank N/2 and
+the one-weight rule, each on the whole batch (_batch_one_weight).
 
 Both modes reduce and join in one batched kernel, on columns of
 reduced, increasing ``uint64`` bases: _reduced reduces a word against
@@ -96,12 +95,12 @@ conditions before any dual work:
                    (N, |C|, m1, m2) vanishes
   fsd_one_weight   the one_weight conditions plus |C|^2 = 2^N
 
-The basis-row rule is shared with the one-weight survey: basis rows
-are nonzero codewords, so a code with at most t nonzero Lee weights
-shows at most t distinct weights on them, and the check reads the
-basis alone, before any word is built.  The search reads it per code
-(_basis_weights_fit), the survey per walk batch (_batch_weights_fit);
-the test suite checks that the two agree on every code of a walk.
+The basis-row rule (_basis_weights_fit) reads the basis alone, before
+any word is built: basis rows are nonzero codewords, so a code with at
+most t nonzero Lee weights shows at most t distinct weights on them.
+The one-weight survey needs no such pre-filter: it weighs every word
+of a whole walk batch at once on core's kernels (_batch_one_weight),
+and the scalar Lee count of each code it keeps is that rule's check.
 
 Each pruner only skips codes the target rejects; the test suite checks
 the hits against an unpruned search of its own.
@@ -122,14 +121,18 @@ from .classify import (
     classify,
     dual_summary,
     is_formally_self_dual,
+    is_projective,
     weight_profile,
 )
 from .core import (
     AdditiveCode,
     AmbientShape,
     MixedVector,
+    _doubled,
+    _gray_array,
     _lee_packed,
     _rref,
+    _u_mul_packed,
     gray_parameters,
     span,
 )
@@ -289,7 +292,7 @@ def _grow_pairs(
         low = w & below
         w = ((w ^ low) << np.uint64(1)) | low
     rows = parents.T[:, owner]
-    r = _reduced(rows, (w & np.uint64(shape.ring_a_mask)) << np.uint64(1))
+    r = _reduced(rows, _u_mul_packed(shape, w))
     wr = w ^ r
     keep = (wr == 0) | (wr >= w)
     return _join(_join(rows, w), np.minimum(r, wr)), keep
@@ -405,7 +408,7 @@ def _check_bases(shape: AmbientShape, batch: np.ndarray) -> None:
     top = _top_bits(batch)
     pivots = np.bitwise_or.reduce(top, axis=1)
     prior, later = top[:, :-1], top[:, 1:]
-    ux = (batch.T & np.uint64(shape.ring_a_mask)) << np.uint64(1)
+    ux = _u_mul_packed(shape, batch.T)
     good = (((prior < later) | ((prior | later) == 0)).all(axis=1)
             & ((batch & pivots[:, None]) == top).all(axis=1)
             & (batch >> np.uint64(shape.big_n) == 0).all(axis=1)
@@ -442,32 +445,16 @@ def _basis_weights_fit(code: AdditiveCode, t: int) -> bool:
     return len({_lee_packed(shape, b) for b in code.basis}) <= t
 
 
-def _batch_weights_fit(
-    shape: AmbientShape, batch: np.ndarray, t: int
-) -> np.ndarray:
-    """_basis_weights_fit on each basis of a walk batch, as a mask.  A
-    word's Lee weight is the popcount of its Gray image (core._lee_packed)
-    and is 0 only for the zero word, so sorting each line's weights puts
-    its padding first, and each rise from 0 on counts one distinct
-    weight of a basis row."""
-    gray = batch ^ ((batch >> np.uint64(1)) & np.uint64(shape.ring_a_mask))
-    lee = np.sort(np.bitwise_count(gray), axis=1)
-    return np.count_nonzero(np.diff(lee, axis=1, prepend=0), axis=1) <= t
-
-
 def _batch_one_weight(shape: AmbientShape, batch: np.ndarray) -> np.ndarray:
     """Whether each basis of a walk batch spans a code with exactly one
-    nonzero Lee weight, as a mask.  Each line's words are built by
-    doubling, one row at a time (a zero row only repeats them), and
-    weighed as the popcounts of their Gray images; only the zero word
-    weighs 0, so the zero code is not one-weight."""
-    words = np.zeros((len(batch), 1), np.uint64)
-    for row in batch.T:
-        words = np.concatenate((words, words ^ row[:, None]), axis=1)
-    gray = words ^ ((words >> np.uint64(1)) & np.uint64(shape.ring_a_mask))
-    lee = np.bitwise_count(gray)
-    top = lee.max(axis=1)
-    return (top > 0) & ((lee == 0) | (lee == top[:, None])).all(axis=1)
+    nonzero Lee weight, as a mask.  With the batch's lines in place of
+    limbs, core._doubled builds every line's words at once, column j
+    holding line j's (a zero row only repeats them), and their Lee
+    weights are the popcounts of their Gray images (core._gray_array);
+    only the zero word weighs 0, so the zero code is not one-weight."""
+    lee = np.bitwise_count(_gray_array(shape, _doubled(batch.T)))
+    top = lee.max(axis=0)
+    return (top > 0) & ((lee == 0) | (lee == top)).all(axis=0)
 
 
 def _rank_fits(space: SearchSpace) -> list[list[bool]]:
@@ -791,11 +778,12 @@ def search_with_pruning(
             code.shape.big_n, code.cardinality, weights[0], weights[1]
         ):
             continue
-        # a direct call: perfbench's funnel counts these as dual_calls
-        dual = dual_summary(code)
+        # a direct call: perfbench's funnel counts these as dual_calls;
+        # the summary is kept on the code, for the predicates below
+        dual_summary(code)
         if target == "fsd_one_weight" and not is_formally_self_dual(code):
             continue
-        if target == "two_weight_projective" and (dual.b1 or dual.b2):
+        if target == "two_weight_projective" and not is_projective(code):
             continue
         report = classify(code)
         gray = gray_parameters(code)
@@ -846,14 +834,15 @@ def verify_fsd_classification(
     max_alpha <= 6 and max_beta <= 3, raises ValueError: the tuple cap
     alone admits (25, 0) at 1 row, a walk of about 2^26 codes.  Every
     basis of every shape's stream counts as examined, those read off
-    the top shape's walk as well as the walk's own; the screen keeps, on
-    each batch, the bases of rank N/2 (|C|^2 = 2^N) whose basis rows
-    show one Lee weight and whose words, built in numpy, show one
-    nonzero Lee weight (_batch_one_weight), and builds codes only for
-    those, for the scalar Lee count and formal self-duality.  The
-    survivor list must be exactly the four known two-word codes (those
-    with shapes inside the range); anything else raises
-    ClassificationViolation.
+    the top shape's walk as well as the walk's own.  The screen keeps, on
+    each batch, the bases of rank N/2 (|C|^2 = 2^N) whose words, built
+    in numpy, show one nonzero Lee weight (_batch_one_weight), and
+    builds codes only for those.  Each kept code's scalar Lee count
+    must show exactly one nonzero weight, or the batched rule was wrong
+    and InternalVerificationFailure is raised; formal self-duality then
+    picks the survivors.  The survivor list must be exactly the four
+    known two-word codes (those with shapes inside the range); anything
+    else raises ClassificationViolation.
     """
     if max_alpha > 6 or max_beta > 3:
         raise ValueError("screen is capped at max_alpha = 6, max_beta = 3")
@@ -870,11 +859,14 @@ def verify_fsd_classification(
             continue
         # |C|^2 = 2^N: rank N/2, at least 1, in the last N/2 entries
         rows = batch[np.count_nonzero(batch, axis=1) == n // 2, -(n // 2):]
-        rows = rows[_batch_weights_fit(shape, rows, 1)]
         for row in rows[_batch_one_weight(shape, rows)].tolist():
             code = AdditiveCode(shape, None, tuple(filter(None, row)))
-            if (len(lee_enumerator(code).nonzero_weights()) == 1
-                    and is_formally_self_dual(code)):
+            weights = lee_enumerator(code).nonzero_weights()
+            if len(weights) != 1:
+                raise InternalVerificationFailure(
+                    f"batched one-weight rule kept {code}, whose Lee "
+                    f"enumerator shows nonzero weights {weights}")
+            if is_formally_self_dual(code):
                 survivors.append(code)
     survivors.sort(key=lambda c: (c.shape.alpha, c.shape.beta, c.basis))
     expected = [

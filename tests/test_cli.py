@@ -462,6 +462,16 @@ def test_search_verify_classification(capsys):
             "self-dual classification confirmed") in out
 
 
+def test_search_verify_classification_output_is_pinned(capsys):
+    # the survey of alpha <= 4, beta <= 2 at 3 rows: its count and
+    # survivors, generators and all, stay byte for byte as stored
+    rc, out, _ = run(capsys, ["search", "--verify-thm-4.5",
+                              "--alpha", "4", "--beta", "2", "--json"])
+    assert rc == 0
+    pinned = Path(__file__).parent / "search_outputs" / "verify_thm_4_5.json"
+    assert out == pinned.read_text()
+
+
 def test_search_verify_classification_refuses_ignored_flags(capsys):
     survey = ["search", "--verify-thm-4.5", "--alpha", "4", "--beta", "2"]
     for extra, message in (

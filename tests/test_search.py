@@ -653,34 +653,36 @@ def test_basis_weight_prune_is_exact():
     assert few[1] and few[2] > few[1]
 
 
-def test_batched_basis_rule_equals_the_scalar_rule():
-    # the survey reads the basis-row rule on a whole batch; it must
-    # agree with _basis_weights_fit, the search's rule, on every code
-    space = SearchSpace(alpha=(0, 4), beta=(0, 2), max_rows=3)
-    fired = {1: 0, 2: 0}
-    for shape, batch in z2zu.search._exhaustive_batches(space):
-        codes = [AdditiveCode(shape, None, tuple(filter(None, row)))
-                 for row in batch.tolist()]
-        for t in (1, 2):
-            mask = z2zu.search._batch_weights_fit(shape, batch, t)
-            assert mask.tolist() == [_basis_weights_fit(c, t) for c in codes]
-            fired[t] += len(codes) - int(mask.sum())
-    assert fired[1] > fired[2] > 0
-
-
 def test_batched_one_weight_rule_equals_the_lee_count():
     # the survey reads one-weightness on the batch; it must agree with
-    # the Lee enumerator on every code of the survey's walk
-    space = SearchSpace(alpha=(0, 4), beta=(0, 2), max_rows=3)
-    one = nonzero = 0
-    for shape, batch in z2zu.search._exhaustive_batches(space):
-        mask = z2zu.search._batch_one_weight(shape, batch).tolist()
-        for row, fits in zip(batch.tolist(), mask):
-            code = AdditiveCode(shape, None, tuple(filter(None, row)))
-            assert fits == (len(lee_enumerator(code).nonzero_weights()) == 1)
-            one += fits
-            nonzero += code.cardinality > 1
-    assert (one, nonzero) == (316, 11136)
+    # the Lee enumerator on every code of the survey's walk, of a
+    # ring-heavy walk, and of a 4-row walk, whose lines are N entries
+    # wide (W = min(2 * rows, N) = N)
+    for space, counts in (
+        (SearchSpace(alpha=(0, 4), beta=(0, 2), max_rows=3), (316, 11136)),
+        (SearchSpace(alpha=(0, 2), beta=(0, 3), max_rows=3), (144, 4666)),
+        (SearchSpace(alpha=(0, 3), beta=(0, 1), max_rows=4), (45, 172)),
+    ):
+        one = nonzero = 0
+        for shape, batch in z2zu.search._exhaustive_batches(space):
+            mask = z2zu.search._batch_one_weight(shape, batch).tolist()
+            for row, fits in zip(batch.tolist(), mask):
+                code = AdditiveCode(shape, None, tuple(filter(None, row)))
+                assert fits == (len(lee_enumerator(code).nonzero_weights())
+                                == 1)
+                one += fits
+                nonzero += code.cardinality > 1
+        assert (one, nonzero) == counts
+
+
+def test_survey_checks_the_batched_rule_against_the_lee_count(monkeypatch):
+    # a line the batched rule keeps wrongly is an internal failure, not
+    # a code the scalar count quietly drops
+    monkeypatch.setattr(z2zu.search, "_batch_one_weight",
+                        lambda shape, batch: np.ones(len(batch), bool))
+    with pytest.raises(InternalVerificationFailure,
+                       match="batched one-weight rule"):
+        verify_fsd_classification(2, 1)
 
 
 def test_walk_consumers_build_only_the_codes_they_keep(monkeypatch):
