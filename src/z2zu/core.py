@@ -670,26 +670,30 @@ def dual(code: AdditiveCode) -> AdditiveCode:
     The packed code's binary dual has one row per non-pivot bit j: bit
     j plus the leading bits of the basis rows that have bit j (each
     basis row meets it in exactly two bits, and no other basis row
-    has those leading bits).  sigma of those rows spans the dual (see
-    the module docstring).  Two exact checks pin the result: every
-    dual row is orthogonal to every code row under the full R-valued
-    inner product, both components of all pairs in one batched test
-    computed from the inner product's definition, not from sigma
-    (:func:`_orthogonal`), and |C| * |dual| = 2^N.
+    has those leading bits).  One pass over the basis rows builds them,
+    each row adding its leading bit to the rows of its other bits.
+    sigma of those rows spans the dual (see the module docstring).  Two
+    exact checks pin the result: every dual row is orthogonal to every
+    code row under the full R-valued inner product, both components of
+    all pairs in one batched test computed from the inner product's
+    definition, not from sigma (:func:`_orthogonal`), and
+    |C| * |dual| = 2^N.
     """
     _require_module(code, "dual")
     shape = code.shape
-    pivots = {b.bit_length() - 1: b for b in code.basis}
-    rows = []
-    for j in range(shape.big_n):
-        if j in pivots:
-            continue
-        row = 1 << j
-        for p, b in pivots.items():
-            if b >> j & 1:
-                row |= 1 << p
-        rows.append(_sigma_packed(shape, row))
-    basis = _rref(shape, rows, u_closed=False)
+    # rows[j] is bit j's row; no other basis row has a pivot, so its
+    # cleared row stays 0
+    rows = [1 << j for j in range(shape.big_n)]
+    for b in code.basis:
+        top = 1 << (b.bit_length() - 1)
+        rows[top.bit_length() - 1] = 0
+        rest = b ^ top
+        while rest:
+            low = rest & -rest
+            rows[low.bit_length() - 1] |= top
+            rest ^= low
+    basis = _rref(shape, [_sigma_packed(shape, r) for r in rows if r],
+                  u_closed=False)
     if not _orthogonal(shape, basis, code.basis):
         raise InternalVerificationFailure(
             "a dual basis row is not orthogonal to the code"

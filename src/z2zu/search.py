@@ -1,55 +1,47 @@
 """Exhaustive and random searches over small ambient modules.
 
 Exhaustive enumeration walks distinct codes rather than generator
-tuples: starting from the zero code, each level extends every known
-code C by one more generator w, growing C's reduced basis by w and u*w.
-The candidates w are the words with no pivot bit of C, in increasing
-order, one per coset of C.  Such a w is already reduced against C, and
-C is closed under u, so only u*w is reduced, against C and w; each of
-the two that is left nonzero is joined to C's basis, clearing its
-leading bit from the rows that have it, with no elimination from
-scratch.  With r the reduced u*w, the cosets of w and of w + r close
-to the same code, and only the one with the smaller reduced word is
-grown.  A level's (C, w) pairs are numbered in that order, and a
-numpy run grows the next 2^12 numbers, cutting C's free words
-anywhere; C's free word i is i with a 0 inserted at each pivot bit of
-C, lowest first, so bit t of i lands on C's t-th lowest free bit.
-The walk never holds a basis as a tuple or a code: each
-run yields its new bases as one batch, a ``uint64`` array with one
-basis per line, zero-padded on the left to W = min(2*g, N) entries,
-and the next level's frontier is the level's batches stacked.  A
-child's exact key packs its W entries, N bits each, into
-ceil(W*N / 64) ``uint64`` limbs, with no hash.  The tuple cap below
-gives N*g <= 26 on every shape, so W*N <= 2*g*N <= 52 and every walk
-reached through a public call keys in one limb; only a complete walk
-called directly as _codes_by_closure(shape, N) can need more.  A run
-keeps the first child of each key, and a binary search in ``seen``,
-the sorted keys of the bases already yielded, drops the rest, whose
-keys are then inserted in place.  One vectorized check per batch
-(_check_bases) confirms that every basis is in sorted reduced echelon
-form, below 2^N and closed under u before the batch is yielded.  So
-each code generated by up to g rows
-is yielded once, while far fewer candidates are touched than the
-(2^(alpha+2*beta))^g generator tuples the space nominally contains.
-That nominal count is still the budget guard: exhaustive mode
-refuses a space whose tuples, summed over all its shapes, exceed
-2^26.  Random mode drops repeated codes by an exact key: the shape
-and the reduced basis, at most alpha + 2*beta integers.
+tuples, as a tree in which every code has one parent, so no code is
+reached twice and nothing is deduplicated (canonical-parent generation,
+as in Read 1978 and McKay 1998, with a trivial group).  The tree lives
+in walk coordinates, which order a packed word's bits as the binary
+part, then the u bits of the ring digits, then their unit bits, lowest
+first, so u lowers bits: it moves the unit bits down by beta.  There
+the rows below the top row x of a code's reduced basis span its words
+below x's leading bit, a code closed under u: its parent.  So the
+children of P are P + x for the x above P's top pivot, free of P's
+pivots, with u*x in P, and the child's basis is P's with x on top.
+The walk yields the tree by rank, then parent, then x.
+
+By Nakayama's lemma C needs rank(C) - rank(u*C) generators, so a
+child needs as many as P when u*x lies outside u*P and one more
+otherwise.  The count never falls from parent to child: the codes
+generated by up to max_rows rows are a subtree, and the walk grows
+nothing past it.  Word j of a parent is j with a 0 inserted at each of
+its pivots; its free unit bits are its top free bits, so the top bits
+of j fix u*x, and each unit part is tested once: every word of a part
+that passes is a child.  The children are taken back to packed words
+and reduced there, and one vectorized check per batch (_check_bases)
+confirms that every basis is in sorted reduced echelon form, below 2^N
+and closed under u before the batch is yielded.  Far fewer candidates
+are touched than the (2^(alpha+2*beta))^g generator tuples the space
+nominally contains.  That nominal count is still the budget guard:
+exhaustive mode refuses a space whose tuples, summed over all its
+shapes, exceed 2^26.  Random mode drops repeated codes by an exact
+key: the shape and the reduced basis, at most alpha + 2*beta integers.
 
 An exhaustive space is walked once, on its top shape (A, B), the last
 of its shapes; every other shape's stream is read off that walk.
 Shape (a, b) sits in (A, B) on the last a binary and the last b ring
 columns, the low bits of each part, so its codes are the top's codes
-that are zero outside those bits.  Only a (C, w) pair inside that
-sub-ambient grows a code inside it, and dropping bits that are zero
-never reorders words, so it keeps the order of those pairs, the skip
-rule and the first occurrence of each code: by induction on the
-levels, the top walk's bases inside the sub-ambient, compressed, are
-the sub-ambient's own walk, the same bases in the same order.  Any a
-binary and b ring columns would give that stream; the low bits of
-each part are the ones one shift of the binary part compresses.  A
-map that permuted the columns would give the same codes in another
-order.
+that are zero outside those bits.  In walk coordinates those are the
+low bits of each of the three parts, so dropping the bits that are
+zero takes them, in order, to (a, b)'s own walk coordinates.  A code
+inside has its parent inside, and its children inside come from the
+words inside, in the same order: by induction on the rank, the top
+walk's bases inside (a, b), compressed, are (a, b)'s own walk, the
+same bases in the same order.  The low bits of each part are the ones
+one shift of the binary part compresses.
 
 The consumers of the walk build an AdditiveCode only for the bases
 they keep, choosing them on the batch: enumerate_candidates by each
@@ -59,9 +51,9 @@ the one-weight rule, each on the whole batch (_batch_one_weight).
 
 Both modes reduce and join in one batched kernel, on columns of
 reduced, increasing ``uint64`` bases: _reduced reduces a word against
-a basis and _join joins a reduced word to it.  The walk grows a whole
-run of (C, w) pairs with it, and the random blocks build each draw's
-basis of {g, u*g} with it.
+a basis and _join joins a reduced word to it.  The walk tests its
+parents' unit parts and rebuilds its children's packed bases with it,
+and the random blocks build each draw's basis of {g, u*g} with it.
 
 A random draw is handled rank first.  Its rows are drawn as packed
 integers and reduced to the basis of {g, u*g}, whose rank k gives
@@ -161,8 +153,9 @@ TARGETS = ("one_weight", "two_weight_projective", "fsd_one_weight")
 # summed over all shapes, exceeds this.
 MAX_EXHAUSTIVE_TUPLES = 1 << 26
 
-# (base, w) pairs the exhaustive walk grows per numpy batch: enough to
-# spread numpy's per-call cost, few enough to keep the batch small.
+# Unit parts or (parent, word) pairs per numpy batch of the exhaustive
+# walk, and the fewest parents it grows at once: enough to spread
+# numpy's per-call cost, few enough to keep the batch small.
 _RUN_PAIRS = 1 << 12
 
 # Random draws per numpy block, and the Mersenne Twister words a block
@@ -269,35 +262,6 @@ def _join(rows: np.ndarray, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _grow_pairs(
-    shape: AmbientShape, parents: np.ndarray, owner: np.ndarray,
-    i: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Grow reduced bases by free words, one (parent, word) pair per
-    entry of ``owner`` and ``i``: the parents are the rows of
-    ``parents``, increasing and zero-padded on the left to one width k,
-    and word i of a parent has bit t of i at its t-th lowest bit that is
-    no pivot of the parent.  It is numbered by pivot insertion: over the
-    parent's leading bits p, rising, the bits of w at and above p move
-    up one, starting from w = i.
-
-    Returns the child bases, one column of k + 2 increasing ``uint64``
-    per pair, zero-padded the same way, and the mask of the pairs the
-    skip rule keeps.
-    """
-    # insert a 0 at each pivot, lowest first; a zero row's p - 1 wraps
-    # to all ones and leaves w alone
-    w = i
-    for below in (_top_bits(parents) - np.uint64(1)).T[:, owner]:
-        low = w & below
-        w = ((w ^ low) << np.uint64(1)) | low
-    rows = parents.T[:, owner]
-    r = _reduced(rows, _u_mul_packed(shape, w))
-    wr = w ^ r
-    keep = (wr == 0) | (wr >= w)
-    return _join(_join(rows, w), np.minimum(r, wr)), keep
-
-
 def _codes_by_closure(
     shape: AmbientShape, max_rows: int
 ) -> Iterator[np.ndarray]:
@@ -306,98 +270,130 @@ def _codes_by_closure(
     ``uint64`` array, W = min(2 * max_rows, N), one basis per line,
     increasing and zero-padded on the left.
 
-    Each level grows every basis of the frontier (the last level's
-    batches, stacked) by each of its free words w, the words with no
-    pivot bit, in increasing order: the child is span(base, w, u*w).
-    A level's (base, w) pairs are numbered 0, 1, ... in that order, and
-    a run is the next _RUN_PAIRS numbers, which may cut a base's free
-    words anywhere, so the batch arrays stay small whatever the shape
-    (_exhaustive_batches, which reads every shape of a space off its top
-    shape's walk, holds that walk whole).
-    One _grow_pairs call per run builds the children of its parents of
-    every rank.  Each child packs into an exact key (_keys: its W
-    entries, N bits each, no hash), the run keeps the first occurrence
-    of each key, and ``seen``, the sorted keys of every basis yielded
-    so far, drops those already yielded by a binary search; the new
-    keys are inserted in place, and the run's new bases, in the order
-    of their first occurrence, are its batch.  The stream is therefore
-    that of growing the pairs one by one: the same codes, bases and
-    order.  A batch is yielded only after _check_bases confirms every
-    line is a sorted reduced echelon basis below 2^N, closed under u.
-
-    Skip rule: w is not grown when 0 < w ^ r < w, r being u*w reduced
-    against the base.  The base is u-closed and u*u = 0, so u*r lies in
-    it; w' = w ^ r is then a free word whose u*w' reduces to r too, and
-    w' + base closes to the same code as w + base.  So w -> w ^ r pairs
-    up the free words, and the larger of a pair would only grow the
-    child of the smaller again; r = w, which pairs w with itself, is
-    grown.
+    The walk yields the tree of the module docstring rank by rank.  A
+    level is a list of chunks: each holds walk bases, a column of k
+    rows per code, and the reduced bases of their u multiples, padded
+    to min(beta, max_rows) rows, the most rank(u*C) can be, so k less
+    their nonzero count is the generator count.  Chunks are stacked to
+    _RUN_PAIRS parents or more, grown in order, and dropped, and
+    _children and _grow work _RUN_PAIRS unit parts or words at a time,
+    so the arrays stay small whatever the shape.  A batch is yielded
+    only after _check_bases confirms every line is a sorted reduced
+    echelon basis below 2^N, closed under u.
 
     Words are ``uint64``: the exhaustive cap of 2^26 tuples keeps
     N <= 26.
     """
-    n = shape.big_n
-    width = min(2 * max_rows, n)
-    frontier = np.zeros((1, width), np.uint64)
-    yield frontier
-    seen = _keys(frontier, n, width)
-    for _ in range(max_rows):
-        level: list[np.ndarray] = []
-        # base j's free words w = 1 .. free[j] are the pairs numbered
-        # ends[j] - free[j] .. ends[j] - 1
-        ranks = np.count_nonzero(frontier, axis=1)
-        free = (1 << (n - ranks)) - 1
-        ends = np.cumsum(free)
-        total = int(free.sum())
-        for start in range(0, total, _RUN_PAIRS):
-            pair = np.arange(start, min(start + _RUN_PAIRS, total))
-            owner = np.searchsorted(ends, pair, side="right")
-            i = (pair - ends[owner] + free[owner] + 1).astype(np.uint64)
-            lo, hi = owner[0], owner[-1] + 1
-            k = int(ranks[lo:hi].max())
-            children, keep = _grow_pairs(
-                shape, frontier[lo:hi, width - k:], owner - lo, i)
-            rows = children.T[keep]
-            new, first = np.unique(_keys(rows, n, width), return_index=True)
-            at = np.searchsorted(seen, new)
-            fresh = np.searchsorted(seen, new, side="right") == at
-            if not fresh.any():
-                continue
-            seen = np.insert(seen, at[fresh], new[fresh])
-            # the new bases in order, padded or cut to W columns: a
-            # child's rank is at most W, so only zeros are cut
-            rows = rows[np.sort(first[fresh]), -width:]
-            batch = np.zeros((len(rows), width), np.uint64)
-            batch[:, width - rows.shape[1]:] = rows
-            _check_bases(shape, batch)
-            level.append(batch)
-            yield batch
-        if not level:
+    width = min(2 * max_rows, shape.big_n)
+    yield np.zeros((1, width), np.uint64)
+    pad = min(shape.beta, max_rows)
+    level = [(np.zeros((0, 1), np.uint64), np.zeros((pad, 1), np.uint64))]
+    # rank(C) is the generator count plus rank(u*C)
+    last = min(max_rows + pad, shape.big_n)
+    for rank in range(1, last + 1):
+        grown: list[tuple[np.ndarray, np.ndarray]] = []
+        level.reverse()
+        while level:
+            chunk, size = [], 0
+            while level and size < _RUN_PAIRS:
+                chunk.append(level.pop())
+                size += chunk[-1][0].shape[1]
+            basis, umul = (np.concatenate(a, axis=1) for a in zip(*chunk))
+            for children, cumul, batch in _children(
+                    shape, basis, umul, max_rows, width):
+                _check_bases(shape, batch)
+                yield batch
+                if rank < last:
+                    grown.append((children, cumul))
+        if not grown:
             return
-        frontier = np.concatenate(level)
+        level = grown
 
 
-def _keys(rows: np.ndarray, n: int, width: int) -> np.ndarray:
-    """Exact keys of bases zero-padded on the left, one per line of
-    ``rows``: the j-th entry from the right at bits n*j .. n*j + n - 1
-    of a width*n-bit number, in ceil(width*n / 64) ``uint64`` limbs, so
-    two bases have equal keys exactly when they are equal.  One limb is
-    returned as ``uint64``, more as one void item per line; either
-    sorts, and the sort is all that ``seen`` needs.  Every walk behind
-    a public call keys in one limb (the tuple cap gives width*n <= 52);
-    only a complete walk called directly, _codes_by_closure(shape, N),
-    can reach more."""
-    limbs = -(-width * n // 64)
-    key = np.zeros((len(rows), limbs), np.uint64)
-    for j in range(min(width, rows.shape[1])):
-        x = rows[:, -1 - j]
-        q, r = divmod(n * j, 64)
-        key[:, q] |= x << np.uint64(r)
-        if r + n > 64:
-            key[:, q + 1] |= x >> np.uint64(64 - r)
-    if limbs == 1:
-        return key[:, 0]
-    return key.view(np.dtype((np.void, 8 * limbs))).ravel()
+def _children(
+    shape: AmbientShape, basis: np.ndarray, umul: np.ndarray,
+    max_rows: int, width: int,
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The children of a chunk of parents, in the walk's order, as
+    _grow returns them run by run.  Parent P's words x are word j for
+    2^m0 <= j < 2^(N - k), m0 counting P's free bits below its top pivot.
+    A unit part passes when u*x reduces to 0 against P and, if P has
+    max_rows generators already, not against u*P; then every word of it
+    is a child, so a parent costs at most 2^beta tests beside them."""
+    k, count = basis.shape
+    n, beta = shape.big_n, shape.beta
+    tops = _top_bits(basis)
+    pivots = np.bitwise_or.reduce(tops, axis=0)
+    units = beta - np.bitwise_count(
+        pivots >> np.uint64(n - beta)).astype(np.int64)
+    low = n - k - units
+    m0 = (np.bitwise_count(~pivots & (tops[-1] - np.uint64(1))).astype(
+        np.int64) if k else np.zeros(count, np.int64))
+    first = (1 << m0) >> low
+    full = k - np.count_nonzero(umul, axis=0) == max_rows
+    tests = (1 << units) - first
+    ends = np.cumsum(tests)
+    for start in range(0, int(ends[-1]), _RUN_PAIRS):
+        item = np.arange(start, min(start + _RUN_PAIRS, int(ends[-1])))
+        owner = np.searchsorted(ends, item, side="right")
+        part = item - ends[owner] + tests[owner] + first[owner]
+        lo = part << low[owner]
+        ux = _inserted(tops[:, owner], lo.astype(np.uint64)) >> np.uint64(beta)
+        ru = _reduced(umul[:, owner], ux)
+        ok = ((_reduced(basis[:, owner], ux) == 0)
+              & ((ru != 0) | ~full[owner]))
+        owner, ru = owner[ok], ru[ok]
+        lo = np.maximum(lo[ok], 1 << m0[owner])
+        sizes = ((part[ok] + 1) << low[owner]) - lo
+        stops = np.cumsum(sizes)
+        total = int(stops[-1]) if len(stops) else 0
+        for begin in range(0, total, _RUN_PAIRS):
+            pair = np.arange(begin, min(begin + _RUN_PAIRS, total))
+            at = np.searchsorted(stops, pair, side="right")
+            j = (lo[at] + pair - stops[at] + sizes[at]).astype(np.uint64)
+            p = owner[at]
+            yield _grow(shape, basis[:, p], umul[:, p], j, ru[at], width)
+
+
+def _grow(
+    shape: AmbientShape, parents: np.ndarray, umul: np.ndarray,
+    j: np.ndarray, ru: np.ndarray, width: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The children of (parent, word) pairs, one per entry of ``j``:
+    the columns of ``parents`` are walk bases, rows increasing, those
+    of ``umul`` the reduced bases of their u multiples, and ``ru`` is
+    u*x reduced against them.  Returns the children's walk bases (x,
+    word j of its parent, on top of the parent's rows), their u
+    multiples' bases (``ru`` joined) and their packed reduced bases,
+    one per line, zero-padded on the left to ``width`` entries."""
+    children = np.vstack((parents, _inserted(_top_bits(parents), j)))
+    # rank(u*C) <= min(beta, max_rows), so the join's first entry is 0
+    cumul = _join(umul, ru)[1:]
+    # packed words: binary part above the ring digits, each digit's u
+    # bit above its unit bit
+    alpha, beta = shape.alpha, shape.beta
+    one = np.uint64(1)
+    words = (children & np.uint64((1 << alpha) - 1)) << np.uint64(2 * beta)
+    for d in range(beta):
+        for bit, at in ((alpha + d, 2 * d + 1), (alpha + beta + d, 2 * d)):
+            words |= (children >> np.uint64(bit) & one) << np.uint64(at)
+    rows = np.zeros((0, len(j)), np.uint64)
+    for w in words:
+        rows = _join(rows, _reduced(rows, w))
+    batch = np.zeros((len(j), width), np.uint64)
+    batch[:, width - len(rows):] = rows.T
+    return children, cumul, batch
+
+
+def _inserted(tops: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """j with a 0 inserted at each pivot, ``tops`` holding the leading
+    bits of a basis per entry, rising: over the pivots p, lowest first,
+    the bits of j at and above p move up one, so bit t of j lands on
+    the t-th lowest bit that is no pivot."""
+    for top in tops:
+        low = j & (top - np.uint64(1))
+        j = ((j ^ low) << np.uint64(1)) | low
+    return j
 
 
 def _check_bases(shape: AmbientShape, batch: np.ndarray) -> None:
@@ -652,16 +648,16 @@ def _bases(rows: np.ndarray, a_mask: np.ndarray) -> np.ndarray:
 
 
 def enumerate_candidates(space: SearchSpace) -> Iterator[AdditiveCode]:
-    """Deduplicated candidate codes of the space.
+    """Distinct candidate codes of the space.
 
     The mode picks the stream, random draws or the walk of every code;
     with a target, only codes whose size can meet it (_size_fits) are
-    yielded, in the untargeted stream's order.  The walk's order is
-    fixed; the draws are deterministic for a given ``space.seed``, and
-    ``seed=None`` seeds from the OS, as ``random.Random(None)`` does,
-    so that stream differs from run to run.  A walked basis is read
-    on its rank against the per-shape table (_rank_fits), and only the
-    bases that pass are built as codes.
+    yielded, in the untargeted stream's order.  The walk's order is by
+    shape, rank, parent and new top row; the draws are deterministic
+    for a given ``space.seed``, and ``seed=None`` seeds from the OS, as
+    ``random.Random(None)`` does, so that stream differs from run to
+    run.  A walked basis is read on its rank against the per-shape
+    table (_rank_fits), and only the bases that pass are built as codes.
 
     An exhaustive space whose total generator-tuple count, summed over
     all its shapes (:meth:`SearchSpace.tuple_count`), exceeds

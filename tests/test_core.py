@@ -12,6 +12,8 @@ from z2zu.core import (
     _inner_packed,
     _lee_packed,
     _orthogonal,
+    _rref,
+    _sigma_packed,
     additive_span,
     dual,
     dual_brute,
@@ -347,6 +349,35 @@ def test_dual_from_basis_matches_scan(rng):
     for c in codes:
         assert dual(c) == dual_brute(c), c
     assert codes[-1].cardinality == 1 << 12
+
+
+def test_dual_rows_equal_the_pairwise_loop(rng):
+    # the binary dual's rows built pair by pair: for each non-pivot bit
+    # j, bit j plus the leading bit of each basis row that has bit j
+    def pairwise(code):
+        shape = code.shape
+        pivots = {b.bit_length() - 1: b for b in code.basis}
+        rows = []
+        for j in range(shape.big_n):
+            if j in pivots:
+                continue
+            row = 1 << j
+            for p, b in pivots.items():
+                if b >> j & 1:
+                    row |= 1 << p
+            rows.append(_sigma_packed(shape, row))
+        return _rref(shape, rows, u_closed=False)
+
+    codes = [preset_code(k) for k in PRESETS if preset_code(k).is_module()]
+    codes += [random_code(rng, max_alpha=6, max_beta=4) for _ in range(100)]
+    for alpha, beta in ((20, 14), (70, 3), (0, 40)):
+        shape = AmbientShape(alpha, beta)
+        codes.append(span(shape, []))
+        words = [rng.randrange(shape.ambient_size) for _ in range(9)]
+        codes.append(span(shape, [MixedVector.from_packed(shape, w)
+                                  for w in words]))
+    for c in codes:
+        assert dual(c).basis == pairwise(c), c
 
 
 def test_dual_checks_orthogonality(monkeypatch):

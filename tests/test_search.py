@@ -28,7 +28,6 @@ from z2zu.errors import (
     SpaceTooLarge,
 )
 from z2zu.presets import preset_code
-from z2zu.ring import U
 from z2zu.classify import classify, is_formally_self_dual, weight_profile
 from z2zu.search import (
     MAX_EXHAUSTIVE_TUPLES,
@@ -115,32 +114,23 @@ def test_exhaustive_dedups_across_generator_choices():
     assert len(codes) == 5
 
 
-def test_exhaustive_walk_grows_each_coset_pair_once(monkeypatch):
-    # a base code B is grown by one word of each pair {w + B, w + uw + B}
-    # of its other cosets: u*u = 0 makes w -> w + uw an involution
-    shape = AmbientShape(1, 2)
-
-    def grown_by(base):
-        cosets = shape.ambient_size // base.cardinality
-        fixed = sum((U * MixedVector.from_packed(shape, w)) in base
-                    for w in range(shape.ambient_size)) // base.cardinality
-        return (cosets - 1 + fixed - 1) // 2
-
-    level1 = {span(shape, [MixedVector.from_packed(shape, w)])
-              for w in range(1, shape.ambient_size)}
-    expected = grown_by(span(shape, [])) + sum(map(grown_by, level1))
-    kept = []
-    real = z2zu.search._grow_pairs
+def test_exhaustive_walk_grows_each_code_once(monkeypatch):
+    # every (parent, word) pair the grow kernel is handed makes a new
+    # code, and each one is yielded: no code is reached twice
+    pairs = []
+    real = z2zu.search._grow
 
     def counting(*args):
-        children, keep = real(*args)
-        kept.append(int(keep.sum()))
-        return children, keep
+        pairs.append(len(args[3]))
+        return real(*args)
 
-    monkeypatch.setattr(z2zu.search, "_grow_pairs", counting)
+    monkeypatch.setattr(z2zu.search, "_grow", counting)
     codes = list(enumerate_candidates(SearchSpace(alpha=1, beta=2, max_rows=2)))
-    assert sum(kept) == expected
-    assert len(codes) == len(set(codes))
+    assert sum(pairs) == len(codes) - 1 == len(set(codes)) - 1
+    for shape, rows in ((AmbientShape(2, 2), 8), (AmbientShape(0, 4), 3)):
+        pairs.clear()
+        bases = walk_bases(shape, rows)
+        assert sum(pairs) == len(bases) - 1 == len(set(bases)) - 1
 
 
 def test_top_bits_is_exact_on_uint64():
@@ -152,9 +142,11 @@ def test_top_bits_is_exact_on_uint64():
 
 
 def rref_walk(shape, max_rows):
-    """The closure walk with every word tested against the pivots and
-    each child basis eliminated from scratch by _rref: the reference
-    for the walk that grows the parent's basis in place."""
+    """Every code generated by up to max_rows rows, by closure: each
+    level grows each new code of the last by its reduced words, one of
+    each pair w, w + u*w, eliminates each child from scratch by _rref
+    and keeps the ones not seen before.  This is the set of codes the
+    walk must yield."""
     zero = AdditiveCode(shape, (), ())
     seen = {zero.basis}
     frontier = [zero]
@@ -177,17 +169,62 @@ def rref_walk(shape, max_rows):
         frontier = new_frontier
 
 
+def canonical_walk(shape, max_rows):
+    """The walk's stream, one parent and one word at a time: the order
+    the batched walk must yield.
+
+    Walk coordinates put packed bit place[q] at bit q: the binary part
+    lowest, then the u bits of the ring digits, then their unit bits,
+    so that u lowers bits.  Level by level, each code P of the last
+    level, in order, is grown by every x above P's top row with no
+    pivot of P, rising, such that u*x lies in P and P + x needs at most
+    max_rows generators: its rank less the rank of its u multiples.
+    The child's walk basis is P's with x on top; it is yielded as the
+    reduced basis of its packed rows."""
+    n, ring = shape.big_n, 2 * shape.beta
+    place = ([ring + i for i in range(shape.alpha)]
+             + [2 * d + 1 for d in range(shape.beta)]
+             + [2 * d for d in range(shape.beta)])
+
+    def packed(y):
+        return sum(1 << p for q, p in enumerate(place) if y >> q & 1)
+
+    def walked(w):
+        return sum(1 << q for q, p in enumerate(place) if w >> p & 1)
+
+    u = [walked(_u_mul_packed(shape, packed(x))) for x in range(1 << n)]
+    yield AdditiveCode(shape, None, ())
+    level = [()]
+    while level:
+        grown = []
+        for parent in level:
+            pivots = sum(1 << (b.bit_length() - 1) for b in parent)
+            start = 1 << parent[-1].bit_length() if parent else 1
+            for x in range(start, 1 << n):
+                if x & pivots or _reduce(parent, u[x]):
+                    continue
+                child = parent + (x,)
+                u_rows = [u[y] for y in child]
+                u_rank = len(_rref(shape, u_rows, u_closed=False))
+                if len(child) - u_rank <= max_rows:
+                    grown.append(child)
+                    yield AdditiveCode(shape, None,
+                                       _rref(shape, map(packed, child)))
+        level = grown
+
+
 def test_walk_equals_rref_from_scratch_walk():
-    # same codes, same bases, same order, shape after shape
+    # the canonical walk's codes, bases and order, shape after shape;
+    # the same set of codes as the from-scratch walk
     spaces = [SearchSpace(alpha=(0, 4), beta=(0, 2), max_rows=rows)
               for rows in (1, 2, 3)]
     spaces += [SearchSpace(alpha=a, beta=b, max_rows=3)
                for a, b in ((6, 1), (0, 3), (2, 3))]
     for space in spaces:
-        expected = [(c.shape, c.basis) for shape in space.shapes()
-                    for c in rref_walk(shape, space.max_rows)]
         got = [(c.shape, c.basis) for c in enumerate_candidates(space)]
-        assert got == expected
+        assert got == canonical_stream(space.alpha, space.beta, space.max_rows)
+        assert set(got) == set(rref_stream(
+            space.alpha, space.beta, space.max_rows))
 
 
 @functools.cache
@@ -198,23 +235,34 @@ def rref_stream(alpha, beta, max_rows):
             for c in rref_walk(shape, max_rows)]
 
 
+@functools.cache
+def canonical_stream(alpha, beta, max_rows):
+    """canonical_walk over a space's shapes, as (shape, basis) pairs."""
+    space = SearchSpace(alpha=alpha, beta=beta, max_rows=max_rows)
+    return [(c.shape, c.basis) for shape in space.shapes()
+            for c in canonical_walk(shape, max_rows)]
+
+
 @pytest.mark.parametrize("run_pairs, spaces", [
     # one pair per run: every pair starts a run (rows 2 and 3 on fewer
     # shapes, as each run costs a whole numpy pass)
     (1, [((0, 4), (0, 2), 1), ((0, 4), (0, 1), 2), ((0, 2), (0, 2), 2),
          ((0, 3), (0, 1), 3)]),
-    # (0, 3) has 63 free words at level 0, cut into 21 runs
+    # the zero code of (0, 3) has 8 unit parts to test, one passing
+    # with 7 children: both cut into runs of 3
     (3, [((0, 4), (0, 2), 1), ((0, 4), (0, 2), 2), (3, 0, 3), (0, 3, 3)]),
     (64, [((0, 4), (0, 2), rows) for rows in (1, 2, 3)]),
 ])
 def test_walk_is_the_same_for_any_run_size(monkeypatch, run_pairs, spaces):
-    # runs cut the (base, w) pairs anywhere, a base's free words too;
-    # the stream must not see the cuts
+    # runs cut the unit parts and the (parent, word) pairs anywhere, a
+    # parent's words too, and the chunks of parents with them; the
+    # stream must not see the cuts
     monkeypatch.setattr(z2zu.search, "_RUN_PAIRS", run_pairs)
     for alpha, beta, rows in spaces:
         space = SearchSpace(alpha=alpha, beta=beta, max_rows=rows)
         got = [(c.shape, c.basis) for c in enumerate_candidates(space)]
-        assert got == rref_stream(alpha, beta, rows)
+        assert got == canonical_stream(alpha, beta, rows)
+        assert set(got) == set(rref_stream(alpha, beta, rows))
 
 
 def walk_bases(shape, max_rows):
@@ -243,31 +291,38 @@ def test_exhaustive_batches_read_every_shape_off_the_top_walk():
 
 
 def test_free_words_are_numbered_by_pivot_insertion(monkeypatch):
-    # word i of a parent is the i-th word below 2^N, in rising order,
-    # with no pivot bit of the parent.  The frontier parents of a 3-row
-    # walk are the bases of its 2-row walk, the zero parent first; each
-    # is padded on the left to 4 rows, so zero rows are skipped too.
-    # _grow_pairs joins each pair's word to its parent first.
-    joined = []
-    real = z2zu.search._join
+    # word j of a parent is j with a 0 inserted at each pivot: bit t of
+    # j on the parent's t-th lowest free bit.  The grow kernel puts it
+    # on top of the parent's rows, which stay as they were.
+    def inserted(j, pivots):
+        x = q = 0
+        while j:
+            if not pivots >> q & 1:
+                x |= (j & 1) << q
+                j >>= 1
+            q += 1
+        return x
 
-    def join(rows, x):
-        joined.append(x.tolist())
-        return real(rows, x)
+    calls = []
+    real = z2zu.search._grow
 
-    monkeypatch.setattr(z2zu.search, "_join", join)
+    def grow(shape, parents, umul, j, ru, width):
+        calls.append((parents.T.tolist(), j.tolist()))
+        children, cumul, batch = real(shape, parents, umul, j, ru, width)
+        calls[-1] += (children.T.tolist(),)
+        return children, cumul, batch
+
+    monkeypatch.setattr(z2zu.search, "_grow", grow)
     for shape in (AmbientShape(4, 2), AmbientShape(0, 4)):
-        parents = walk_bases(shape, 2)
-        assert parents[0] == ()
-        for basis in parents:
-            pivots = sum(1 << (b.bit_length() - 1) for b in basis)
-            free = [w for w in range(shape.ambient_size) if not w & pivots]
-            assert len(free) == shape.ambient_size >> len(basis)
-            i = np.arange(1, len(free), dtype=np.uint64)
-            padded = np.array([(0,) * (4 - len(basis)) + basis], np.uint64)
-            joined.clear()
-            z2zu.search._grow_pairs(shape, padded, np.zeros(len(i), np.intp), i)
-            assert joined[0] == free[1:]
+        calls.clear()
+        walk_bases(shape, 3)
+        assert calls
+        for parents, words, children in calls:
+            for parent, j, child in zip(parents, words, children):
+                pivots = sum(1 << (b.bit_length() - 1) for b in parent)
+                assert child[:-1] == parent
+                assert child[-1] == inserted(j, pivots)
+                assert child[-1] >> max(parent, default=0).bit_length()
 
 
 def test_complete_walk_counts_every_submodule():
@@ -294,85 +349,82 @@ def test_complete_walk_counts_every_submodule():
         shape = AmbientShape(alpha, beta)
         rows = shape.big_n
         got = walk_bases(shape, rows)
-        assert got == [c.basis for c in rref_walk(shape, rows)]
+        assert got == [c.basis for c in canonical_walk(shape, rows)]
+        assert set(got) == {c.basis for c in rref_walk(shape, rows)}
         assert len(got) == total
-    # count only: the scalar walk takes seconds here
+    # count only: the scalar walks take seconds here
     shape = AmbientShape(6, 1)
     bases = walk_bases(shape, shape.big_n)
     assert len(set(bases)) == len(bases) == 55599
 
 
-def test_walk_with_multi_limb_keys_equals_rref_walk():
-    # N = 9 and W = min(2 * 4, 9) = 8 rows give 72-bit keys in two
-    # limbs; every other walk test keys in one
+def test_walk_of_nine_bits_at_four_rows_equals_the_scalar_walks():
+    # N = 9 at 4 rows, W = 8: the widest bases of the walk tests
     shape, rows = AmbientShape(1, 4), 4
-    assert z2zu.search._keys(np.zeros((1, 8), np.uint64), 9, 8).itemsize == 16
     got = walk_bases(shape, rows)
     assert len(got) == len(set(got)) == 13439
-    assert got == [c.basis for c in rref_walk(shape, rows)]
+    assert got == [c.basis for c in canonical_walk(shape, rows)]
+    assert set(got) == {c.basis for c in rref_walk(shape, rows)}
 
 
-def test_keys_hold_every_bit_of_every_entry(rng):
-    # decoding a key gives its row back: (8, 8) and (5, 3) fit one
-    # limb, and each other case splits an entry across two limbs
-    for n, width in ((8, 8), (9, 8), (10, 10), (11, 6), (26, 6), (5, 3)):
-        rows = np.array([[rng.getrandbits(n) for _ in range(width)]
-                         for _ in range(50)], np.uint64)
-        keys = z2zu.search._keys(rows, n, width)
-        limbs = keys.view(np.uint64).reshape(len(rows), -1).tolist()
-        assert len(limbs[0]) == -(-width * n // 64)
-        for row, key in zip(rows.tolist(), limbs):
-            value = sum(x << (64 * q) for q, x in enumerate(key))
-            assert [(value >> (n * j)) & ((1 << n) - 1)
-                    for j in reversed(range(width))] == row
+@pytest.mark.parametrize("alpha, beta, rows, count", [
+    # complete walks
+    (4, 3, 10, 378453), (6, 1, 8, 55599),
+    # walks cut by generator count
+    (4, 2, 3, 8630), (2, 3, 3, 3570), (0, 4, 3, 1916), (6, 1, 3, 27102),
+    (3, 2, 2, 659), (1, 4, 4, 13439),
+])
+def test_walk_counts_equal_the_deduplicating_walk(alpha, beta, rows, count):
+    # the counts of a walk that grew every code by every free word and
+    # kept the first occurrence of each basis by an exact key
+    walk = z2zu.search._codes_by_closure(AmbientShape(alpha, beta), rows)
+    assert sum(len(batch) for batch in walk) == count
 
 
 def corrupt_first_child(mode):
-    """A _grow_pairs that corrupts the first kept child of its first
-    call (the zero parent's, so a basis {w, r} of rank 2) and records
-    the corrupted basis: 'reduced' sets the lower row's leading bit in
-    the upper row, 'u_closed' drops the row of the two whose u multiple
-    is 0, leaving {x} with u*x not in it."""
-    real = z2zu.search._grow_pairs
+    """A _grow that corrupts the first line of rank 2 it returns and
+    records the corrupted basis: 'reduced' sets the lower row's leading
+    bit in the upper row, 'u_closed' keeps only a row whose u multiple
+    is not 0, leaving {x} with u*x not in it."""
+    real = z2zu.search._grow
     corrupted = []
 
-    def grow(shape, parents, owner, i):
-        children, keep = real(shape, parents, owner, i)
-        if corrupted:
-            return children, keep
+    def grow(shape, *args):
+        children, cumul, batch = real(shape, *args)
+        if corrupted or len(children) < 2:
+            return children, cumul, batch
         a = np.uint64(shape.ring_a_mask)
-        for p in np.flatnonzero(keep):
-            low, high = children[-2:, p]
-            if not low:
-                continue
+        for line in batch:
+            low, high = line[-2:]
             if mode == "reduced":
-                top = 1 << (int(low).bit_length() - 1)
-                children[-1, p] = high | np.uint64(top)
+                line[-1] = high | np.uint64(1 << (int(low).bit_length() - 1))
             else:
                 x = high if high & a else low
                 if not x & a:
                     continue
-                children[:, p] = 0
-                children[-1, p] = x
-            corrupted.append(tuple(filter(None, children[:, p].tolist())))
+                line[:] = 0
+                line[-1] = x
+            corrupted.append(tuple(filter(None, line.tolist())))
             break
-        return children, keep
+        return children, cumul, batch
 
     return grow, corrupted
 
 
 @pytest.mark.parametrize("mode", ["reduced", "u_closed"])
 def test_walk_checks_each_batch_before_yielding_it(monkeypatch, mode):
-    # a child the kernel got wrong raises before its batch is yielded
+    # a child the kernel got wrong raises before its batch is yielded;
+    # the zero code and the rank-1 level come before it
     grow, corrupted = corrupt_first_child(mode)
-    monkeypatch.setattr(z2zu.search, "_grow_pairs", grow)
+    monkeypatch.setattr(z2zu.search, "_grow", grow)
     shape = AmbientShape(2, 2)
     yielded = []
     with pytest.raises(InternalVerificationFailure, match="not a sorted"):
         for batch in z2zu.search._codes_by_closure(shape, 2):
             yielded += [tuple(filter(None, row)) for row in batch.tolist()]
     assert len(corrupted) == 1
-    assert yielded == [()]
+    expected = [c.basis for c in canonical_walk(shape, 2)]
+    assert yielded == [b for b in expected if len(b) < 2]
     assert corrupted[0] not in yielded
     # each mode breaks one property: a reduced basis is its own
     # elimination, a u-closed one its own with the u multiples
