@@ -13,8 +13,11 @@ children of P are P + x for the x above P's top pivot, free of P's
 pivots, with u*x in P, and the child's basis is P's with x on top.
 The walk yields the tree by rank, then parent, then x.
 
-By Nakayama's lemma C needs rank(C) - rank(u*C) generators, so a
-child needs as many as P when u*x lies outside u*P and one more
+By Nakayama's lemma C needs rank(C) - rank(u*C) generators.  u kills
+exactly the words with no unit bit and moves a row's leading unit bit
+down by beta, so rank(u*C) is the number of unit pivots of C's reduced
+walk basis.  The child gains one, x's leading bit, exactly when x has a
+unit bit: it needs as many generators as P then and one more
 otherwise.  The count never falls from parent to child: the codes
 generated by up to max_rows rows are a subtree, and the walk grows
 nothing past it.  Word j of a parent is j with a 0 inserted at each of
@@ -271,55 +274,50 @@ def _codes_by_closure(
     increasing and zero-padded on the left.
 
     The walk yields the tree of the module docstring rank by rank.  A
-    level is a list of chunks: each holds walk bases, a column of k
-    rows per code, and the reduced bases of their u multiples, padded
-    to min(beta, max_rows) rows, the most rank(u*C) can be, so k less
-    their nonzero count is the generator count.  Chunks are stacked to
-    _RUN_PAIRS parents or more, grown in order, and dropped, and
-    _children and _grow work _RUN_PAIRS unit parts or words at a time,
-    so the arrays stay small whatever the shape.  A batch is yielded
-    only after _check_bases confirms every line is a sorted reduced
-    echelon basis below 2^N, closed under u.
+    level is a list of walk bases, a column of k rows per code; they
+    are stacked to _RUN_PAIRS parents or more, grown in order, and
+    dropped, and _children and _grow work _RUN_PAIRS unit parts or
+    words at a time, so the arrays stay small whatever the shape.  A
+    batch is yielded only after _check_bases confirms every line is a
+    sorted reduced echelon basis below 2^N, closed under u.
 
     Words are ``uint64``: the exhaustive cap of 2^26 tuples keeps
     N <= 26.
     """
     width = min(2 * max_rows, shape.big_n)
     yield np.zeros((1, width), np.uint64)
-    pad = min(shape.beta, max_rows)
-    level = [(np.zeros((0, 1), np.uint64), np.zeros((pad, 1), np.uint64))]
-    # rank(C) is the generator count plus rank(u*C)
-    last = min(max_rows + pad, shape.big_n)
+    level = [np.zeros((0, 1), np.uint64)]
+    # rank(C) is the generator count plus rank(u*C) <= min(beta, max_rows)
+    last = min(max_rows + min(shape.beta, max_rows), shape.big_n)
     for rank in range(1, last + 1):
-        grown: list[tuple[np.ndarray, np.ndarray]] = []
+        grown: list[np.ndarray] = []
         level.reverse()
         while level:
             chunk, size = [], 0
             while level and size < _RUN_PAIRS:
                 chunk.append(level.pop())
-                size += chunk[-1][0].shape[1]
-            basis, umul = (np.concatenate(a, axis=1) for a in zip(*chunk))
-            for children, cumul, batch in _children(
-                    shape, basis, umul, max_rows, width):
+                size += chunk[-1].shape[1]
+            for children, batch in _children(
+                    shape, np.concatenate(chunk, axis=1), max_rows, width):
                 _check_bases(shape, batch)
                 yield batch
                 if rank < last:
-                    grown.append((children, cumul))
+                    grown.append(children)
         if not grown:
             return
         level = grown
 
 
 def _children(
-    shape: AmbientShape, basis: np.ndarray, umul: np.ndarray,
-    max_rows: int, width: int,
-) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    shape: AmbientShape, basis: np.ndarray, max_rows: int, width: int,
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """The children of a chunk of parents, in the walk's order, as
     _grow returns them run by run.  Parent P's words x are word j for
     2^m0 <= j < 2^(N - k), m0 counting P's free bits below its top pivot.
     A unit part passes when u*x reduces to 0 against P and, if P has
-    max_rows generators already, not against u*P; then every word of it
-    is a child, so a parent costs at most 2^beta tests beside them."""
+    max_rows generators already, it is not 0, so that x adds none; then
+    every word of it is a child, so a parent costs at most 2^beta tests
+    beside them."""
     k, count = basis.shape
     n, beta = shape.big_n, shape.beta
     tops = _top_bits(basis)
@@ -329,46 +327,41 @@ def _children(
     low = n - k - units
     m0 = (np.bitwise_count(~pivots & (tops[-1] - np.uint64(1))).astype(
         np.int64) if k else np.zeros(count, np.int64))
-    first = (1 << m0) >> low
-    full = k - np.count_nonzero(umul, axis=0) == max_rows
-    tests = (1 << units) - first
-    ends = np.cumsum(tests)
-    for start in range(0, int(ends[-1]), _RUN_PAIRS):
-        item = np.arange(start, min(start + _RUN_PAIRS, int(ends[-1])))
-        owner = np.searchsorted(ends, item, side="right")
-        part = item - ends[owner] + tests[owner] + first[owner]
+    # P needs k - (beta - units) generators, rank(u*P) being its unit
+    # pivots; at max_rows, unit part 0 (no unit bit in x) would add one
+    first = np.maximum((1 << m0) >> low, k - beta + units == max_rows)
+    for owner, part in _numbered((1 << units) - first):
+        part += first[owner]
         lo = part << low[owner]
         ux = _inserted(tops[:, owner], lo.astype(np.uint64)) >> np.uint64(beta)
-        ru = _reduced(umul[:, owner], ux)
-        ok = ((_reduced(basis[:, owner], ux) == 0)
-              & ((ru != 0) | ~full[owner]))
-        owner, ru = owner[ok], ru[ok]
+        ok = _reduced(basis[:, owner], ux) == 0
+        owner = owner[ok]
         lo = np.maximum(lo[ok], 1 << m0[owner])
-        sizes = ((part[ok] + 1) << low[owner]) - lo
-        stops = np.cumsum(sizes)
-        total = int(stops[-1]) if len(stops) else 0
-        for begin in range(0, total, _RUN_PAIRS):
-            pair = np.arange(begin, min(begin + _RUN_PAIRS, total))
-            at = np.searchsorted(stops, pair, side="right")
-            j = (lo[at] + pair - stops[at] + sizes[at]).astype(np.uint64)
-            p = owner[at]
-            yield _grow(shape, basis[:, p], umul[:, p], j, ru[at], width)
+        for at, index in _numbered(((part[ok] + 1) << low[owner]) - lo):
+            j = (lo[at] + index).astype(np.uint64)
+            yield _grow(shape, basis[:, owner[at]], j, width)
+
+
+def _numbered(sizes: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The items of ``sizes`` numbered in order, _RUN_PAIRS at a time:
+    per run, the item each number falls in and its index within it."""
+    ends = np.cumsum(sizes)
+    total = int(ends[-1]) if len(ends) else 0
+    for start in range(0, total, _RUN_PAIRS):
+        number = np.arange(start, min(start + _RUN_PAIRS, total))
+        item = np.searchsorted(ends, number, side="right")
+        yield item, number - ends[item] + sizes[item]
 
 
 def _grow(
-    shape: AmbientShape, parents: np.ndarray, umul: np.ndarray,
-    j: np.ndarray, ru: np.ndarray, width: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    shape: AmbientShape, parents: np.ndarray, j: np.ndarray, width: int,
+) -> tuple[np.ndarray, np.ndarray]:
     """The children of (parent, word) pairs, one per entry of ``j``:
-    the columns of ``parents`` are walk bases, rows increasing, those
-    of ``umul`` the reduced bases of their u multiples, and ``ru`` is
-    u*x reduced against them.  Returns the children's walk bases (x,
-    word j of its parent, on top of the parent's rows), their u
-    multiples' bases (``ru`` joined) and their packed reduced bases,
-    one per line, zero-padded on the left to ``width`` entries."""
+    the columns of ``parents`` are walk bases, rows increasing.  Returns
+    the children's walk bases (x, word j of its parent, on top of the
+    parent's rows) and their packed reduced bases, one per line,
+    zero-padded on the left to ``width`` entries."""
     children = np.vstack((parents, _inserted(_top_bits(parents), j)))
-    # rank(u*C) <= min(beta, max_rows), so the join's first entry is 0
-    cumul = _join(umul, ru)[1:]
     # packed words: binary part above the ring digits, each digit's u
     # bit above its unit bit
     alpha, beta = shape.alpha, shape.beta
@@ -382,7 +375,7 @@ def _grow(
         rows = _join(rows, _reduced(rows, w))
     batch = np.zeros((len(j), width), np.uint64)
     batch[:, width - len(rows):] = rows.T
-    return children, cumul, batch
+    return children, batch
 
 
 def _inserted(tops: np.ndarray, j: np.ndarray) -> np.ndarray:

@@ -28,6 +28,7 @@ from z2zu.errors import (
     SpaceTooLarge,
 )
 from z2zu.presets import preset_code
+from z2zu.standard_form import standard_form
 from z2zu.classify import classify, is_formally_self_dual, weight_profile
 from z2zu.search import (
     MAX_EXHAUSTIVE_TUPLES,
@@ -121,7 +122,7 @@ def test_exhaustive_walk_grows_each_code_once(monkeypatch):
     real = z2zu.search._grow
 
     def counting(*args):
-        pairs.append(len(args[3]))
+        pairs.append(len(args[2]))
         return real(*args)
 
     monkeypatch.setattr(z2zu.search, "_grow", counting)
@@ -306,11 +307,11 @@ def test_free_words_are_numbered_by_pivot_insertion(monkeypatch):
     calls = []
     real = z2zu.search._grow
 
-    def grow(shape, parents, umul, j, ru, width):
+    def grow(shape, parents, j, width):
         calls.append((parents.T.tolist(), j.tolist()))
-        children, cumul, batch = real(shape, parents, umul, j, ru, width)
+        children, batch = real(shape, parents, j, width)
         calls[-1] += (children.T.tolist(),)
-        return children, cumul, batch
+        return children, batch
 
     monkeypatch.setattr(z2zu.search, "_grow", grow)
     for shape in (AmbientShape(4, 2), AmbientShape(0, 4)):
@@ -381,6 +382,24 @@ def test_walk_counts_equal_the_deduplicating_walk(alpha, beta, rows, count):
     assert sum(len(batch) for batch in walk) == count
 
 
+def test_row_cut_walks_are_the_complete_walks_codes_of_few_rows():
+    # the walk cuts its tree by generator count; here that count is
+    # k0 + k1 + k2, the rows of each complete-walk code's standard form
+    counts = {(3, 2): [80, 659, 1346], (0, 4): [136, 1151, 1916],
+              (2, 2): [40, 175, 244]}
+    for alpha, beta in ((2, 2), (0, 3), (3, 2), (1, 3), (4, 1), (0, 4)):
+        shape = AmbientShape(alpha, beta)
+        rows = {b: len(standard_form(AdditiveCode(shape, None, b)).rows)
+                for b in walk_bases(shape, shape.big_n)}
+        got = []
+        for r in (1, 2, 3):
+            bases = walk_bases(shape, r)
+            assert len(bases) == len(set(bases))
+            assert set(bases) == {b for b, g in rows.items() if g <= r}
+            got.append(len(bases))
+        assert got == counts.get((alpha, beta), got)
+
+
 def corrupt_first_child(mode):
     """A _grow that corrupts the first line of rank 2 it returns and
     records the corrupted basis: 'reduced' sets the lower row's leading
@@ -390,9 +409,9 @@ def corrupt_first_child(mode):
     corrupted = []
 
     def grow(shape, *args):
-        children, cumul, batch = real(shape, *args)
+        children, batch = real(shape, *args)
         if corrupted or len(children) < 2:
-            return children, cumul, batch
+            return children, batch
         a = np.uint64(shape.ring_a_mask)
         for line in batch:
             low, high = line[-2:]
@@ -406,7 +425,7 @@ def corrupt_first_child(mode):
                 line[-1] = x
             corrupted.append(tuple(filter(None, line.tolist())))
             break
-        return children, cumul, batch
+        return children, batch
 
     return grow, corrupted
 
