@@ -122,9 +122,6 @@ class LeeEnumerator:
                 terms.append(body if c == 1 else f"{c}{body}")
         return " + ".join(terms) if terms else "0"
 
-    def to_json_obj(self) -> dict:
-        return {"N": self.big_n, "counts": [[w, c] for w, c in self.entries]}
-
     def __str__(self) -> str:
         return self.poly_str()
 

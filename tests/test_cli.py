@@ -321,6 +321,21 @@ def test_classify_command(capsys):
         "dual_min_lee_weight": 3,
         "dual_source": "macwilliams",
     }
+    # the human form prints the same fields in the same order, the
+    # weights as a list
+    rc, out, err = run(capsys, ["classify", data_file("5.6")])
+    assert (rc, err) == (0, "")
+    assert out.splitlines() == [
+        "one_lee_weight: False",
+        "two_lee_weight: True",
+        "projective: True",
+        "formally_self_dual: False",
+        "self_orthogonal: True",
+        "self_dual: False",
+        "nonzero_weights: [12, 16]",
+        "dual_min_lee_weight: 3",
+        "dual_source: macwilliams",
+    ]
 
 
 # --------------------------------------------------------------- reproduce

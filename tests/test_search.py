@@ -607,9 +607,10 @@ def test_batched_bases_equal_rref():
                                   _u_mul_packed(shape, rows[j])])
         picked.append(shape)
         draws.append(rows)
-    bases = z2zu.search._bases(
-        np.array(draws, np.uint64),
-        np.array([s.ring_a_mask for s in picked], np.uint64))
+    g = np.array(draws, np.uint64).T
+    a_mask = np.array([s.ring_a_mask for s in picked], np.uint64)
+    bases = z2zu.search._echelon(
+        np.concatenate((g, (g & a_mask) << np.uint64(1))))
     assert bases.shape == (10, 1 << 12)
     for shape, rows, column in zip(picked, draws, bases.T.tolist()):
         assert tuple(filter(None, column)) == _rref(shape, rows)

@@ -68,7 +68,6 @@ def test_enumerator_accessors():
     assert e.nonzero_weights() == (6,)
     assert e.min_nonzero_weight() == 6
     assert str(e) == "x^9 + 3x^3y^6"
-    assert e.to_json_obj() == {"N": 9, "counts": [[0, 1], [6, 3]]}
 
 
 def test_count_reads_entries_and_counts_is_a_fresh_dict(rng):
