@@ -640,8 +640,9 @@ def _lee_counts(shape: AmbientShape, basis: Sequence[int]) -> np.ndarray:
     gray = _to_limbs(shape, [_gray_packed(shape, b) for b in basis])
     low = _doubled(gray[:_LEE_BLOCK_BITS]).T.copy()
     # the loop below would count a small code too, with one zero x, but
-    # a 3-row count then took 15.2 us against 10.7 us: at 18 calls per
-    # 10,000-draw search_random unit, 0.7% of it (2-core host)
+    # a 3-row count then took 15.2 us against 10.7 us, and search_random
+    # lost 8 of 10 alternating pairs, median ops_per_s 894k against 921k
+    # (-3.0%, above the 1.9% interquartile range; 2-core host)
     if len(basis) <= _LEE_BLOCK_BITS:
         return np.bincount(_popcounts(low), minlength=n + 1)
     counts = np.zeros(n + 1, dtype=np.intp)

@@ -458,15 +458,16 @@ def _batch_one_weight(shape: AmbientShape, batch: np.ndarray) -> np.ndarray:
     return (top > 0) & ((lee == 0) | (lee == top)).all(axis=0)
 
 
-def _rank_fits(space: SearchSpace) -> list[list[bool]]:
-    """Per shape of the space, whether a code of rank r can meet its
-    target (_size_fits; every size fits without a target), for
+def _rank_fits(space: SearchSpace) -> np.ndarray:
+    """Whether a code of rank r can meet the space's target
+    (_size_fits; every size fits without a target), as a bool array
+    indexed by (shape index in space.shapes(), r), for
     r = 0 .. 2 * max_rows: the rank of max_rows rows and their u
     multiples is at most that."""
     target = space.target
-    return [[target is None or _size_fits(target, shape, 1 << r)
-             for r in range(2 * space.max_rows + 1)]
-            for shape in space.shapes()]
+    return np.array([[target is None or _size_fits(target, shape, 1 << r)
+                      for r in range(2 * space.max_rows + 1)]
+                     for shape in space.shapes()], bool)
 
 
 def _random_candidates(space: SearchSpace) -> Iterator[AdditiveCode]:
@@ -530,7 +531,7 @@ _Draws = Iterator[tuple[AmbientShape, list[int], tuple[int, ...]]]
 
 def _plain_draws(
     shapes: list[AmbientShape], max_rows: int, budget: int,
-    fits: list[list[bool]], rng: random.Random,
+    fits: np.ndarray, rng: random.Random,
 ) -> _Draws:
     """The draws that pass the size rule, as (shape, packed rows,
     reduced basis), drawn one field per ``randrange`` call and reduced
@@ -544,25 +545,25 @@ def _plain_draws(
         rows = [randrange(1 << shape.alpha) << ring_bits
                 | randrange(1 << ring_bits) for _ in range(max_rows)]
         basis = _rref(shape, rows)
-        if fits[i][len(basis)]:
+        if fits[i, len(basis)]:
             yield shape, rows, basis
 
 
 def _batched_draws(
     shapes: list[AmbientShape], max_rows: int, budget: int,
-    fits: list[list[bool]], getrandbits,
+    fits: np.ndarray, getrandbits,
 ) -> _Draws:
     """The draws of _plain_draws, in blocks of at most _BLOCK_DRAWS,
     for shapes with alpha <= 31 and beta <= 15.
 
     By facts 1-4 of _random_candidates, call the words below 2^31
     accepted, and a word >= 2^31 whose top s bits are below n_shapes a
-    lone shape word.  After a draw that ends on accepted word a, the
-    next shape word is the first lone word between accepted words a
-    and a + 1 if there is one, and accepted word a + 1 otherwise; its
-    2*max_rows row parts are the accepted words after it.  So that draw
-    ends on accepted word a + 2*max_rows or a + 2*max_rows + 1, one byte
-    lookup per draw.
+    lone shape word; every accepted word is a shape word too.  After a
+    draw that ends on accepted word a, the next draw's shape word is the
+    first shape word after accepted word a, which is a lone word or
+    accepted word a + 1 itself; its 2*max_rows row parts are the
+    accepted words after it.  So that draw ends on accepted word
+    a + 2*max_rows or a + 2*max_rows + 1, one byte lookup per draw.
 
     A block draws its words in one ``getrandbits`` call, walks the draw
     ends, gathers the shape indices and packed rows, and builds each
@@ -582,7 +583,6 @@ def _batched_draws(
     ring_shift = np.array([31 - 2 * s.beta for s in shapes], np.uint64)
     ring_bits = np.array([2 * s.beta for s in shapes], np.uint64)
     a_mask = np.array([s.ring_a_mask for s in shapes], np.uint64)
-    fit = np.array(fits)
     carry = np.empty(0, np.uint32)
     left = budget
     while left:
@@ -592,20 +592,17 @@ def _batched_draws(
             getrandbits(32 * fresh).to_bytes(4 * fresh, "little"), "<u4")))
         accepted = words < np.uint32(1 << 31)
         at = np.flatnonzero(accepted)
-        acc = words[at]
-        # gap j runs from accepted word j-1 to accepted word j; a draw
-        # starting in gap j takes its shape from the gap's first lone
-        # word if it holds one, else from accepted word j
-        lone = np.flatnonzero(~accepted & (words >> shift < n_shapes))
-        gap_of = np.searchsorted(at, lone)
-        first = np.ones(len(lone), bool)
-        first[1:] = gap_of[1:] != gap_of[:-1]
-        gaps = gap_of[first]
-        has = np.zeros(len(at) + 1, bool)
-        has[gaps] = True
-        shape_word = np.append(acc, np.uint32(0))
-        shape_word[gaps] = words[lone[first]]
-        lone_in = has.tobytes()
+        # 2*max_rows + 1 accepted words always hold the first draw
+        if len(at) <= two_r:
+            carry = words
+            continue
+        # after[j]: the shape word of a draw after accepted word j - 1,
+        # the next shape word; clipped past the last, where either value
+        # ends the walk below
+        shaped = np.flatnonzero(words >> shift < n_shapes)
+        nxt = np.append(0, np.flatnonzero(accepted[shaped]) + 1)
+        after = shaped.take(nxt, mode="clip")
+        lone_in = (~accepted[after]).tobytes()
         last = len(at) - 1
         ends: list[int] = []
         append = ends.append
@@ -615,20 +612,18 @@ def _batched_draws(
             if end > last:
                 break
             append(end)
-        if not ends:
-            carry = words
-            continue
         stop = np.array(ends)
-        idx = (shape_word[np.concatenate(([0], stop[:-1] + 1))]
-               >> shift).astype(np.intp)
-        fields = acc[stop[:, None] + np.arange(1 - two_r, 1)].astype(np.uint64)
-        ring = ring_bits[idx][:, None]
-        rows = (((fields[:, 0::2] >> bin_shift[idx][:, None]) << ring)
-                | (fields[:, 1::2] >> ring_shift[idx][:, None]))
+        firsts = after[np.append(0, stop[:-1] + 1)]
+        idx = (words[firsts] >> shift).astype(np.intp)
+        # field i of every draw in line i: rows reach _echelon in C order
+        fields = words[at[stop + np.arange(1 - two_r, 1)[:, None]]].astype(
+            np.uint64)
+        rows = (((fields[0::2] >> bin_shift[idx]) << ring_bits[idx])
+                | (fields[1::2] >> ring_shift[idx]))
         bases = _echelon(np.concatenate(
-            (rows.T, (rows.T & a_mask[idx]) << np.uint64(1))))
-        keep = np.flatnonzero(fit[idx, np.count_nonzero(bases, axis=0)])
-        for i, packed, column in zip(idx[keep].tolist(), rows[keep].tolist(),
+            (rows, (rows & a_mask[idx]) << np.uint64(1))))
+        keep = np.flatnonzero(fits[idx, np.count_nonzero(bases, axis=0)])
+        for i, packed, column in zip(idx[keep].tolist(), rows.T[keep].tolist(),
                                      bases.T[keep].tolist()):
             shape = shapes[i]
             basis = _rref(shape, packed)
@@ -660,7 +655,7 @@ def enumerate_candidates(space: SearchSpace) -> Iterator[AdditiveCode]:
     if space.mode == "random":
         yield from _random_candidates(space)
         return
-    fits = dict(zip(space.shapes(), map(np.array, _rank_fits(space))))
+    fits = dict(zip(space.shapes(), _rank_fits(space)))
     for shape, batch in _exhaustive_batches(space):
         kept = batch[fits[shape][np.count_nonzero(batch, axis=1)]]
         for row in kept.tolist():

@@ -274,9 +274,9 @@ def test_standard_form_command(capsys):
 
 
 def test_data_file_outputs_are_pinned(capsys):
-    # the full standard-form rows, the dual generators (the dual's
-    # un-permuted standard-form rows) and the Gray parameters and
-    # enumerator of every bundled matrix
+    # the --json output of analyze, classify, standard-form (the full
+    # rows), dual (the dual's un-permuted standard-form rows) and gray
+    # (the Gray parameters and enumerator) on every bundled matrix
     expected = json.loads(
         (Path(__file__).parent / "data_file_outputs.json").read_text())
     assert sorted(expected) == sorted(p.name for p in Path("data").iterdir())

@@ -538,11 +538,14 @@ def stream_rows(codes):
 # spaces with alpha = 0 and beta = 0 shapes and one to three rows; the
 # fifth and sixth have one shape, where randrange(1) still draws a bit
 # until it is 0, and a power-of-two count of shapes (4), where the top
-# half of the shape-index bits is rejected.  The last three sit at the
-# width boundary of the numpy blocks: alpha = 31, beta = 15 is the
-# widest batched space (fields of exactly 32 bits), a shape with
-# alpha = 32 or beta = 16 sends its space to the loop per draw, and 35
-# shapes at 5 rows give lone shape words and 10 rank vectors
+# half of the shape-index bits is rejected.  The seventh has seven
+# shapes, so s = 3 and a rejected word whose top bits are 100, 101 or
+# 110 is a lone shape word: 3/8 of all words, several to a gap and some
+# among the row fields.  The last three sit at the width boundary of
+# the numpy blocks: alpha = 31, beta = 15 is the widest batched space
+# (fields of exactly 32 bits), a shape with alpha = 32 or beta = 16
+# sends its space to the loop per draw, and 34 shapes at 5 rows give
+# lone shape words and 10 rank vectors
 RANDOM_SPACES = [
     dict(alpha=(0, 3), beta=(0, 2), max_rows=1),
     dict(alpha=(0, 4), beta=(0, 1), max_rows=2),
@@ -550,6 +553,7 @@ RANDOM_SPACES = [
     dict(alpha=(2, 6), beta=(1, 4), max_rows=3),
     dict(alpha=3, beta=2, max_rows=3),
     dict(alpha=(1, 2), beta=(0, 1), max_rows=2),
+    dict(alpha=(0, 7), beta=0, max_rows=2),
     dict(alpha=31, beta=15, max_rows=2),
     dict(alpha=(31, 32), beta=(15, 16), max_rows=2),
     dict(alpha=(0, 6), beta=(0, 4), max_rows=5),
