@@ -46,11 +46,11 @@ walk's bases inside (a, b), compressed, are (a, b)'s own walk, the
 same bases in the same order.  The low bits of each part are the ones
 one shift of the binary part compresses.
 
-The consumers of the walk build an AdditiveCode only for the bases
-they keep, choosing them on the batch: enumerate_candidates by each
-basis's rank against the per-shape rank table the random stream also
-reads (_rank_fits), and verify_fsd_classification by rank N/2 and
-the one-weight rule, each on the whole batch (_batch_one_weight).
+A walk batch holds bases of one rank k as a (lines, k) array, so the
+consumers choose on the batch and build an AdditiveCode only for the
+bases they keep: enumerate_candidates by k against the rank table the
+random stream also reads (_rank_fits), verify_fsd_classification by
+k = N/2 and the one-weight rule on the whole batch (_batch_one_weight).
 
 Both modes work on columns of reduced, increasing ``uint64`` bases:
 _reduced reduces a word against a basis, which tests membership, and
@@ -280,9 +280,10 @@ def _codes_by_closure(
     shape: AmbientShape, max_rows: int
 ) -> Iterator[np.ndarray]:
     """All distinct codes generated by up to max_rows rows, zero code
-    first, as batches of reduced bases: each batch is an (n, W)
-    ``uint64`` array, W = min(2 * max_rows, N), one basis per line,
-    increasing and zero-padded on the left.
+    first, as batches of reduced bases: each batch is an (n, k)
+    ``uint64`` array, one increasing basis of rank k per line, the zero
+    code a (1, 0) batch, and the transpose of a C-ordered array, so the
+    columns _check_bases sweeps are contiguous.
 
     The walk yields the tree of the module docstring rank by rank.  A
     level is a list of walk bases, a column of k rows per code; they
@@ -295,8 +296,7 @@ def _codes_by_closure(
     Words are ``uint64``: the exhaustive cap of 2^26 tuples keeps
     N <= 26.
     """
-    width = min(2 * max_rows, shape.big_n)
-    yield np.zeros((1, width), np.uint64)
+    yield np.zeros((1, 0), np.uint64)
     level = [np.zeros((0, 1), np.uint64)]
     # rank(C) is the generator count plus rank(u*C) <= min(beta, max_rows)
     last = min(max_rows + min(shape.beta, max_rows), shape.big_n)
@@ -309,7 +309,7 @@ def _codes_by_closure(
                 chunk.append(level.pop())
                 size += chunk[-1].shape[1]
             for children, batch in _children(
-                    shape, np.concatenate(chunk, axis=1), max_rows, width):
+                    shape, np.concatenate(chunk, axis=1), max_rows):
                 _check_bases(shape, batch)
                 yield batch
                 if rank < last:
@@ -320,7 +320,7 @@ def _codes_by_closure(
 
 
 def _children(
-    shape: AmbientShape, basis: np.ndarray, max_rows: int, width: int,
+    shape: AmbientShape, basis: np.ndarray, max_rows: int,
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """The children of a chunk of parents, in the walk's order, as
     _grow returns them run by run.  Parent P's words x are word j for
@@ -350,7 +350,7 @@ def _children(
         lo = np.maximum(lo[ok], 1 << m0[owner])
         for at, index in _numbered(((part[ok] + 1) << low[owner]) - lo):
             j = (lo[at] + index).astype(np.uint64)
-            yield _grow(shape, basis[:, owner[at]], j, width)
+            yield _grow(shape, basis[:, owner[at]], j)
 
 
 def _numbered(sizes: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -365,14 +365,15 @@ def _numbered(sizes: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
 
 
 def _grow(
-    shape: AmbientShape, parents: np.ndarray, j: np.ndarray, width: int,
+    shape: AmbientShape, parents: np.ndarray, j: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """The children of (parent, word) pairs, one per entry of ``j``:
     the columns of ``parents`` are walk bases, rows increasing.  Returns
     the children's walk bases (x, word j of its parent, on top of the
     parent's rows) and their packed reduced bases (_echelon of the
-    packed rows), one per line, zero-padded on the left to ``width``
-    entries."""
+    packed rows), one per line.  x's leading bit lies above the
+    parent's top pivot, so a child of k rows has rank k: a line has no
+    leading 0."""
     children = np.vstack((parents, _inserted(_top_bits(parents), j)))
     # packed words: binary part above the ring digits, each digit's u
     # bit above its unit bit
@@ -382,9 +383,7 @@ def _grow(
     for d in range(beta):
         for bit, at in ((alpha + d, 2 * d + 1), (alpha + beta + d, 2 * d)):
             words |= (children >> np.uint64(bit) & one) << np.uint64(at)
-    batch = np.zeros((len(j), width), np.uint64)
-    batch[:, width - len(words):] = _echelon(words).T
-    return children, batch
+    return children, _echelon(words).T
 
 
 def _inserted(tops: np.ndarray, j: np.ndarray) -> np.ndarray:
@@ -400,14 +399,14 @@ def _inserted(tops: np.ndarray, j: np.ndarray) -> np.ndarray:
 
 def _check_bases(shape: AmbientShape, batch: np.ndarray) -> None:
     """Raise InternalVerificationFailure unless every line of ``batch``
-    is a basis in sorted reduced echelon form (leading zeros, then
-    rising leading bits, no row with another's leading bit), below 2^N
-    and closed under u: u*x of each row reduces to 0 against its line."""
+    is a basis in sorted reduced echelon form (nonzero rows with rising
+    leading bits, no row with another's leading bit), below 2^N and
+    closed under u: u*x of each row reduces to 0 against its line."""
     top = _top_bits(batch)
     pivots = np.bitwise_or.reduce(top, axis=1)
-    prior, later = top[:, :-1], top[:, 1:]
     ux = _u_mul_packed(shape, batch.T)
-    good = (((prior < later) | ((prior | later) == 0)).all(axis=1)
+    good = ((batch != 0).all(axis=1)
+            & (top[:, :-1] < top[:, 1:]).all(axis=1)
             & ((batch & pivots[:, None]) == top).all(axis=1)
             & (batch >> np.uint64(shape.big_n) == 0).all(axis=1)
             & (_reduced(batch.T, ux) == 0).all(axis=0))
@@ -450,9 +449,9 @@ def _batch_one_weight(shape: AmbientShape, batch: np.ndarray) -> np.ndarray:
     """Whether each basis of a walk batch spans a code with exactly one
     nonzero Lee weight, as a mask.  With the batch's lines in place of
     limbs, core._doubled builds every line's words at once, column j
-    holding line j's (a zero row only repeats them), and their Lee
-    weights are the popcounts of their Gray images (core._gray_array);
-    only the zero word weighs 0, so the zero code is not one-weight."""
+    holding line j's, and their Lee weights are the popcounts of their
+    Gray images (core._gray_array); only the zero word weighs 0, so the
+    zero code is not one-weight."""
     lee = np.bitwise_count(_gray_array(shape, _doubled(batch.T)))
     top = lee.max(axis=0)
     return (top > 0) & ((lee == 0) | (lee == top)).all(axis=0)
@@ -462,12 +461,13 @@ def _rank_fits(space: SearchSpace) -> np.ndarray:
     """Whether a code of rank r can meet the space's target
     (_size_fits; every size fits without a target), as a bool array
     indexed by (shape index in space.shapes(), r), for
-    r = 0 .. 2 * max_rows: the rank of max_rows rows and their u
-    multiples is at most that."""
-    target = space.target
+    r = 0 .. min(2 * max_rows, N), N the largest shape's: the rank of
+    max_rows rows and their u multiples is at most both."""
+    target, shapes = space.target, space.shapes()
+    last = min(2 * space.max_rows, max((s.big_n for s in shapes), default=0))
     return np.array([[target is None or _size_fits(target, shape, 1 << r)
-                      for r in range(2 * space.max_rows + 1)]
-                     for shape in space.shapes()], bool)
+                      for r in range(last + 1)]
+                     for shape in shapes], bool)
 
 
 def _random_candidates(space: SearchSpace) -> Iterator[AdditiveCode]:
@@ -645,8 +645,9 @@ def enumerate_candidates(space: SearchSpace) -> Iterator[AdditiveCode]:
     shape, rank, parent and new top row; the draws are deterministic
     for a given ``space.seed``, and ``seed=None`` seeds from the OS, as
     ``random.Random(None)`` does, so that stream differs from run to
-    run.  A walked basis is read on its rank against the per-shape
-    table (_rank_fits), and only the bases that pass are built as codes.
+    run.  A walk batch is read once on its rank against the per-shape
+    table (_rank_fits), and only the batches that pass are built as
+    codes.
 
     An exhaustive space whose total generator-tuple count, summed over
     all its shapes (:meth:`SearchSpace.tuple_count`), exceeds
@@ -657,61 +658,64 @@ def enumerate_candidates(space: SearchSpace) -> Iterator[AdditiveCode]:
         return
     fits = dict(zip(space.shapes(), _rank_fits(space)))
     for shape, batch in _exhaustive_batches(space):
-        kept = batch[fits[shape][np.count_nonzero(batch, axis=1)]]
-        for row in kept.tolist():
-            yield AdditiveCode(shape, None, tuple(filter(None, row)))
+        if fits[shape][batch.shape[1]]:
+            for row in batch.tolist():
+                yield AdditiveCode(shape, None, tuple(row))
 
 
 def _exhaustive_batches(
     space: SearchSpace,
 ) -> Iterator[tuple[AmbientShape, np.ndarray]]:
     """The walk of every shape of an exhaustive space, as (shape, batch
-    of bases), after the tuple cap: a space whose total generator-tuple
-    count exceeds MAX_EXHAUSTIVE_TUPLES raises SpaceTooLarge before the
-    first batch.
+    of bases), in _codes_by_closure's batches, after the tuple cap: a
+    space whose total generator-tuple count exceeds MAX_EXHAUSTIVE_TUPLES
+    raises SpaceTooLarge before the first batch, and one whose top shape
+    alone holds 2^(N * max_rows) past it raises before that count, an
+    integer of N * max_rows bits, is built.
 
     Only the top shape (A, B), the last of space.shapes(), is walked.
     A space with one shape streams that walk.  Otherwise its batches are
-    held, and each smaller shape (a, b) is read off them: the lines that
-    are zero outside its last a binary and last b ring columns (see the
-    module docstring for why that is its own walk, in its own order),
-    cut to W' = min(2 * max_rows, a + 2*b) entries (the rank is at most
-    a + 2*b, so only zeros are cut), then, _RUN_PAIRS lines a batch,
-    compressed to its words by one shift and two masks and checked by
-    _check_bases.  The top shape's own batches come last.  Walking each
-    shape on its own instead took verify_fsd_classification(4, 2, 3)
-    from 10.4-15.6 ms to 16.9-27.5 ms a call (medians of 20 calls,
-    3 runs, 2-core host)."""
-    count = space.tuple_count()
-    if count > MAX_EXHAUSTIVE_TUPLES:
-        raise SpaceTooLarge(
-            f"space holds {count} generator tuples; "
-            f"the exhaustive cap is {MAX_EXHAUSTIVE_TUPLES}"
-        )
+    held, and each smaller shape (a, b) is read off them, batch by
+    batch: the lines that are zero outside its last a binary and last b
+    ring columns (see the module docstring for why that is its own
+    walk, in its own order), compressed to its words by one shift and
+    two masks and checked by _check_bases.  The top shape's own batches
+    come last.  Walking each shape on its own instead took
+    verify_fsd_classification(4, 2, 3) from 10.4-15.6 ms to
+    16.9-27.5 ms a call (medians of 20 calls, 3 runs, 2-core host)."""
     shapes = space.shapes()
     if not shapes:
         return
     top = shapes[-1]
+    bits = top.big_n * space.max_rows
+    if bits >= MAX_EXHAUSTIVE_TUPLES.bit_length():
+        raise SpaceTooLarge(
+            f"{top} alone holds 2^{bits} generator tuples; "
+            f"the exhaustive cap is {MAX_EXHAUSTIVE_TUPLES}")
+    count = space.tuple_count()
+    if count > MAX_EXHAUSTIVE_TUPLES:
+        raise SpaceTooLarge(
+            f"space holds {count} generator tuples; "
+            f"the exhaustive cap is {MAX_EXHAUSTIVE_TUPLES}")
     walk: Iterable[np.ndarray] = _codes_by_closure(top, space.max_rows)
     if len(shapes) > 1:
         walk = list(walk)
-        lines = np.concatenate(walk)
         # a basis lies in a sub-ambient when the OR of its rows does
-        union = np.bitwise_or.reduce(lines, axis=1)
+        unions = [np.bitwise_or.reduce(lines, axis=1) for lines in walk]
     for shape in shapes[:-1]:
         # shape's bits in top's words: its binary part at top's binary
         # part's low end, its ring part at the ring part's low end
         shift = 2 * (top.beta - shape.beta)
         binary = ((1 << shape.alpha) - 1) << 2 * shape.beta
         outside = top.ambient_size - 1 - (binary << shift) - shape.ring_mask
-        inside = lines[union & np.uint64(outside) == 0,
-                       -min(2 * space.max_rows, shape.big_n):]
-        for start in range(0, len(inside), _RUN_PAIRS):
-            part = inside[start:start + _RUN_PAIRS]
-            batch = (((part >> np.uint64(shift)) & np.uint64(binary))
-                     | (part & np.uint64(shape.ring_mask)))
-            _check_bases(shape, batch)
-            yield shape, batch
+        for lines, union in zip(walk, unions):
+            # taken on the columns, so the batch keeps the walk's layout
+            part = lines.T[:, union & np.uint64(outside) == 0].T
+            if len(part):
+                batch = (((part >> np.uint64(shift)) & np.uint64(binary))
+                         | (part & np.uint64(shape.ring_mask)))
+                _check_bases(shape, batch)
+                yield shape, batch
     for batch in walk:
         yield top, batch
 
@@ -822,12 +826,13 @@ def verify_fsd_classification(
     max_alpha <= 6 and max_beta <= 3, raises ValueError: the tuple cap
     alone admits (25, 0) at 1 row, a walk of about 2^26 codes.  Every
     basis of every shape's stream counts as examined, those read off
-    the top shape's walk as well as the walk's own.  The screen keeps, on
-    each batch, the bases of rank N/2 (|C|^2 = 2^N) whose words, built
-    in numpy, show one nonzero Lee weight (_batch_one_weight), and
-    builds codes only for those.  Each kept code's scalar Lee count
-    must show exactly one nonzero weight, or the batched rule was wrong
-    and InternalVerificationFailure is raised; formal self-duality then
+    the top shape's walk as well as the walk's own.  The screen reads
+    the batches of rank N/2 (|C|^2 = 2^N), a batch being one rank wide,
+    keeps on each the bases whose words, built in numpy, show one
+    nonzero Lee weight (_batch_one_weight), and builds codes only for
+    those.  Each kept code's scalar Lee count must show exactly one
+    nonzero weight, or the batched rule was wrong and
+    InternalVerificationFailure is raised; formal self-duality then
     picks the survivors.  The survivor list must be exactly the four
     known two-word codes (those with shapes inside the range); anything
     else raises ClassificationViolation.
@@ -842,13 +847,11 @@ def verify_fsd_classification(
     examined = 0
     for shape, batch in _exhaustive_batches(space):
         examined += len(batch)
-        n = shape.big_n
-        if n % 2:
+        # |C|^2 = 2^N: rank N/2
+        if 2 * batch.shape[1] != shape.big_n:
             continue
-        # |C|^2 = 2^N: rank N/2, at least 1, in the last N/2 entries
-        rows = batch[np.count_nonzero(batch, axis=1) == n // 2, -(n // 2):]
-        for row in rows[_batch_one_weight(shape, rows)].tolist():
-            code = AdditiveCode(shape, None, tuple(filter(None, row)))
+        for row in batch[_batch_one_weight(shape, batch)].tolist():
+            code = AdditiveCode(shape, None, tuple(row))
             weights = lee_enumerator(code).nonzero_weights()
             if len(weights) != 1:
                 raise InternalVerificationFailure(
@@ -863,14 +866,8 @@ def verify_fsd_classification(
         if shape.alpha <= max_alpha and shape.beta <= max_beta
     ]
     expected.sort(key=lambda c: (c.shape.alpha, c.shape.beta, c.basis))
-    report = FsdSurveyReport(
-        max_alpha,
-        max_beta,
-        max_rows,
-        examined,
-        tuple(survivors),
-        tuple(expected),
-    )
+    report = FsdSurveyReport(max_alpha, max_beta, max_rows, examined,
+                             tuple(survivors), tuple(expected))
     if not report.matches:
         unexpected = [c for c in survivors if c not in set(expected)]
         missing = [c for c in expected if c not in set(survivors)]

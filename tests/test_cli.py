@@ -542,6 +542,18 @@ def test_search_space_too_large_in_total(capsys):
                    "the exhaustive cap is 67108864\n")
 
 
+@pytest.mark.parametrize("argv", [
+    ["--target", "one-weight", "--alpha", "1", "--beta", "0"],
+    ["--verify-thm-4.5", "--alpha", "2", "--beta", "1"],
+])
+def test_search_space_too_large_on_one_shape(capsys, argv):
+    # 2^(N * 15000) tuples on the top shape alone: refused by the cap,
+    # before the exact count, too long to print, is built
+    rc, out, err = run(capsys, ["search"] + argv + ["--rows", "15000"])
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: ") and "the exhaustive cap is" in err
+
+
 def test_search_requires_target(capsys):
     rc, _, err = run(capsys, ["search", "--alpha", "2", "--beta", "0"])
     assert rc == 2

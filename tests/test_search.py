@@ -291,6 +291,29 @@ def test_exhaustive_batches_read_every_shape_off_the_top_walk():
         assert got == expected
 
 
+def test_walk_batches_are_one_rank_wide():
+    # a batch is as wide as the rank of each of its lines, with no zero
+    # entry: each shape's stream starts with the zero code as a (1, 0)
+    # batch.  A complete walk, a walk cut by rows and a space whose
+    # smaller shapes are read off its top shape's walk
+    shape = AmbientShape(2, 2)
+    streams = [[(shape, batch)
+                for batch in z2zu.search._codes_by_closure(shape, rows)]
+               for rows in (shape.big_n, 2)]
+    streams.append(list(z2zu.search._exhaustive_batches(
+        SearchSpace(alpha=(0, 4), beta=(0, 2), max_rows=3))))
+    for stream in streams:
+        started = set()
+        for shape, batch in stream:
+            if shape not in started:
+                started.add(shape)
+                assert batch.shape == (1, 0)
+            for line in batch.tolist():
+                assert 0 not in line
+                assert len(_rref(shape, line, u_closed=False)) == len(line)
+                assert len(line) == batch.shape[1]
+
+
 def test_free_words_are_numbered_by_pivot_insertion(monkeypatch):
     # word j of a parent is j with a 0 inserted at each pivot: bit t of
     # j on the parent's t-th lowest free bit.  The grow kernel puts it
@@ -307,9 +330,9 @@ def test_free_words_are_numbered_by_pivot_insertion(monkeypatch):
     calls = []
     real = z2zu.search._grow
 
-    def grow(shape, parents, j, width):
+    def grow(shape, parents, j):
         calls.append((parents.T.tolist(), j.tolist()))
-        children, batch = real(shape, parents, j, width)
+        children, batch = real(shape, parents, j)
         calls[-1] += (children.T.tolist(),)
         return children, batch
 
@@ -360,7 +383,7 @@ def test_complete_walk_counts_every_submodule():
 
 
 def test_walk_of_nine_bits_at_four_rows_equals_the_scalar_walks():
-    # N = 9 at 4 rows, W = 8: the widest bases of the walk tests
+    # N = 9 at 4 rows, up to rank 8: the widest bases of the walk tests
     shape, rows = AmbientShape(1, 4), 4
     got = walk_bases(shape, rows)
     assert len(got) == len(set(got)) == 13439
@@ -403,8 +426,10 @@ def test_row_cut_walks_are_the_complete_walks_codes_of_few_rows():
 def corrupt_first_child(mode):
     """A _grow that corrupts the first line of rank 2 it returns and
     records the corrupted basis: 'reduced' sets the lower row's leading
-    bit in the upper row, 'u_closed' keeps only a row whose u multiple
-    is not 0, leaving {x} with u*x not in it."""
+    bit in the upper row, 'u_closed' writes a ring-only row x with a
+    unit bit under a binary-only row, sorted and reduced, u*x in
+    neither, and 'zero' clears the lower row of a line whose upper row
+    has no unit bit, so that the rest is still closed under u."""
     real = z2zu.search._grow
     corrupted = []
 
@@ -412,25 +437,25 @@ def corrupt_first_child(mode):
         children, batch = real(shape, *args)
         if corrupted or len(children) < 2:
             return children, batch
-        a = np.uint64(shape.ring_a_mask)
+        a = shape.ring_a_mask
         for line in batch:
-            low, high = line[-2:]
+            low, high = line
             if mode == "reduced":
-                line[-1] = high | np.uint64(1 << (int(low).bit_length() - 1))
+                line[1] = high | np.uint64(1 << (int(low).bit_length() - 1))
+            elif mode == "u_closed":
+                line[:] = a & -a, 1 << 2 * shape.beta
+            elif high & np.uint64(a):
+                continue
             else:
-                x = high if high & a else low
-                if not x & a:
-                    continue
-                line[:] = 0
-                line[-1] = x
-            corrupted.append(tuple(filter(None, line.tolist())))
+                line[0] = 0
+            corrupted.append(tuple(line.tolist()))
             break
         return children, batch
 
     return grow, corrupted
 
 
-@pytest.mark.parametrize("mode", ["reduced", "u_closed"])
+@pytest.mark.parametrize("mode", ["reduced", "u_closed", "zero"])
 def test_walk_checks_each_batch_before_yielding_it(monkeypatch, mode):
     # a child the kernel got wrong raises before its batch is yielded;
     # the zero code and the rank-1 level come before it
@@ -446,8 +471,12 @@ def test_walk_checks_each_batch_before_yielding_it(monkeypatch, mode):
     assert yielded == [b for b in expected if len(b) < 2]
     assert corrupted[0] not in yielded
     # each mode breaks one property: a reduced basis is its own
-    # elimination, a u-closed one its own with the u multiples
+    # elimination, a u-closed one its own with the u multiples, and the
+    # zero row is all that is wrong with a 'zero' line
     basis = corrupted[0]
+    if mode == "zero":
+        assert basis[0] == 0 and _rref(shape, basis[1:]) == basis[1:]
+        return
     reduced = _rref(shape, basis, u_closed=False) == basis
     assert (reduced, _rref(shape, basis) == basis) == (
         (False, False) if mode == "reduced" else (True, False))
@@ -464,6 +493,16 @@ def test_exhaustive_cap():
     assert space.tuple_count() == 2 * MAX_EXHAUSTIVE_TUPLES - 2
     with pytest.raises(SpaceTooLarge):
         next(enumerate_candidates(space))
+
+
+def test_exhaustive_cap_refuses_one_shape_before_counting():
+    # one shape alone past the cap, 2^(N * rows) tuples, is refused
+    # before the exact count, an integer of N * rows bits, is built
+    for rows in (15000, 10**12):
+        space = SearchSpace(alpha=1, beta=0, max_rows=rows)
+        cap = rf"2\^{rows} generator tuples; the exhaustive cap"
+        with pytest.raises(SpaceTooLarge, match=cap):
+            next(enumerate_candidates(space))
 
 
 def test_random_stream_is_reproducible():
@@ -732,8 +771,7 @@ def test_basis_weight_prune_is_exact():
 def test_batched_one_weight_rule_equals_the_lee_count():
     # the survey reads one-weightness on the batch; it must agree with
     # the Lee enumerator on every code of the survey's walk, of a
-    # ring-heavy walk, and of a 4-row walk, whose lines are N entries
-    # wide (W = min(2 * rows, N) = N)
+    # ring-heavy walk, and of a 4-row walk, whose ranks reach N
     for space, counts in (
         (SearchSpace(alpha=(0, 4), beta=(0, 2), max_rows=3), (316, 11136)),
         (SearchSpace(alpha=(0, 2), beta=(0, 3), max_rows=3), (144, 4666)),
