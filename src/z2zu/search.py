@@ -34,23 +34,30 @@ shapes, exceed 2^26.  Random mode drops repeated codes by an exact
 key: the shape and the reduced basis, at most alpha + 2*beta integers.
 
 An exhaustive space is walked once, on its top shape (A, B), the last
-of its shapes; every other shape's stream is read off that walk.
-Shape (a, b) sits in (A, B) on the last a binary and the last b ring
-columns, the low bits of each part, so its codes are the top's codes
-that are zero outside those bits.  In walk coordinates those are the
-low bits of each of the three parts, so dropping the bits that are
-zero takes them, in order, to (a, b)'s own walk coordinates.  A code
-inside has its parent inside, and its children inside come from the
-words inside, in the same order: by induction on the rank, the top
-walk's bases inside (a, b), compressed, are (a, b)'s own walk, the
-same bases in the same order.  The low bits of each part are the ones
-one shift of the binary part compresses.
+of its shapes.  Shape (a, b) sits in (A, B) on the last a binary and
+the last b ring columns, the low bits of each part, so its codes are
+the top's codes that are zero outside those bits: those whose least
+shape, read off the OR of their rows (_least_shapes), fits in (a, b).
+In walk coordinates those bits are the low bits of each of the three
+parts, so dropping the bits that are zero takes them, in order, to
+(a, b)'s own walk coordinates.  A code inside has its parent inside,
+and its children inside come from the words inside, in the same order:
+by induction on the rank, the top walk's bases inside (a, b),
+compressed, are (a, b)'s own walk, the same bases in the same order.
+The low bits of each part are the ones one shift of the binary part
+compresses (_compressed).  enumerate_candidates, whose stream runs
+shape by shape, reads every smaller shape's batches off the held walk
+so (_exhaustive_batches).  verify_fsd_classification builds no such
+batch: zero columns change neither a code's rank nor its Lee weights,
+so it streams the top walk, counts each line once per shape holding
+it, and screens each top batch once.
 
 A walk batch holds bases of one rank k as a (lines, k) array, so the
 consumers choose on the batch and build an AdditiveCode only for the
 bases they keep: enumerate_candidates by k against the rank table the
 random stream also reads (_rank_fits), verify_fsd_classification by
-k = N/2 and the one-weight rule on the whole batch (_batch_one_weight).
+the shapes of N = 2k that hold a line and the one-weight rule on the
+top batch (_batch_one_weight).
 
 Both modes work on columns of reduced, increasing ``uint64`` bases:
 _reduced reduces a word against a basis, which tests membership, and
@@ -75,7 +82,8 @@ kernel builds every draw's basis, and each passing draw's basis must
 equal the scalar core._rref of its rows.  A space with a wider shape
 calls randrange per field and core._rref per draw.  Either way a seed
 gives the stream that randrange draws would (see _random_candidates
-for why).
+for why), and a space whose block of draws would take more than 2^20
+words of the generator is refused before the first draw.
 
 Searches with a target prune candidates with cheap necessary
 conditions before any dual work:
@@ -95,8 +103,9 @@ The basis-row rule (_basis_weights_fit) reads the basis alone, before
 any word is built: basis rows are nonzero codewords, so a code with at
 most t nonzero Lee weights shows at most t distinct weights on them.
 The one-weight survey needs no such pre-filter: it weighs every word
-of a whole walk batch at once on core's kernels (_batch_one_weight),
-and the scalar Lee count of each code it keeps is that rule's check.
+of its lines of a walk batch at once on core's kernels
+(_batch_one_weight), and the scalar Lee count of each code it keeps is
+that rule's check.
 
 Each pruner only skips codes the target rejects; the test suite checks
 the hits against an unpruned search of its own.
@@ -162,12 +171,23 @@ MAX_EXHAUSTIVE_TUPLES = 1 << 26
 # numpy's per-call cost, few enough to keep the batch small.
 _RUN_PAIRS = 1 << 12
 
+# Words per one-weight screen call of the survey: a top batch of rank k
+# is weighed 2^14 >> k lines at a time.  Weighing whole batches, 40
+# calls of verify_fsd_classification(4, 2, 3) peaked at 33.7-33.8 MB
+# (ru_maxrss), against 32.1-32.2 MB in these slices (3 runs each).
+_SCREEN_WORDS = 1 << 14
+
 # Random draws per numpy block, and the Mersenne Twister words a block
 # draws per field (a shape index or a row part) of the draws it wants:
 # a field takes 2 words on average, and a block short of words carries
 # its unfinished draw into the next, which draws more.
 _BLOCK_DRAWS = 1 << 12
 _WORDS_PER_FIELD = 2.2
+
+# Random mode refuses a space whose block would draw more 32-bit words
+# than this, 4 MiB: a block of 2^12 draws fits up to 57 rows, whose
+# block arrays peak at about 45 MB, and a single draw some 238,000.
+_MAX_BLOCK_WORDS = 1 << 20
 
 # the sign and exponent bits of a float64
 _EXPONENT = np.uint64(0xFFF << 52)
@@ -457,6 +477,30 @@ def _batch_one_weight(shape: AmbientShape, batch: np.ndarray) -> np.ndarray:
     return (top > 0) & ((lee == 0) | (lee == top)).all(axis=0)
 
 
+def _survey_code(
+    top: AmbientShape, shape: AmbientShape, row: list[int],
+) -> AdditiveCode:
+    """The code of a top-walk line that the survey's batched one-weight
+    rule kept, built in ``shape``, after two scalar checks: the
+    compressed basis must be its own core._rref, below 2^N, and the
+    code's Lee count must show one nonzero weight, the weight of the
+    line's first row in ``top``, as zero columns weigh nothing.  Either
+    failing raises InternalVerificationFailure."""
+    basis = tuple(_compressed(top, shape, x) for x in row)
+    if _rref(shape, basis) != basis or basis[-1] >> shape.big_n:
+        raise InternalVerificationFailure(
+            f"line {row} of {top} compressed to {basis} in {shape}: not "
+            f"a sorted, reduced, u-closed basis below 2^{shape.big_n}")
+    code = AdditiveCode(shape, None, basis)
+    weights = lee_enumerator(code).nonzero_weights()
+    weight = _lee_packed(top, row[0])
+    if weights != (weight,):
+        raise InternalVerificationFailure(
+            f"batched one-weight rule kept {code}, whose Lee enumerator "
+            f"shows nonzero weights {weights}, not its line's {weight}")
+    return code
+
+
 def _rank_fits(space: SearchSpace) -> np.ndarray:
     """Whether a code of rank r can meet the space's target
     (_size_fits; every size fits without a target), as a bool array
@@ -505,11 +549,22 @@ def _random_candidates(space: SearchSpace) -> Iterator[AdditiveCode]:
     blocks of at most _BLOCK_DRAWS (_batched_draws), which copy
     randrange's bits in randrange's order.  A space with a wider shape
     calls randrange itself, field by field (_plain_draws).  So a seed
-    gives the same stream either way."""
+    gives the same stream either way.
+
+    A space whose first block would draw more than _MAX_BLOCK_WORDS
+    words, about _WORDS_PER_FIELD per field, raises SpaceTooLarge before
+    any draw, on either path: the plain one holds a draw's rows as one
+    list, and max_rows is not bounded otherwise."""
     shapes = space.shapes()
     if not shapes:
         return
     assert space.budget is not None
+    want = min(_BLOCK_DRAWS, space.budget)
+    words = int(want * (2 * space.max_rows + 1) * _WORDS_PER_FIELD)
+    if words > _MAX_BLOCK_WORDS:
+        raise SpaceTooLarge(
+            f"a block of {want} random draws of {space.max_rows} rows takes "
+            f"{words} words; the cap is {_MAX_BLOCK_WORDS}")
     fits = _rank_fits(space)
     rng = random.Random(space.seed)
     if all(s.alpha <= 31 and s.beta <= 15 for s in shapes):
@@ -652,7 +707,8 @@ def enumerate_candidates(space: SearchSpace) -> Iterator[AdditiveCode]:
     An exhaustive space whose total generator-tuple count, summed over
     all its shapes (:meth:`SearchSpace.tuple_count`), exceeds
     MAX_EXHAUSTIVE_TUPLES raises SpaceTooLarge before any code is
-    yielded."""
+    yielded, and so does a random space whose block of draws would take
+    more than _MAX_BLOCK_WORDS words (_random_candidates)."""
     if space.mode == "random":
         yield from _random_candidates(space)
         return
@@ -663,26 +719,11 @@ def enumerate_candidates(space: SearchSpace) -> Iterator[AdditiveCode]:
                 yield AdditiveCode(shape, None, tuple(row))
 
 
-def _exhaustive_batches(
-    space: SearchSpace,
-) -> Iterator[tuple[AmbientShape, np.ndarray]]:
-    """The walk of every shape of an exhaustive space, as (shape, batch
-    of bases), in _codes_by_closure's batches, after the tuple cap: a
-    space whose total generator-tuple count exceeds MAX_EXHAUSTIVE_TUPLES
-    raises SpaceTooLarge before the first batch, and one whose top shape
-    alone holds 2^(N * max_rows) past it raises before that count, an
-    integer of N * max_rows bits, is built.
-
-    Only the top shape (A, B), the last of space.shapes(), is walked.
-    A space with one shape streams that walk.  Otherwise its batches are
-    held, and each smaller shape (a, b) is read off them, batch by
-    batch: the lines that are zero outside its last a binary and last b
-    ring columns (see the module docstring for why that is its own
-    walk, in its own order), compressed to its words by one shift and
-    two masks and checked by _check_bases.  The top shape's own batches
-    come last.  Walking each shape on its own instead took
-    verify_fsd_classification(4, 2, 3) from 10.4-15.6 ms to
-    16.9-27.5 ms a call (medians of 20 calls, 3 runs, 2-core host)."""
+def _check_tuple_cap(space: SearchSpace) -> None:
+    """Raise SpaceTooLarge when an exhaustive space's total
+    generator-tuple count exceeds MAX_EXHAUSTIVE_TUPLES; a space whose
+    top shape alone holds 2^(N * max_rows) past it is refused before
+    that count, an integer of N * max_rows bits, is built."""
     shapes = space.shapes()
     if not shapes:
         return
@@ -697,23 +738,65 @@ def _exhaustive_batches(
         raise SpaceTooLarge(
             f"space holds {count} generator tuples; "
             f"the exhaustive cap is {MAX_EXHAUSTIVE_TUPLES}")
+
+
+def _least_shapes(
+    top: AmbientShape, batch: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The least shape (a, b) holding each line of a walk batch of
+    ``top``, as two int64 arrays.  Shape (a, b) sits in ``top`` on its
+    last a binary and last b ring columns, the low bits of each part, so
+    a line lies in it exactly when the OR of its rows does: a is the bit
+    length of the union's binary part, b the number of ring digits up to
+    its highest nonzero one.  The zero code's is (0, 0).  Bit lengths
+    are read off float64 exponents, exact below 2^53 (N <= 26 here)."""
+    union = np.bitwise_or.reduce(batch, axis=1)
+    binary = np.frexp((union >> np.uint64(2 * top.beta)).astype(np.float64))
+    ring = np.frexp((union & np.uint64(top.ring_mask)).astype(np.float64))
+    return binary[1].astype(np.int64), (ring[1].astype(np.int64) + 1) >> 1
+
+
+def _compressed(top: AmbientShape, shape: AmbientShape, words):
+    """Words of ``top`` that lie in ``shape`` (_least_shapes) as
+    ``shape``'s own packed words, on ints or ``uint64`` arrays alike:
+    the binary part moves down to sit just above shape's ring digits,
+    which stay where they are."""
+    ring = 2 * top.beta
+    return ((words >> ring) << 2 * shape.beta) | (words & top.ring_mask)
+
+
+def _exhaustive_batches(
+    space: SearchSpace,
+) -> Iterator[tuple[AmbientShape, np.ndarray]]:
+    """The walk of every shape of an exhaustive space, as (shape, batch
+    of bases), in _codes_by_closure's batches, after the tuple cap
+    (_check_tuple_cap), which raises before the first batch.
+
+    Only the top shape (A, B), the last of space.shapes(), is walked.
+    A space with one shape streams that walk.  Otherwise its batches are
+    held, and each smaller shape (a, b) is read off them, batch by
+    batch: the lines whose least shape (_least_shapes) fits in (a, b)
+    (see the module docstring for why that is its own walk, in its own
+    order), compressed to its words (_compressed) and checked by
+    _check_bases.  The top shape's own batches come last.  Walking each
+    shape on its own instead took verify_fsd_classification(4, 2, 3)
+    from 10.4-15.6 ms to 16.9-27.5 ms a call (medians of 20 calls,
+    3 runs, 2-core host), when the survey read this stream."""
+    _check_tuple_cap(space)
+    shapes = space.shapes()
+    if not shapes:
+        return
+    top = shapes[-1]
     walk: Iterable[np.ndarray] = _codes_by_closure(top, space.max_rows)
     if len(shapes) > 1:
         walk = list(walk)
-        # a basis lies in a sub-ambient when the OR of its rows does
-        unions = [np.bitwise_or.reduce(lines, axis=1) for lines in walk]
+        least = [_least_shapes(top, lines) for lines in walk]
     for shape in shapes[:-1]:
-        # shape's bits in top's words: its binary part at top's binary
-        # part's low end, its ring part at the ring part's low end
-        shift = 2 * (top.beta - shape.beta)
-        binary = ((1 << shape.alpha) - 1) << 2 * shape.beta
-        outside = top.ambient_size - 1 - (binary << shift) - shape.ring_mask
-        for lines, union in zip(walk, unions):
+        for lines, (a, b) in zip(walk, least):
             # taken on the columns, so the batch keeps the walk's layout
-            part = lines.T[:, union & np.uint64(outside) == 0].T
+            part = lines.T[:, (a <= shape.alpha) & (b <= shape.beta)].T
             if len(part):
-                batch = (((part >> np.uint64(shift)) & np.uint64(binary))
-                         | (part & np.uint64(shape.ring_mask)))
+                batch = _compressed(top, shape, part)
                 _check_bases(shape, batch)
                 yield shape, batch
     for batch in walk:
@@ -819,46 +902,66 @@ def verify_fsd_classification(
     """Exhaustively confirm which codes are one-weight and formally self-dual.
 
     Scans every code with alpha <= max_alpha, beta <= max_beta and up to
-    ``max_rows`` generators: the exhaustive stream of
+    ``max_rows`` generators: the codes of the exhaustive space of
     :func:`enumerate_candidates`, so max_rows below 1 raises ValueError
     and a range past the 2^26-tuple cap raises SpaceTooLarge (at 3
     rows, (4, 2) fits and (6, 3) does not).  The screen's own cap,
     max_alpha <= 6 and max_beta <= 3, raises ValueError: the tuple cap
-    alone admits (25, 0) at 1 row, a walk of about 2^26 codes.  Every
-    basis of every shape's stream counts as examined, those read off
-    the top shape's walk as well as the walk's own.  The screen reads
-    the batches of rank N/2 (|C|^2 = 2^N), a batch being one rank wide,
-    keeps on each the bases whose words, built in numpy, show one
-    nonzero Lee weight (_batch_one_weight), and builds codes only for
-    those.  Each kept code's scalar Lee count must show exactly one
-    nonzero weight, or the batched rule was wrong and
-    InternalVerificationFailure is raised; formal self-duality then
-    picks the survivors.  The survivor list must be exactly the four
-    known two-word codes (those with shapes inside the range); anything
-    else raises ClassificationViolation.
-    """
+    alone admits (25, 0) at 1 row, a walk of about 2^26 codes.
+
+    The walk of the top shape (max_alpha, max_beta) is streamed once,
+    and no smaller shape's batch is built.  Dropping zero columns
+    changes neither a code's rank nor its Lee weights, so a top-walk
+    line of rank k is a code of every shape (a, b) that holds it, from
+    its least shape (_least_shapes) up, and a formally self-dual
+    candidate there exactly when a + 2b = 2k (|C|^2 = 2^N).  Each line
+    counts as examined once per shape holding it, the zero code in
+    every shape but (0, 0).  The lines with a candidate shape are
+    weighed once, in the top shape, _SCREEN_WORDS words at a time: the
+    bases whose words, built in numpy, show one nonzero Lee weight
+    (_batch_one_weight) are one-weight in every shape.  Only those are
+    built as codes, one per candidate shape (_survey_code), each after
+    a scalar check of its compressed basis and of its Lee count, which
+    raise InternalVerificationFailure; formal self-duality then picks
+    the survivors.  The survivor list must be exactly the four known
+    two-word codes (those with shapes inside the range); anything else
+    raises ClassificationViolation.  Reading each smaller shape's
+    batches off the held walk instead (_exhaustive_batches), and
+    screening each in its own shape, ran perfbench's survey_exhaustive
+    at 0.91-0.96M codes/s against 1.39-1.55M (20 alternating pairs,
+    2-core host)."""
     if max_alpha > 6 or max_beta > 3:
         raise ValueError("screen is capped at max_alpha = 6, max_beta = 3")
     if max_alpha < 0 or max_beta < 0 or max_alpha + max_beta < 1:
         raise ValueError("empty shape range")
     space = SearchSpace(alpha=(0, max_alpha), beta=(0, max_beta),
                         max_rows=max_rows)
+    _check_tuple_cap(space)
+    top = AmbientShape(max_alpha, max_beta)
     survivors: list[AdditiveCode] = []
-    examined = 0
-    for shape, batch in _exhaustive_batches(space):
-        examined += len(batch)
-        # |C|^2 = 2^N: rank N/2
-        if 2 * batch.shape[1] != shape.big_n:
+    # the zero code's count holds (0, 0), which is no shape
+    examined = -1
+    for batch in _codes_by_closure(top, max_rows):
+        k = batch.shape[1]
+        a, b = _least_shapes(top, batch)
+        examined += int(((max_alpha + 1 - a) * (max_beta + 1 - b)).sum())
+        if not k:
             continue
-        for row in batch[_batch_one_weight(shape, batch)].tolist():
-            code = AdditiveCode(shape, None, tuple(row))
-            weights = lee_enumerator(code).nonzero_weights()
-            if len(weights) != 1:
-                raise InternalVerificationFailure(
-                    f"batched one-weight rule kept {code}, whose Lee "
-                    f"enumerator shows nonzero weights {weights}")
-            if is_formally_self_dual(code):
-                survivors.append(code)
+        # |C|^2 = 2^N: the shapes (2k - 2*beta, beta) holding a line,
+        # beta from lo to hi
+        lo = np.maximum(b, k - max_alpha // 2)
+        hi = np.minimum(max_beta, k - (a + 1) // 2)
+        lines = np.flatnonzero(lo <= hi)
+        step = max(1, _SCREEN_WORDS >> k)
+        for start in range(0, len(lines), step):
+            part = lines[start:start + step]
+            for i in part[_batch_one_weight(top, batch[part])].tolist():
+                row = batch[i].tolist()
+                for beta in range(int(lo[i]), int(hi[i]) + 1):
+                    code = _survey_code(
+                        top, AmbientShape(2 * (k - beta), beta), row)
+                    if is_formally_self_dual(code):
+                        survivors.append(code)
     survivors.sort(key=lambda c: (c.shape.alpha, c.shape.beta, c.basis))
     expected = [
         AdditiveCode(shape, None, basis)

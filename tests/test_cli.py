@@ -1,6 +1,7 @@
 """End-to-end command tests, run in process through main()."""
 
 import json
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -552,6 +553,20 @@ def test_search_space_too_large_on_one_shape(capsys, argv):
     rc, out, err = run(capsys, ["search"] + argv + ["--rows", "15000"])
     assert (rc, out) == (2, "")
     assert err.startswith("error: ") and "the exhaustive cap is" in err
+
+
+def test_search_random_rows_past_the_block_cap(capsys, monkeypatch):
+    # 10^9 rows would ask getrandbits for gigabytes of words per block:
+    # refused before any draw, as an input error
+    def no_draws(self, *args):
+        raise AssertionError("a draw was taken")
+
+    monkeypatch.setattr(random.Random, "getrandbits", no_draws)
+    rc, out, err = run(capsys, ["search", "--target", "one-weight",
+                                "--alpha", "2..6", "--beta", "1..4",
+                                "--budget", "1", "--rows", "1000000000"])
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: ") and "the cap is 1048576" in err
 
 
 def test_search_requires_target(capsys):

@@ -428,8 +428,9 @@ def corrupt_first_child(mode):
     records the corrupted basis: 'reduced' sets the lower row's leading
     bit in the upper row, 'u_closed' writes a ring-only row x with a
     unit bit under a binary-only row, sorted and reduced, u*x in
-    neither, and 'zero' clears the lower row of a line whose upper row
-    has no unit bit, so that the rest is still closed under u."""
+    neither, 'zero' clears the lower row of a line whose upper row
+    has no unit bit, so that the rest is still closed under u, 'order'
+    swaps the two rows and 'high' sets bit N in the upper row."""
     real = z2zu.search._grow
     corrupted = []
 
@@ -444,6 +445,10 @@ def corrupt_first_child(mode):
                 line[1] = high | np.uint64(1 << (int(low).bit_length() - 1))
             elif mode == "u_closed":
                 line[:] = a & -a, 1 << 2 * shape.beta
+            elif mode == "order":
+                line[:] = high, low
+            elif mode == "high":
+                line[1] = high | np.uint64(1 << shape.big_n)
             elif high & np.uint64(a):
                 continue
             else:
@@ -455,7 +460,8 @@ def corrupt_first_child(mode):
     return grow, corrupted
 
 
-@pytest.mark.parametrize("mode", ["reduced", "u_closed", "zero"])
+@pytest.mark.parametrize("mode", ["reduced", "u_closed", "zero", "order",
+                                  "high"])
 def test_walk_checks_each_batch_before_yielding_it(monkeypatch, mode):
     # a child the kernel got wrong raises before its batch is yielded;
     # the zero code and the rank-1 level come before it
@@ -472,10 +478,15 @@ def test_walk_checks_each_batch_before_yielding_it(monkeypatch, mode):
     assert corrupted[0] not in yielded
     # each mode breaks one property: a reduced basis is its own
     # elimination, a u-closed one its own with the u multiples, and the
-    # zero row is all that is wrong with a 'zero' line
+    # zero row, the order or bit N is all that is wrong with a 'zero',
+    # 'order' or 'high' line
     basis = corrupted[0]
-    if mode == "zero":
-        assert basis[0] == 0 and _rref(shape, basis[1:]) == basis[1:]
+    fixed = {"zero": basis[1:], "order": basis[::-1],
+             "high": (basis[0], basis[1] ^ 1 << shape.big_n)}.get(mode)
+    if fixed is not None:
+        assert _rref(shape, fixed) == fixed
+        assert {"zero": basis[0] == 0, "order": basis[0] > basis[1],
+                "high": basis[1] >> shape.big_n == 1}[mode]
         return
     reduced = _rref(shape, basis, u_closed=False) == basis
     assert (reduced, _rref(shape, basis) == basis) == (
@@ -632,6 +643,32 @@ def test_batched_basis_is_checked_against_rref(monkeypatch):
                         mode="random", budget=400, seed=0)
     with pytest.raises(InternalVerificationFailure, match="batched basis"):
         list(enumerate_candidates(space))
+
+
+def test_random_block_cap_is_checked_before_any_draw(monkeypatch):
+    # a block of 2^12 draws of 57 rows takes 4096 * 115 * 2.2 words,
+    # under the 2^20 cap; 58 rows, or a single draw of 10^9 rows, on
+    # the batched path or the plain one (alpha = 32), is refused before
+    # the generator draws a bit
+    class NoDraws(Exception):
+        pass
+
+    def no_draws(self, *args):
+        raise NoDraws
+
+    monkeypatch.setattr(random.Random, "getrandbits", no_draws)
+    monkeypatch.setattr(random.Random, "randrange", no_draws)
+    kw = dict(beta=(1, 4), mode="random", seed=0)
+    for alpha, rows, budget in ((6, 57, 10**6), (32, 57, 4096), (6, 3, 1)):
+        space = SearchSpace(alpha=(2, alpha), max_rows=rows, budget=budget,
+                            **kw)
+        with pytest.raises(NoDraws):
+            next(enumerate_candidates(space))
+    for alpha, rows, budget in ((6, 58, 4096), (6, 10**9, 1), (32, 10**9, 1)):
+        space = SearchSpace(alpha=(2, alpha), max_rows=rows, budget=budget,
+                            **kw)
+        with pytest.raises(SpaceTooLarge, match=r"words; the cap is 1048576"):
+            next(enumerate_candidates(space))
 
 
 def test_batched_bases_equal_rref():
@@ -1000,6 +1037,87 @@ def test_screen_equals_unpruned_survey():
     assert report.codes_examined == examined == 11150
     assert list(report.survivors) == sorted(
         survivors, key=lambda c: (c.shape.alpha, c.shape.beta, c.basis))
+
+
+# (max_alpha, max_beta, max_rows) -> codes examined: the four ranges CI
+# surveys, ring-only and binary-only ranges, the smallest range with
+# both parts, and (6, 3) at 1 row, the widest top shape the screen takes
+SURVEY_RANGES = {(4, 2, 3): 11150, (6, 1, 3): 34293, (2, 3, 3): 4677,
+                 (4, 1, 4): 925, (0, 3, 3): 147, (5, 0, 4): 463,
+                 (1, 1, 1): 11, (6, 3, 1): 6349}
+
+
+@functools.cache
+def per_shape_survey(max_alpha, max_beta, max_rows):
+    """The survey's count and survivors by the per-shape route: every
+    shape's stream of _exhaustive_batches counted basis by basis, and
+    its batches of rank N/2 weighed in that shape (_batch_one_weight),
+    the one-weight codes kept on the Lee count and formal
+    self-duality."""
+    space = SearchSpace(alpha=(0, max_alpha), beta=(0, max_beta),
+                        max_rows=max_rows)
+    examined, survivors = 0, []
+    for shape, batch in z2zu.search._exhaustive_batches(space):
+        examined += len(batch)
+        if 2 * batch.shape[1] != shape.big_n:
+            continue
+        one = z2zu.search._batch_one_weight(shape, batch)
+        for row in batch[one].tolist():
+            code = AdditiveCode(shape, None, tuple(row))
+            assert len(lee_enumerator(code).nonzero_weights()) == 1
+            if is_formally_self_dual(code):
+                survivors.append(code)
+    survivors.sort(key=lambda c: (c.shape.alpha, c.shape.beta, c.basis))
+    return examined, survivors
+
+
+@pytest.mark.parametrize("args", SURVEY_RANGES)
+def test_survey_off_the_top_walk_equals_the_per_shape_route(args):
+    # the survey counts each top-walk line once per shape holding it and
+    # screens it once, in the top shape; the per-shape route reads every
+    # shape's own stream and screens it there
+    examined, survivors = per_shape_survey(*args)
+    assert examined == SURVEY_RANGES[args]
+    report = verify_fsd_classification(*args)
+    assert (report.codes_examined, list(report.survivors)) == (
+        examined, survivors)
+
+
+@pytest.mark.parametrize("digits", [1, -1])
+def test_survey_sees_a_least_shape_off_by_one_ring_digit(
+        monkeypatch, digits):
+    # a least-shape rule one ring digit off miscounts or misbuilds some
+    # range: its count or survivors differ, or a check raises
+    oracle = {args: per_shape_survey(*args) for args in SURVEY_RANGES}
+    real = z2zu.search._least_shapes
+
+    def off(top, batch):
+        a, b = real(top, batch)
+        return a, np.maximum(b + digits, 0)
+
+    monkeypatch.setattr(z2zu.search, "_least_shapes", off)
+    wrong = 0
+    for args, expected in oracle.items():
+        try:
+            report = verify_fsd_classification(*args)
+        except (InternalVerificationFailure, ClassificationViolation):
+            wrong += 1
+            continue
+        wrong += (report.codes_examined, list(report.survivors)) != expected
+    assert wrong
+
+
+@pytest.mark.parametrize("bit", range(4))
+def test_survey_checks_each_compressed_basis(monkeypatch, bit):
+    # a compression that drops a bit builds a code the scalar checks
+    # refuse; the codes the (4, 2) screen keeps, of N <= 4, set each of
+    # bits 0-3 somewhere
+    real = z2zu.search._compressed
+    monkeypatch.setattr(
+        z2zu.search, "_compressed",
+        lambda top, shape, words: real(top, shape, words) & ~(1 << bit))
+    with pytest.raises(InternalVerificationFailure):
+        verify_fsd_classification(4, 2, 3)
 
 
 def test_screen_range_caps():
