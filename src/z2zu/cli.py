@@ -18,6 +18,7 @@ import argparse
 import functools
 import json
 import sys
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Sequence
 
 from . import __version__
@@ -70,7 +71,40 @@ def _say(args, text: str) -> None:
 
 
 def _dump(obj) -> str:
-    return json.dumps(obj, indent=2)
+    """Exactly ``json.dumps(obj, indent=2)``, the text of every
+    ``--json`` output but the search hit lines, for dicts whose keys
+    are str.
+
+    With ``indent`` set the json module encodes in pure Python, and that
+    was the largest single cost of ``analyze --json`` (12-14% of it,
+    2-core host).  This writer lays the containers out the same way and
+    hands each leaf to json's C code: a str to
+    ``encode_basestring_ascii``, an exact int to ``int.__repr__`` and
+    anything else (bool, None, float) to ``json.dumps``."""
+    return _dump_at(obj, "\n")
+
+
+def _dump_at(obj, newline: str) -> str:
+    """:func:`_dump` of a value whose line breaks are ``newline``, a line
+    feed plus two spaces per enclosing container.  Exact int and str
+    items are written in place: a call per leaf took 8% longer."""
+    inner = newline + "  "
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        body = [_quote(k) + ": " + (
+            int.__repr__(v) if type(v) is int
+            else _quote(v) if type(v) is str else _dump_at(v, inner)
+        ) for k, v in obj.items()]
+        return "{" + inner + ("," + inner).join(body) + newline + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        body = [int.__repr__(v) if type(v) is int
+                else _quote(v) if type(v) is str else _dump_at(v, inner)
+                for v in obj]
+        return "[" + inner + ("," + inner).join(body) + newline + "]"
+    return json.dumps(obj)
 
 
 def _load(path: str) -> tuple[AdditiveCode, bool]:

@@ -146,6 +146,14 @@ class AmbientShape:
         """64-bit limbs per word in a codeword array."""
         return -(-self.big_n // 64)
 
+    @cached_property
+    def ring_a_limbs(self) -> np.ndarray:
+        """ring_a_mask as a read-only (1, limbs) limb array, which
+        broadcasts over a codeword array's rows."""
+        mask = _to_limbs(self, (self.ring_a_mask,))
+        mask.flags.writeable = False
+        return mask
+
     def bin_bit(self, i: int) -> int:
         """Bit position of binary coordinate i (0 is most significant)."""
         return self.alpha - 1 - i
@@ -613,13 +621,17 @@ def _gray_array(shape: AmbientShape, array: np.ndarray) -> np.ndarray:
     """Gray images of a codeword array's rows (the _gray_packed formula).
     With N <= 64 every entry is one word, so any array of single-limb
     words, a batch of many codes' words included, maps entry by entry."""
-    return array ^ ((array >> 1) & _to_limbs(shape, (shape.ring_a_mask,)))
+    return array ^ ((array >> 1) & shape.ring_a_limbs)
 
 
 def _popcounts(limbs: np.ndarray) -> np.ndarray:
     """Popcount of each word of a limb-major (L, m) array: the sum of
-    its L rows' popcounts, in a dtype that holds any N."""
-    out = np.bitwise_count(limbs[0]).astype(np.intp)
+    its L rows' popcounts, in a dtype that holds any N.  One limb's
+    popcounts (at most 64) stay uint8, which np.bincount takes as is."""
+    out = np.bitwise_count(limbs[0])
+    if len(limbs) == 1:
+        return out
+    out = out.astype(np.intp)
     for limb in limbs[1:]:
         out += np.bitwise_count(limb)
     return out

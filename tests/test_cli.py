@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from z2zu.cli import _build_parser, main
+from z2zu.cli import _build_parser, _dump, main
 from z2zu.core import MAX_CODE_WORD_BITS, additive_span, parse_matrix_file
 from z2zu.errors import InternalVerificationFailure
 from z2zu.presets import PRESETS, preset_code
@@ -365,6 +365,37 @@ def test_reproduce_all(capsys):
     assert [o["example"] for o in obj["examples"]] == list(PRESETS)
     # every name, status and detail string, byte for byte as stored
     assert out == (Path(__file__).parent / "reproduce_all.json").read_text()
+
+
+def pinned_json_objects():
+    """Every JSON object pinned under tests/: each --json text of the
+    data files, reproduce all, the survey and each search hit line."""
+    here = Path(__file__).parent
+    texts = [(here / "reproduce_all.json").read_text()]
+    for outputs in json.loads(
+            (here / "data_file_outputs.json").read_text()).values():
+        texts += outputs.values()
+    for path in sorted((here / "search_outputs").iterdir()):
+        text = path.read_text()
+        texts += text.splitlines() if path.suffix == ".jsonl" else [text]
+    return [json.loads(t) for t in texts]
+
+
+def test_dump_is_json_dumps_with_indent_2():
+    objects = pinned_json_objects()
+    assert len(objects) > 50
+    objects += [
+        {}, [], (), {"a": {}, "b": [], "c": [[], {}, [[]], {"d": {}}]},
+        [[[[{"deep": []}]]]],
+        {"flags": [True, False, 0, 1, None, -1, 2 ** 70]},
+        (1, (2, ("x",)), ["y", (None,)]),
+        [0.5, -0.0, 1e300, 3.0, float("inf")],
+        {"q\"uote": "back\\slash", "ctl": "\x00\t\n\x1f\x7f",
+         "text": "\u00e9 \u2211 \U0001d53d \u2028", "": ""},
+        "top-level", 7, True, None, 2.5,
+    ]
+    for obj in objects:
+        assert _dump(obj) == json.dumps(obj, indent=2)
 
 
 def test_reproduce_unknown_id(capsys):

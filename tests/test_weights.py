@@ -11,6 +11,7 @@ from z2zu.core import (
     MAX_CODE_WORD_BITS,
     AmbientShape,
     MixedVector,
+    _lee_counts,
     additive_span,
     dual,
     dual_brute,
@@ -500,6 +501,25 @@ def test_blocked_lee_count_two_limbs(rng, k):
     shape = AmbientShape(30, 20)  # N = 70
     code = additive_span(shape, rank_k_rows(rng, shape, k))
     assert lee_enumerator(code) == hamming_enumerator(gray_image(code))
+
+
+@pytest.mark.parametrize("k", BLOCK_SIZES)
+def test_one_limb_lee_count_reaches_weight_64(rng, k):
+    # one limb's popcounts are counted as uint8: a word whose Gray image
+    # is all ones weighs N = 64, the most a limb holds
+    shape = AmbientShape(32, 16)
+    ones = MixedVector(shape, (1 << 32) - 1, 2 * shape.ring_a_mask)
+    basis = additive_span(shape, rank_k_rows(rng, shape, k, [ones])).basis
+    # the Gray map is XOR-linear, so the code's Gray images are the
+    # span of its basis rows' images
+    words = [0]
+    for b in basis:
+        gray = oracle_gray(shape, b)
+        words += [w ^ gray for w in words]
+    expected = Counter(w.bit_count() for w in words)
+    counts = _lee_counts(shape, basis)
+    assert counts.tolist() == [expected[w] for w in range(65)]
+    assert counts[64] == 1
 
 
 @pytest.mark.parametrize("k", (3, _LEE_BLOCK_BITS + 1))
