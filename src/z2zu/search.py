@@ -279,20 +279,25 @@ def _echelon(words: np.ndarray) -> np.ndarray:
     the rows that have it, leaving every leading bit where it was, then,
     from the largest row down, each slot keeps the larger of its row
     and x, x carrying on with the smaller into the free slot below the
-    basis.  A zero x joins as a leading 0."""
+    basis.  A zero x joins as a leading 0.
+
+    A basis has no more rows than its words have bits, so only the last
+    that many slots are swept: the ones above stay leading zeros."""
     k = len(words)
+    bits = int(words.max(initial=0)).bit_length()
     # C order whatever the layout of words, as rows are swept whole;
-    # empty, not zeros, as each slot is written before it is read
-    out = np.empty(words.shape, np.uint64)
-    for i, x in enumerate(words, 1):
-        rows = out[k - i + 1:]
+    # zeros, as the slots above the last bits are never written
+    out = np.zeros(words.shape, np.uint64)
+    for i, x in enumerate(words):
+        swept = min(i, bits)
+        rows = out[k - swept:]
         x = _reduced(rows, x)
         np.minimum(rows, rows ^ x, out=rows)
         for row in rows[::-1]:
             lower = np.minimum(row, x)
             np.maximum(row, x, out=row)
             x = lower
-        out[k - i] = x
+        out[k - swept - 1] = x
     return out
 
 

@@ -46,6 +46,7 @@ InternalVerificationFailure.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .core import (
     AdditiveCode,
@@ -124,18 +125,19 @@ class StandardFormMatrix:
         """The reduced rows moved back to the original column order."""
         shape = self.shape
         alpha = shape.alpha
-        out = []
-        for v in self.rows:
-            bits = _bits(shape, v.packed)
-            binary = [""] * alpha
-            for j, col in enumerate(self.bin_perm):
-                binary[col] = bits[j]
-            ring = [""] * shape.beta
-            for j, col in enumerate(self.ring_perm):
-                ring[col] = bits[alpha + 2 * j : alpha + 2 * j + 2]
-            word = int("0" + "".join(binary + ring), 2)
-            out.append(MixedVector.from_packed(shape, word))
-        return tuple(out)
+        # original column col sits at permuted position j = perm.index(col)
+        bin_at = {col: j for j, col in enumerate(self.bin_perm)}
+        ring_at = {col: alpha + 2 * j for j, col in enumerate(self.ring_perm)}
+        move = itemgetter(
+            *(bin_at[col] for col in range(alpha)),
+            *(i for col in range(shape.beta)
+              for i in (ring_at[col], ring_at[col] + 1)),
+        )
+        return tuple(
+            MixedVector.from_packed(
+                shape, int("".join(move(_bits(shape, v.packed))), 2))
+            for v in self.rows
+        )
 
     def to_matrix_text(self) -> str:
         return format_matrix(self.rows, trailer=f"type = {self.code_type.compact()}")
@@ -197,18 +199,18 @@ def standard_form(code: AdditiveCode) -> StandardFormMatrix:
         ring_pivots + [c for c in range(beta) if c not in ring_pivots]
     )
 
-    out_rows = []
-    for _, x in k0_rows + k1_rows + k2_rows:
-        bits = _bits(shape, x)
-        binary = "".join(bits[beta + col] for col in bin_perm)
-        ring = "".join(bits[top + col] + bits[col] for col in ring_perm)
-        out_rows.append(
-            MixedVector(shape, int("0" + binary, 2), int("0" + ring, 2))
-        )
-
-    result = StandardFormMatrix(
-        shape, tuple(out_rows), bin_perm, ring_perm, code_type
+    # a pivot-order bit string's positions in permuted packed order: the
+    # binary bits, then each ring column's u-bit and unit bit
+    move = itemgetter(
+        *(beta + col for col in bin_perm),
+        *(i for col in ring_perm for i in (top + col, col)),
     )
+    out_rows = tuple(
+        MixedVector.from_packed(shape, int("".join(move(_bits(shape, x))), 2))
+        for _, x in k0_rows + k1_rows + k2_rows
+    )
+
+    result = StandardFormMatrix(shape, out_rows, bin_perm, ring_perm, code_type)
     # in original coordinates the rows must span the input code exactly
     if _rref(shape, [v.packed for v in result.unpermuted_rows]) != code.basis:
         raise InternalVerificationFailure(

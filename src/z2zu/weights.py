@@ -20,9 +20,10 @@ Each |sum_j| is at most |C| * C(N, N//2), since no coefficient of
 bit length plus one keeps every digit exact (:func:`_kronecker_bits`).
 
 The Lee enumerator is counted from the code's basis in cache-sized
-blocks of its Gray span (:func:`z2zu.core._lee_counts`): a bincount of
-the popcounts of each block, with no word array and no Python
-``words`` tuple.
+blocks of its Gray span (:func:`z2zu.core._lee_counts`): one bincount
+per pair of blocks, of the index w0*(N+1) + w1 made of the two blocks'
+popcounts at each place, with no word array and no Python ``words``
+tuple.
 
 Column profiles classify each coordinate by the value multiset it takes
 over the code: a binary column is balanced or identically zero, a ring

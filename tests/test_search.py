@@ -697,6 +697,25 @@ def test_batched_bases_equal_rref():
         assert column == sorted(column)
 
 
+def test_batched_bases_past_the_bit_width_equal_rref():
+    # 12 rows of words below 2^4: more rows than bits, so only the last
+    # 4 slots are swept and the ones above stay leading zeros; an
+    # all-zero batch sweeps none.  Each column is the draw's _rref basis
+    rng = random.Random(6)
+    shape = AmbientShape(2, 1)
+    draws = [[rng.randrange(shape.ambient_size) for _ in range(6)]
+             for _ in range(256)]
+    g = np.array(draws, np.uint64).T
+    words = np.concatenate(
+        (g, (g & np.uint64(shape.ring_a_mask)) << np.uint64(1)))
+    for batch, rows in ((words, draws), (0 * words, [[0]] * 256)):
+        bases = z2zu.search._echelon(batch)
+        assert bases.shape == (12, 256)
+        for drawn, column in zip(rows, bases.T.tolist()):
+            assert tuple(filter(None, column)) == _rref(shape, drawn)
+            assert column == sorted(column)
+
+
 @pytest.mark.parametrize("target", TARGETS)
 def test_rank_first_stream_is_the_filtered_stream(target):
     # a targeted stream holds exactly the codes of the untargeted stream

@@ -481,7 +481,8 @@ def rank_k_rows(rng, shape, k, rows=()):
             return drawn
 
 
-BLOCK_SIZES = [_LEE_BLOCK_BITS + d for d in (-1, 0, 1, 3)]
+# one block; two blocks, one pair; two pairs; eight blocks
+BLOCK_SIZES = [_LEE_BLOCK_BITS + d for d in (-1, 0, 1, 2, 3)]
 
 
 @pytest.mark.parametrize("k", BLOCK_SIZES)
@@ -503,13 +504,25 @@ def test_blocked_lee_count_two_limbs(rng, k):
     assert lee_enumerator(code) == hamming_enumerator(gray_image(code))
 
 
+def ones_second(rows):
+    """Packed rows with the first moved to index _LEE_BLOCK_BITS, the
+    first row past the low block, which XORs the second block of each
+    pair of blocks onto the first: the all-ones Gray image there has
+    pair index w0*(N+1) + N."""
+    packed = [r.packed for r in rows[1:]]
+    packed.insert(_LEE_BLOCK_BITS, rows[0].packed)
+    return packed
+
+
 @pytest.mark.parametrize("k", BLOCK_SIZES)
 def test_one_limb_lee_count_reaches_weight_64(rng, k):
     # one limb's popcounts are counted as uint8: a word whose Gray image
-    # is all ones weighs N = 64, the most a limb holds
+    # is all ones weighs N = 64, the most a limb holds; it is counted
+    # off the reduced basis and, past one block, in a pair's second block
     shape = AmbientShape(32, 16)
     ones = MixedVector(shape, (1 << 32) - 1, 2 * shape.ring_a_mask)
-    basis = additive_span(shape, rank_k_rows(rng, shape, k, [ones])).basis
+    rows = rank_k_rows(rng, shape, k, [ones])
+    basis = additive_span(shape, rows).basis
     # the Gray map is XOR-linear, so the code's Gray images are the
     # span of its basis rows' images
     words = [0]
@@ -517,21 +530,26 @@ def test_one_limb_lee_count_reaches_weight_64(rng, k):
         gray = oracle_gray(shape, b)
         words += [w ^ gray for w in words]
     expected = Counter(w.bit_count() for w in words)
-    counts = _lee_counts(shape, basis)
-    assert counts.tolist() == [expected[w] for w in range(65)]
-    assert counts[64] == 1
+    for generators in (basis, ones_second(rows)):
+        counts = _lee_counts(shape, generators)
+        assert counts.tolist() == [expected[w] for w in range(65)]
+        assert counts[64] == 1
 
 
 @pytest.mark.parametrize("k", (3, _LEE_BLOCK_BITS + 1))
 def test_lee_count_past_255(rng, k):
     # binary ones and ring digits u: a word whose Gray image is all ones,
-    # of Lee weight N = 260 over five limbs
+    # of Lee weight N = 260 over five limbs, counted off the reduced
+    # basis and, past one block, in a pair's second block
     shape = AmbientShape(100, 80)
     ones = MixedVector(shape, (1 << 100) - 1, 2 * shape.ring_a_mask)
-    code = additive_span(shape, rank_k_rows(rng, shape, k, [ones]))
+    rows = rank_k_rows(rng, shape, k, [ones])
+    code = additive_span(shape, rows)
     enum = lee_enumerator(code)
     assert enum.count(260) == 1
     assert enum == hamming_enumerator(gray_image(code))
+    assert _lee_counts(shape, ones_second(rows)).tolist() == [
+        enum.count(w) for w in range(261)]
 
 
 def test_lee_count_memory_is_a_block(rng):
