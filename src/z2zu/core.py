@@ -20,13 +20,12 @@ A code is stored as its reduced echelon XOR basis, built by the one
 elimination routine :func:`_rref`.  The basis is canonical, so size,
 equality, membership, the module test, the dual and the column profile
 all come from it.  The Lee enumerator is counted from it too, in
-cache-sized blocks of the Gray span, two blocks per bincount, and
-keeps no words (:func:`_lee_counts`).  The codewords are built from
-the basis only for ``words``, the Gray image and the minimum Lee
-weight, once, as a numpy ``uint64`` array of shape (|C|, L) with
-L = ceil(N/64) limbs per word, limb 0 the most significant
-(:attr:`AdditiveCode.array`), and
-that array is the only word set kept; ``words``, the same codewords as
+cache-sized blocks of the Gray span, two blocks per bincount while
+N <= 89, and keeps no words (:func:`_lee_counts`).  The codewords are
+built from the basis only for ``words``, the Gray image and the
+minimum Lee weight, once, as a numpy ``uint64`` array of shape (|C|, L)
+with L = ceil(N/64) limbs per word, limb 0 the most significant
+(:attr:`AdditiveCode.array`), and that array is the only word set kept; ``words``, the same codewords as
 Python ints, is converted from it on each read.  Counting and building
 are both capped at 2^MAX_CODE_WORD_BITS words.
 
@@ -647,10 +646,13 @@ def _lee_counts(shape: AmbientShape, basis: Sequence[int]) -> np.ndarray:
     span of the Gray images of the basis rows.  The span of the first
     _LEE_BLOCK_BITS of them is built once, limb-major, and stays in
     cache; every word x of the span of the rest gives the block of
-    words that block XOR x.  The blocks go through np.bincount two at a
-    time: at each place, the weights w0 and w1 of blocks x0 and x1
-    become one index w0*(N+1) + w1, and the pair histogram, summed
-    along each axis, gives the count of both.
+    words that block XOR x.  While the (N+1)^2 pair histogram is no
+    larger than a block (N <= 89), the blocks go through np.bincount
+    two at a time: at each place, the weights w0 and w1 of blocks x0
+    and x1 become one index w0*(N+1) + w1, and the pair histogram,
+    summed along each axis, gives the count of both.  Past that, the
+    histogram would cost more than the halved bincount saves, and grow
+    as N^2, so each block is counted in turn.
     """
     _check_code_size(basis)
     n = shape.big_n
@@ -662,12 +664,19 @@ def _lee_counts(shape: AmbientShape, basis: Sequence[int]) -> np.ndarray:
     # (-3.0%, above the 1.9% interquartile range; 2-core host)
     if len(basis) <= _LEE_BLOCK_BITS:
         return np.bincount(_popcounts(low), minlength=n + 1)
+    block = np.empty_like(low)
+    highs = _doubled(gray[_LEE_BLOCK_BITS:])
     bins = (n + 1) ** 2
+    if bins > low.shape[1]:
+        counts = np.zeros(n + 1, dtype=np.intp)
+        for x in highs:
+            np.bitwise_xor(low, x[:, None], out=block)
+            counts += np.bincount(_popcounts(block), minlength=n + 1)
+        return counts
     pair = np.empty(low.shape[1], dtype=np.min_scalar_type(bins - 1))
     hist = np.zeros(bins, dtype=np.intp)
-    block = np.empty_like(low)
     # 2^(k - _LEE_BLOCK_BITS) >= 2 blocks, so they pair up
-    for x0, x1 in _doubled(gray[_LEE_BLOCK_BITS:]).reshape(-1, 2, len(low)):
+    for x0, x1 in highs.reshape(-1, 2, len(low)):
         np.bitwise_xor(low, x0[:, None], out=block)
         np.multiply(_popcounts(block), n + 1, out=pair, dtype=pair.dtype)
         np.bitwise_xor(low, x1[:, None], out=block)

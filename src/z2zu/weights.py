@@ -21,9 +21,9 @@ bit length plus one keeps every digit exact (:func:`_kronecker_bits`).
 
 The Lee enumerator is counted from the code's basis in cache-sized
 blocks of its Gray span (:func:`z2zu.core._lee_counts`): one bincount
-per pair of blocks, of the index w0*(N+1) + w1 made of the two blocks'
-popcounts at each place, with no word array and no Python ``words``
-tuple.
+per pair of blocks while N <= 89, of the index w0*(N+1) + w1 made of
+the two blocks' popcounts at each place, and one per block past that,
+with no word array and no Python ``words`` tuple.
 
 Column profiles classify each coordinate by the value multiset it takes
 over the code: a binary column is balanced or identically zero, a ring

@@ -672,48 +672,34 @@ def test_random_block_cap_is_checked_before_any_draw(monkeypatch):
 
 
 def test_batched_bases_equal_rref():
-    # 2^12 draws of 5 rows over mixed shapes up to the width boundary
-    # (alpha = 31, beta = 15, N = 61), in one call, with forced zero,
-    # repeated and u-only rows: each column is the draw's _rref basis
-    rng = random.Random(5)
-    shapes = [AmbientShape(31, 15), AmbientShape(0, 15), AmbientShape(31, 0),
-              AmbientShape(7, 9), AmbientShape(1, 1)]
-    picked, draws = [], []
-    for _ in range(1 << 12):
-        shape = rng.choice(shapes)
-        rows = [rng.randrange(shape.ambient_size) for _ in range(5)]
-        for j in rng.sample(range(5), rng.randrange(4)):
-            rows[j] = rng.choice([0, rows[j - 1],
-                                  _u_mul_packed(shape, rows[j])])
-        picked.append(shape)
-        draws.append(rows)
-    g = np.array(draws, np.uint64).T
-    a_mask = np.array([s.ring_a_mask for s in picked], np.uint64)
-    bases = z2zu.search._echelon(
-        np.concatenate((g, (g & a_mask) << np.uint64(1))))
-    assert bases.shape == (10, 1 << 12)
-    for shape, rows, column in zip(picked, draws, bases.T.tolist()):
-        assert tuple(filter(None, column)) == _rref(shape, rows)
-        assert column == sorted(column)
-
-
-def test_batched_bases_past_the_bit_width_equal_rref():
-    # 12 rows of words below 2^4: more rows than bits, so only the last
-    # 4 slots are swept and the ones above stay leading zeros; an
-    # all-zero batch sweeps none.  Each column is the draw's _rref basis
-    rng = random.Random(6)
-    shape = AmbientShape(2, 1)
-    draws = [[rng.randrange(shape.ambient_size) for _ in range(6)]
-             for _ in range(256)]
-    g = np.array(draws, np.uint64).T
-    words = np.concatenate(
-        (g, (g & np.uint64(shape.ring_a_mask)) << np.uint64(1)))
-    for batch, rows in ((words, draws), (0 * words, [[0]] * 256)):
-        bases = z2zu.search._echelon(batch)
-        assert bases.shape == (12, 256)
-        for drawn, column in zip(rows, bases.T.tolist()):
-            assert tuple(filter(None, column)) == _rref(shape, drawn)
-            assert column == sorted(column)
+    # one call per batch, each column the draw's _rref basis: 2^12 draws
+    # of 5 rows over mixed shapes up to the width boundary (alpha = 31,
+    # beta = 15, N = 61), and of 6 rows of 4-bit words, so 12 rows, more
+    # than the words have bits, sweep only the last 4 slots, the ones
+    # above staying leading zeros, each with forced zero, repeated and
+    # u-only rows; then each batch zeroed, which sweeps none
+    wide = [AmbientShape(31, 15), AmbientShape(0, 15), AmbientShape(31, 0),
+            AmbientShape(7, 9), AmbientShape(1, 1)]
+    for seed, shapes, width in ((5, wide, 5), (6, [AmbientShape(2, 1)], 6)):
+        rng = random.Random(seed)
+        picked, draws = [], []
+        for _ in range(1 << 12):
+            shape = rng.choice(shapes)
+            rows = [rng.randrange(shape.ambient_size) for _ in range(width)]
+            for j in rng.sample(range(width), rng.randrange(4)):
+                rows[j] = rng.choice([0, rows[j - 1],
+                                      _u_mul_packed(shape, rows[j])])
+            picked.append(shape)
+            draws.append(rows)
+        g = np.array(draws, np.uint64).T
+        a_mask = np.array([s.ring_a_mask for s in picked], np.uint64)
+        words = np.concatenate((g, (g & a_mask) << np.uint64(1)))
+        for batch, rows in ((words, draws), (0 * words, [[0]] * len(draws))):
+            bases = z2zu.search._echelon(batch)
+            assert bases.shape == (2 * width, 1 << 12)
+            for shape, drawn, column in zip(picked, rows, bases.T.tolist()):
+                assert tuple(filter(None, column)) == _rref(shape, drawn)
+                assert column == sorted(column)
 
 
 @pytest.mark.parametrize("target", TARGETS)

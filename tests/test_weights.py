@@ -506,9 +506,9 @@ def test_blocked_lee_count_two_limbs(rng, k):
 
 def ones_second(rows):
     """Packed rows with the first moved to index _LEE_BLOCK_BITS, the
-    first row past the low block, which XORs the second block of each
-    pair of blocks onto the first: the all-ones Gray image there has
-    pair index w0*(N+1) + N."""
+    first row past the low block, which sets the second of each two
+    consecutive blocks: while N <= 89 that is a pair's second block,
+    where the all-ones Gray image has pair index w0*(N+1) + N."""
     packed = [r.packed for r in rows[1:]]
     packed.insert(_LEE_BLOCK_BITS, rows[0].packed)
     return packed
@@ -540,7 +540,7 @@ def test_one_limb_lee_count_reaches_weight_64(rng, k):
 def test_lee_count_past_255(rng, k):
     # binary ones and ring digits u: a word whose Gray image is all ones,
     # of Lee weight N = 260 over five limbs, counted off the reduced
-    # basis and, past one block, in a pair's second block
+    # basis and, past one block, in the second block, one block at a time
     shape = AmbientShape(100, 80)
     ones = MixedVector(shape, (1 << 100) - 1, 2 * shape.ring_a_mask)
     rows = rank_k_rows(rng, shape, k, [ones])
@@ -550,6 +550,24 @@ def test_lee_count_past_255(rng, k):
     assert enum == hamming_enumerator(gray_image(code))
     assert _lee_counts(shape, ones_second(rows)).tolist() == [
         enum.count(w) for w in range(261)]
+
+
+@pytest.mark.parametrize("alpha", (29, 30))
+def test_lee_count_either_side_of_pairing(rng, alpha):
+    # N = 89 is the largest N whose (N+1)^2 pair histogram fits a block,
+    # so its blocks go in pairs, the all-ones word at the top pair index
+    # 89*90 + 89; N = 90 counts block by block.  Both count off the
+    # reduced basis and with the all-ones row in the second block
+    shape = AmbientShape(alpha, 30)
+    n = shape.big_n
+    ones = MixedVector(shape, (1 << alpha) - 1, 2 * shape.ring_a_mask)
+    rows = rank_k_rows(rng, shape, _LEE_BLOCK_BITS + 2, [ones])
+    code = additive_span(shape, rows)
+    expected = hamming_enumerator(gray_image(code))
+    assert expected.count(n) == 1
+    for generators in (code.basis, ones_second(rows)):
+        assert _lee_counts(shape, generators).tolist() == [
+            expected.count(w) for w in range(n + 1)]
 
 
 def test_lee_count_memory_is_a_block(rng):
@@ -564,6 +582,22 @@ def test_lee_count_memory_is_a_block(rng):
         tracemalloc.stop()
     assert enum.cardinality() == 2 ** 20
     assert peak < 2 * 2 ** 20
+    assert code._array is None
+
+
+def test_wide_lee_count_memory_is_a_block(rng):
+    # two blocks at N = 2000: 32 limbs, so a block takes 2 MB, while a
+    # pair histogram would take (N+1)^2 intp, 32 MB
+    shape = AmbientShape(1000, 500)
+    code = additive_span(shape, rank_k_rows(rng, shape, _LEE_BLOCK_BITS + 1))
+    tracemalloc.start()
+    try:
+        enum = lee_enumerator(code)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert enum.cardinality() == 2 ** (_LEE_BLOCK_BITS + 1)
+    assert peak < 3 * 32 * 8 * 2 ** _LEE_BLOCK_BITS
     assert code._array is None
 
 
