@@ -21,22 +21,28 @@ quadratic.  The verifiers below recompute all of this from scratch with
 exact arithmetic and report what holds; they never patch a failed
 relation silently.
 
-The dual code is read off the code's basis (:func:`z2zu.core.dual`)
-and its distribution comes from the MacWilliams transform.  When the
-dual is no larger than the code, its words are counted too and the two
-distributions are compared; any difference raises
-InternalVerificationFailure.  The summary is computed once per code and
-kept on it, as its Lee enumerator is, so the verifiers below take the
-code alone.
+The dual's distribution comes from the MacWilliams transform, and
+every dual-side invariant above is read off it.  When the dual is no
+larger than the code (|C|^2 >= 2^N), the dual code is read off the
+code's basis (:func:`z2zu.core.dual`) and its words are counted too;
+the two distributions are compared, and any difference raises
+InternalVerificationFailure.  When the dual is larger, the dual code is
+built, with both of :func:`z2zu.core.dual`'s checks, only when
+something reads it.  The summary is computed once per code and kept on
+it, as its Lee enumerator is, so the verifiers below take the code
+alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .core import (
     AdditiveCode,
+    AmbientShape,
+    _inner_packed,
     _orthogonal,
     _reduce,
     _require_module,
@@ -130,13 +136,26 @@ class DualSummary:
     """Dual weight distribution plus how it was obtained.
 
     Computed once per code by :func:`dual_summary` and kept on the code.
+    It keeps the code's shape and basis, not the code, which keeps it.
     """
 
     enumerator: LeeEnumerator
     # "algebraic" when the dual's words were counted and matched the
     # transform, "macwilliams" when the transform alone gave them
     source: str
-    dual_code: AdditiveCode
+    shape: AmbientShape
+    basis: tuple[int, ...]
+
+    @cached_property
+    def dual_code(self) -> AdditiveCode:
+        """The dual code, built by :func:`z2zu.core.dual`, with both of
+        its checks, on first read and kept.  On the transform route the
+        transform is kept as its Lee enumerator, so reading that builds
+        none of the dual's words."""
+        dual_code = dual(AdditiveCode(self.shape, None, self.basis))
+        if self.source == "macwilliams":
+            dual_code._lee = self.enumerator
+        return dual_code
 
     @property
     def cardinality(self) -> int:
@@ -156,28 +175,29 @@ class DualSummary:
 
 
 def dual_summary(code: AdditiveCode) -> DualSummary:
-    """Dual code and distribution by transform, cross-checked by
-    counting the dual's words when there are no more than the code's.
+    """Dual distribution by transform, cross-checked by counting the
+    dual's words when there are no more than the code's.
 
-    Built once and kept on the code.  On the transform route the exact
-    transform is also kept as the dual code's Lee enumerator, so reading
-    it builds none of the dual's words.
+    The route is read off the sizes before anything is built.  When
+    |C|^2 < 2^N the transform alone is kept ("macwilliams"), and the dual
+    code is built only when ``dual_code`` is read.  Otherwise the dual
+    code is built, its words are counted and compared with the
+    transform, and it is kept ("algebraic").  Built once and kept on the
+    code.
     """
     if code._dual is None:
         _require_module(code, "dual_summary")
-        dual_code = dual(code)
         transformed = macwilliams(lee_enumerator(code), code.cardinality)
-        if dual_code.cardinality > code.cardinality:
-            dual_code._lee = transformed
-            source = "macwilliams"
-        elif lee_enumerator(dual_code) != transformed:
+        dual_larger = code.cardinality ** 2 < code.shape.ambient_size
+        summary = DualSummary(transformed,
+                              "macwilliams" if dual_larger else "algebraic",
+                              code.shape, code.basis)
+        if not dual_larger and lee_enumerator(summary.dual_code) != transformed:
             raise InternalVerificationFailure(
                 "the dual's counted distribution disagrees with the "
                 "MacWilliams transform"
             )
-        else:
-            source = "algebraic"
-        code._dual = DualSummary(transformed, source, dual_code)
+        code._dual = summary
     return code._dual
 
 
@@ -196,8 +216,16 @@ def is_formally_self_dual(code: AdditiveCode) -> bool:
 
 def is_self_orthogonal(code: AdditiveCode) -> bool:
     """C contained in its dual; the inner product is symmetric and
-    additive in each argument, so pairs of basis rows suffice."""
-    return _orthogonal(code.shape, code.basis, code.basis)
+    additive in each argument, so pairs of basis rows suffice.
+
+    The k diagonal pairs are tested first, each on its own: x.x is
+    nonzero exactly when x's binary part or its unit bits have odd
+    popcount.  Only when all of them vanish are all pairs tested at
+    once (:func:`z2zu.core._orthogonal`)."""
+    shape, basis = code.shape, code.basis
+    if any(_inner_packed(shape, x, x) for x in basis):
+        return False
+    return _orthogonal(shape, basis, basis)
 
 
 def is_self_dual(code: AdditiveCode) -> bool:
@@ -229,22 +257,23 @@ class ClassificationReport:
 def classify(code: AdditiveCode) -> ClassificationReport:
     dual = dual_summary(code)
     weights = lee_enumerator(code).nonzero_weights()
+    self_orthogonal = is_self_orthogonal(code)
     report = ClassificationReport(
         one_lee_weight=len(weights) == 1,
         two_lee_weight=len(weights) == 2,
         projective=is_projective(code),
         formally_self_dual=is_formally_self_dual(code),
-        self_orthogonal=is_self_orthogonal(code),
-        self_dual=is_self_dual(code),
+        self_orthogonal=self_orthogonal,
+        # is_self_dual, on the self-orthogonality tested above
+        self_dual=(self_orthogonal and code.cardinality * code.cardinality
+                   == code.shape.ambient_size),
         nonzero_weights=weights,
         dual_min_lee_weight=dual.min_weight,
         dual_source=dual.source,
     )
-    if report.self_dual and not (
-        report.formally_self_dual and report.self_orthogonal
-    ):
+    if report.self_dual and not report.formally_self_dual:
         raise InternalVerificationFailure(
-            "a self-dual code must be formally self-dual and self-orthogonal"
+            "a self-dual code must be formally self-dual"
         )
     return report
 

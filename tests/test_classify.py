@@ -1,10 +1,12 @@
 """Classification predicates and the one-/two-weight structure checks."""
 
+import gc
 import sys
 from fractions import Fraction
 
 import pytest
 
+import z2zu.core
 from z2zu.classify import (
     classify,
     dual_summary,
@@ -124,6 +126,58 @@ def test_dual_summary_checks_counted_dual(monkeypatch):
         dual_summary(code)
 
 
+def count_duals(monkeypatch):
+    calls = []
+    classify_module = sys.modules["z2zu.classify"]
+    build = classify_module.dual
+    monkeypatch.setattr(classify_module, "dual",
+                        lambda code: calls.append(code) or build(code))
+    return calls
+
+
+def test_dual_code_is_built_on_first_read(monkeypatch):
+    calls = count_duals(monkeypatch)
+    code = preset_code("3.6")
+    d = dual_summary(code)
+    assert (d.source, calls) == ("macwilliams", [])
+    dual_code = d.dual_code
+    assert len(calls) == 1
+    assert dual_code == dual_brute(code)
+    # the transform stands in for the dual's count
+    assert dual_code._lee is d.enumerator
+    assert d.dual_code is dual_code
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("broken", ["orthogonality", "cardinality"])
+def test_dual_code_read_runs_both_checks(monkeypatch, broken):
+    transform_route, algebraic_route = preset_code("3.6"), preset_code("4.3a")
+    rref = z2zu.core._rref
+    if broken == "orthogonality":
+        monkeypatch.setattr(z2zu.core, "_orthogonal", lambda *a: False)
+    else:
+        # one dual row short: still orthogonal, but |C| * |dual| < 2^N
+        monkeypatch.setattr(z2zu.core, "_rref",
+                            lambda *a, **k: rref(*a, **k)[1:])
+    d = dual_summary(transform_route)
+    assert d.source == "macwilliams"
+    with pytest.raises(InternalVerificationFailure, match=broken[:6]):
+        d.dual_code
+    # the algebraic route reads the dual inside dual_summary
+    with pytest.raises(InternalVerificationFailure, match=broken[:6]):
+        dual_summary(algebraic_route)
+
+
+def test_dual_summary_does_not_reference_its_code():
+    # the code keeps its summary, so a reference back would be a cycle
+    for key in ("3.6", "4.3a"):
+        code = preset_code(key)
+        d = dual_summary(code)
+        d.dual_code
+        direct = gc.get_referents(d)
+        assert not any(r is code for r in direct + gc.get_referents(*direct))
+
+
 def test_dual_summary_refuses_subgroup():
     with pytest.raises(PreconditionViolation):
         dual_summary(preset_code("5.4"))
@@ -183,6 +237,7 @@ def test_predicates_match_their_definitions(rng):
         m = dual_summary(c).min_weight
         verdicts = (
             (is_self_dual(c), dual(c) == c),
+            (classify(c).self_dual, dual(c) == c),
             (is_formally_self_dual(c),
              lee_enumerator(c) == dual_summary(c).enumerator),
             (is_projective(c), m is None or m >= 3),
@@ -191,7 +246,7 @@ def test_predicates_match_their_definitions(rng):
             assert got is oracle
             seen.add((i, got))
     # both verdicts of every predicate are exercised
-    assert len(seen) == 6
+    assert len(seen) == 8
 
 
 def test_classification_report():

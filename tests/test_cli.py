@@ -194,11 +194,13 @@ def test_analyze_computes_each_invariant_once(monkeypatch, capsys, key):
                         lambda *a: profiles.append(a) or ColumnProfile(*a))
     rc, out, _ = run(capsys, ["analyze", data_file(key), "--json"])
     assert rc == 0
-    assert len(duals) == 1
     # the zero-column warning and weight_sum_identity share one profile
     assert len(profiles) == 1
-    # the code's words, and the dual's only when they were counted
+    # the code's words, and the dual's only when they were counted; the
+    # dual code is built exactly when its words are counted, as analyze
+    # prints none of its rows
     algebraic = json.loads(out)["dual"]["source"] == "algebraic"
+    assert len(duals) == algebraic
     assert len(lee_counts) == 1 + algebraic
 
 
@@ -226,6 +228,11 @@ def test_dual_command_on_transform_route_builds_no_dual_words(
     f = tmp_path / "wide.txt"
     f.write_text(" ".join(["1"] * 28) + " |\n")
     duals = count_calls(monkeypatch, "dual")
+    # analyze prints no dual rows, so it builds no dual code
+    rc, out, _ = run(capsys, ["analyze", str(f), "--json"])
+    assert rc == 0
+    assert json.loads(out)["dual"]["cardinality"] == 2 ** 27
+    assert duals == []
     rc, out, _ = run(capsys, ["dual", str(f)])
     assert rc == 0
     assert "dual gray image: [28,27,2]" in out

@@ -432,13 +432,33 @@ def test_dual_catches_a_flipped_bit(monkeypatch):
 
 
 def test_self_orthogonality_agrees_with_pairwise_inner_products(rng):
-    # the pairwise definition: every pair of basis rows, one at a time
+    # the definition: inner_product over every pair of basis rows
     def pairwise(code):
-        basis = code.basis
-        return not any(_inner_packed(code.shape, g, h)
-                       for i, g in enumerate(basis) for h in basis[i:])
+        rows = [MixedVector.from_packed(code.shape, b) for b in code.basis]
+        return all(inner_product(g, h) == ZERO for g in rows for h in rows)
 
-    codes = [preset_code(k) for k in PRESETS]
+    # spans of rows with x.x = 0, so every word has it (x.x is additive
+    # and (ux).(ux) = 0): the diagonal pre-test passes and the
+    # off-diagonal pairs decide
+    def isotropic_code():
+        shape = AmbientShape(rng.randrange(5), rng.randrange(1, 4))
+        rows = []
+        while len(rows) < 3:
+            v = MixedVector(shape, rng.randrange(1 << shape.alpha),
+                            rng.randrange(1 << (2 * shape.beta)))
+            if inner_product(v, v) == ZERO:
+                rows.append(v)
+        return span(shape, rows)
+
+    # the diagonal vanishes, but (0 1 1 0).(1 0 1 0) = u
+    shape, rows = parse_matrix("1 1 0 0 |\n0 1 1 0 |\n")
+    odd_pair = span(shape, rows)
+    assert not any(_inner_packed(shape, x, x) for x in odd_pair.basis)
+    assert not is_self_orthogonal(odd_pair)
+
+    isotropic = [isotropic_code() for _ in range(200)]
+    assert {pairwise(c) for c in isotropic} == {True, False}
+    codes = [preset_code(k) for k in PRESETS] + isotropic + [odd_pair]
     codes += [random_code(rng, max_alpha=4, max_beta=3) for _ in range(200)]
     verdicts = set()
     for c in codes:
