@@ -11,7 +11,9 @@ the rows below the top row x of a code's reduced basis span its words
 below x's leading bit, a code closed under u: its parent.  So the
 children of P are P + x for the x above P's top pivot, free of P's
 pivots, with u*x in P, and the child's basis is P's with x on top.
-The walk yields the tree by rank, then parent, then x.
+A code's children depend on it alone, so the walk needs no level: it
+yields the tree depth first, a chunk of parents' children and then
+their subtrees (_codes_by_closure).
 
 By Nakayama's lemma C needs rank(C) - rank(u*C) generators.  u kills
 exactly the words with no unit bit and moves a row's leading unit bit
@@ -42,15 +44,16 @@ In walk coordinates those bits are the low bits of each of the three
 parts, so dropping the bits that are zero takes them, in order, to
 (a, b)'s own walk coordinates.  A code inside has its parent inside,
 and its children inside come from the words inside, in the same order:
-by induction on the rank, the top walk's bases inside (a, b),
-compressed, are (a, b)'s own walk, the same bases in the same order.
-The low bits of each part are the ones one shift of the binary part
-compresses (_compressed).  enumerate_candidates, whose stream runs
-shape by shape, reads every smaller shape's batches off the held walk
-so (_exhaustive_batches).  verify_fsd_classification builds no such
-batch: zero columns change neither a code's rank nor its Lee weights,
-so it streams the top walk, counts each line once per shape holding
-it, and screens each top batch once.
+by induction on the rank, the top tree's codes inside (a, b),
+compressed, are (a, b)'s own tree, so the top walk's bases inside
+(a, b) are (a, b)'s walk's, each once and after its parent (in
+pre-order, in the same order).  The low bits of each part are the ones
+one shift of the binary part compresses (_compressed).
+enumerate_candidates reads every smaller shape's lines off each top
+batch as it comes (_exhaustive_batches).  verify_fsd_classification
+builds no such batch: zero columns change neither a code's rank nor
+its Lee weights, so it streams the top walk, counts each line once per
+shape holding it, and screens each top batch once.
 
 A walk batch holds bases of one rank k as a (lines, k) array, so the
 consumers choose on the batch and build an AdditiveCode only for the
@@ -310,38 +313,45 @@ def _codes_by_closure(
     code a (1, 0) batch, and the transpose of a C-ordered array, so the
     columns _check_bases sweeps are contiguous.
 
-    The walk yields the tree of the module docstring rank by rank.  A
-    level is a list of walk bases, a column of k rows per code; they
-    are stacked to _RUN_PAIRS parents or more, grown in order, and
-    dropped, and _children and _grow work _RUN_PAIRS unit parts or
-    words at a time, so the arrays stay small whatever the shape.  A
-    batch is yielded only after _check_bases confirms every line is a
-    sorted reduced echelon basis below 2^N, closed under u.
+    The walk yields the tree of the module docstring depth first, a
+    chunk of parents at a time: subtrees(parents, depth) yields their
+    children and the children's subtrees, depth ranks in all.  The walk
+    bases of the children, a column of k rows per code, go onto a
+    pending list run by run, and once it holds _RUN_PAIRS parents or
+    more, or the runs end, they are grown as the next chunk, subtree and
+    all, before the next run.  _children and _grow work _RUN_PAIRS unit
+    parts or words at a time, so a rank holds at most about two runs of
+    children at once, and memory follows the depth of the tree, not its
+    widest rank.  At one pair per run the stream is the tree in
+    pre-order.  The pending list keeps chunks near _RUN_PAIRS parents:
+    growing each run's children alone cut the (4, 2) walk at 3 rows
+    into 8 batches against 7 and ran perfbench's survey_exhaustive
+    2.0-5.9% slower (5 of 5 pairs, 2-core host).  A batch is yielded
+    only after _check_bases confirms every line is a sorted reduced
+    echelon basis below 2^N, closed under u.
 
     Words are ``uint64``: the exhaustive cap of 2^26 tuples keeps
     N <= 26.
     """
+    def subtrees(parents: np.ndarray, depth: int) -> Iterator[np.ndarray]:
+        pending: list[np.ndarray] = []
+        size = 0
+        for children, batch in _children(shape, parents, max_rows):
+            _check_bases(shape, batch)
+            yield batch
+            if depth > 1:
+                pending.append(children)
+                size += children.shape[1]
+            if size >= _RUN_PAIRS:
+                yield from subtrees(np.concatenate(pending, axis=1), depth - 1)
+                pending, size = [], 0
+        if pending:
+            yield from subtrees(np.concatenate(pending, axis=1), depth - 1)
+
     yield np.zeros((1, 0), np.uint64)
-    level = [np.zeros((0, 1), np.uint64)]
     # rank(C) is the generator count plus rank(u*C) <= min(beta, max_rows)
-    last = min(max_rows + min(shape.beta, max_rows), shape.big_n)
-    for rank in range(1, last + 1):
-        grown: list[np.ndarray] = []
-        level.reverse()
-        while level:
-            chunk, size = [], 0
-            while level and size < _RUN_PAIRS:
-                chunk.append(level.pop())
-                size += chunk[-1].shape[1]
-            for children, batch in _children(
-                    shape, np.concatenate(chunk, axis=1), max_rows):
-                _check_bases(shape, batch)
-                yield batch
-                if rank < last:
-                    grown.append(children)
-        if not grown:
-            return
-        level = grown
+    yield from subtrees(np.zeros((0, 1), np.uint64),
+                        min(max_rows + min(shape.beta, max_rows), shape.big_n))
 
 
 def _children(
@@ -426,14 +436,16 @@ def _check_bases(shape: AmbientShape, batch: np.ndarray) -> None:
     """Raise InternalVerificationFailure unless every line of ``batch``
     is a basis in sorted reduced echelon form (nonzero rows with rising
     leading bits, no row with another's leading bit), below 2^N and
-    closed under u: u*x of each row reduces to 0 against its line."""
+    closed under u: u*x of each row reduces to 0 against its line.  A
+    row's leading bit is its highest, so a line is below 2^N exactly
+    when the OR of its leading bits is."""
     top = _top_bits(batch)
     pivots = np.bitwise_or.reduce(top, axis=1)
     ux = _u_mul_packed(shape, batch.T)
     good = ((batch != 0).all(axis=1)
             & (top[:, :-1] < top[:, 1:]).all(axis=1)
             & ((batch & pivots[:, None]) == top).all(axis=1)
-            & (batch >> np.uint64(shape.big_n) == 0).all(axis=1)
+            & (pivots >> np.uint64(shape.big_n) == 0)
             & (_reduced(batch.T, ux) == 0).all(axis=0))
     if not good.all():
         bad = batch[np.argmin(good)].tolist()
@@ -701,11 +713,12 @@ def enumerate_candidates(space: SearchSpace) -> Iterator[AdditiveCode]:
 
     The mode picks the stream, random draws or the walk of every code;
     with a target, only codes whose size can meet it (_size_fits) are
-    yielded, in the untargeted stream's order.  The walk's order is by
-    shape, rank, parent and new top row; the draws are deterministic
-    for a given ``space.seed``, and ``seed=None`` seeds from the OS, as
-    ``random.Random(None)`` does, so that stream differs from run to
-    run.  A walk batch is read once on its rank against the per-shape
+    yielded, in the untargeted stream's order.  The walk's order is
+    depth first (_codes_by_closure), each batch of the top shape after
+    the smaller shapes' lines read off it (_exhaustive_batches); the
+    draws are deterministic for a given ``space.seed``, and
+    ``seed=None`` seeds from the OS, as ``random.Random(None)`` does, so
+    that stream differs from run to run.  A walk batch is read once on its rank against the per-shape
     table (_rank_fits), and only the batches that pass are built as
     codes.
 
@@ -777,35 +790,31 @@ def _exhaustive_batches(
     of bases), in _codes_by_closure's batches, after the tuple cap
     (_check_tuple_cap), which raises before the first batch.
 
-    Only the top shape (A, B), the last of space.shapes(), is walked.
-    A space with one shape streams that walk.  Otherwise its batches are
-    held, and each smaller shape (a, b) is read off them, batch by
-    batch: the lines whose least shape (_least_shapes) fits in (a, b)
-    (see the module docstring for why that is its own walk, in its own
-    order), compressed to its words (_compressed) and checked by
-    _check_bases.  The top shape's own batches come last.  Walking each
-    shape on its own instead took verify_fsd_classification(4, 2, 3)
-    from 10.4-15.6 ms to 16.9-27.5 ms a call (medians of 20 calls,
-    3 runs, 2-core host), when the survey read this stream."""
+    Only the top shape (A, B), the last of space.shapes(), is walked,
+    and each smaller shape (a, b), in order, is read off each of its
+    batches as it comes: the lines whose least shape (_least_shapes)
+    fits in (a, b) (see the module docstring for why those are (a, b)'s
+    own walk's codes), compressed to its words (_compressed) and
+    checked by _check_bases.  The top batch follows.  Walking each
+    shape on its own instead took enumerate_candidates over
+    alpha <= 4, beta <= 2 at 3 rows from 16.6-17.6 ms to 21.0-21.5 ms a
+    call, and with the one_weight target from 7.5-7.9 ms to
+    11.3-11.7 ms (medians of 20 calls, 3 runs, 2-core host)."""
     _check_tuple_cap(space)
     shapes = space.shapes()
     if not shapes:
         return
     top = shapes[-1]
-    walk: Iterable[np.ndarray] = _codes_by_closure(top, space.max_rows)
-    if len(shapes) > 1:
-        walk = list(walk)
-        least = [_least_shapes(top, lines) for lines in walk]
-    for shape in shapes[:-1]:
-        for lines, (a, b) in zip(walk, least):
+    for lines in _codes_by_closure(top, space.max_rows):
+        a, b = _least_shapes(top, lines)
+        for shape in shapes[:-1]:
             # taken on the columns, so the batch keeps the walk's layout
             part = lines.T[:, (a <= shape.alpha) & (b <= shape.beta)].T
             if len(part):
                 batch = _compressed(top, shape, part)
                 _check_bases(shape, batch)
                 yield shape, batch
-    for batch in walk:
-        yield top, batch
+        yield top, lines
 
 
 @dataclass(frozen=True)
@@ -931,10 +940,10 @@ def verify_fsd_classification(
     the survivors.  The survivor list must be exactly the four known
     two-word codes (those with shapes inside the range); anything else
     raises ClassificationViolation.  Reading each smaller shape's
-    batches off the held walk instead (_exhaustive_batches), and
-    screening each in its own shape, ran perfbench's survey_exhaustive
-    at 0.91-0.96M codes/s against 1.39-1.55M (20 alternating pairs,
-    2-core host)."""
+    batches off the top walk instead (_exhaustive_batches), and
+    screening each in its own shape, ran verify_fsd_classification(4,
+    2, 3) at 1.29-1.36M codes/s against 2.06-2.41M (medians of 40
+    calls, 5 alternating runs, 2-core host)."""
     if max_alpha > 6 or max_beta > 3:
         raise ValueError("screen is capped at max_alpha = 6, max_beta = 3")
     if max_alpha < 0 or max_beta < 0 or max_alpha + max_beta < 1:

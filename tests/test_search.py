@@ -2,6 +2,7 @@
 
 import functools
 import random
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -170,18 +171,21 @@ def rref_walk(shape, max_rows):
         frontier = new_frontier
 
 
-def canonical_walk(shape, max_rows):
-    """The walk's stream, one parent and one word at a time: the order
-    the batched walk must yield.
+@functools.cache
+def walk_tree(shape, max_rows):
+    """The walk's tree, one parent and one word at a time, as three
+    functions: the children of a walk basis, in order, its code, and
+    the basis of a code's parent, from the code's basis.
 
     Walk coordinates put packed bit place[q] at bit q: the binary part
     lowest, then the u bits of the ring digits, then their unit bits,
-    so that u lowers bits.  Level by level, each code P of the last
-    level, in order, is grown by every x above P's top row with no
-    pivot of P, rising, such that u*x lies in P and P + x needs at most
-    max_rows generators: its rank less the rank of its u multiples.
-    The child's walk basis is P's with x on top; it is yielded as the
-    reduced basis of its packed rows."""
+    so that u lowers bits.  A code P is grown by every x above P's top
+    row with no pivot of P, rising, such that u*x lies in P and P + x
+    needs at most max_rows generators: its rank less the rank of its u
+    multiples.  The child's walk basis is P's with x on top; its code
+    has the reduced basis of its packed rows.  A code's walk basis is
+    its reduced basis in walk coordinates, so its parent's is that
+    basis less its top row."""
     n, ring = shape.big_n, 2 * shape.beta
     place = ([ring + i for i in range(shape.alpha)]
              + [2 * d + 1 for d in range(shape.beta)]
@@ -194,61 +198,119 @@ def canonical_walk(shape, max_rows):
         return sum(1 << q for q, p in enumerate(place) if w >> p & 1)
 
     u = [walked(_u_mul_packed(shape, packed(x))) for x in range(1 << n)]
-    yield AdditiveCode(shape, None, ())
+
+    def children(parent):
+        pivots = sum(1 << (b.bit_length() - 1) for b in parent)
+        start = 1 << parent[-1].bit_length() if parent else 1
+        out = []
+        for x in range(start, 1 << n):
+            if x & pivots or _reduce(parent, u[x]):
+                continue
+            child = parent + (x,)
+            u_rows = [u[y] for y in child]
+            u_rank = len(_rref(shape, u_rows, u_closed=False))
+            if len(child) - u_rank <= max_rows:
+                out.append(child)
+        return out
+
+    def code(basis):
+        return AdditiveCode(shape, None, _rref(shape, map(packed, basis)))
+
+    def parent(basis):
+        rows = _rref(shape, map(walked, basis), u_closed=False)
+        return code(rows[:-1]).basis
+
+    return children, code, parent
+
+
+def canonical_walk(shape, max_rows):
+    """The tree rank by rank, each rank's codes grown in order: the
+    batched walk's stream while no rank holds _RUN_PAIRS codes, as each
+    rank is then one chunk of parents."""
+    children, code, _ = walk_tree(shape, max_rows)
     level = [()]
     while level:
-        grown = []
-        for parent in level:
-            pivots = sum(1 << (b.bit_length() - 1) for b in parent)
-            start = 1 << parent[-1].bit_length() if parent else 1
-            for x in range(start, 1 << n):
-                if x & pivots or _reduce(parent, u[x]):
-                    continue
-                child = parent + (x,)
-                u_rows = [u[y] for y in child]
-                u_rank = len(_rref(shape, u_rows, u_closed=False))
-                if len(child) - u_rank <= max_rows:
-                    grown.append(child)
-                    yield AdditiveCode(shape, None,
-                                       _rref(shape, map(packed, child)))
-        level = grown
+        yield from map(code, level)
+        level = [child for parent in level for child in children(parent)]
+
+
+def preorder_walk(shape, max_rows):
+    """The tree in pre-order, each code before its children's subtrees,
+    in order: the batched walk's stream at one pair per run, where each
+    chunk of parents is one code."""
+    children, code, _ = walk_tree(shape, max_rows)
+
+    def subtree(parent):
+        yield code(parent)
+        for child in children(parent):
+            yield from subtree(child)
+
+    return subtree(())
+
+
+@functools.cache
+def reference_bases(walk, shape, max_rows):
+    """A reference walk's bases on one shape, in its order."""
+    return [c.basis for c in walk(shape, max_rows)]
+
+
+def shape_streams(stream):
+    """(shape, basis) pairs split by shape, as {shape: bases in order},
+    the shapes in the order of their first pair."""
+    out = {}
+    for shape, basis in stream:
+        out.setdefault(shape, []).append(basis)
+    return out
+
+
+def after_parent(shape, bases):
+    """Every nonzero code of a shape's bases comes after its parent."""
+    parent = walk_tree(shape, 1)[2]
+    at = {basis: i for i, basis in enumerate(bases)}
+    for basis, i in at.items():
+        if basis:
+            assert at.get(parent(basis), i) < i
+
+
+def check_candidates(space, preorder=False):
+    """enumerate_candidates' stream on an exhaustive space, split by
+    shape: each shape's bases are the canonical walk's codes, each once
+    and after its parent, and the from-scratch walk's set; with
+    ``preorder``, the pre-order walk itself.  Every shape starts with
+    its zero code, so the shapes first appear in space.shapes()'
+    order."""
+    rows = space.max_rows
+    got = shape_streams((c.shape, c.basis) for c in enumerate_candidates(space))
+    assert list(got) == space.shapes()
+    for shape, bases in got.items():
+        assert len(set(bases)) == len(bases)
+        assert sorted(bases) == sorted(
+            reference_bases(canonical_walk, shape, rows))
+        assert set(bases) == set(reference_bases(rref_walk, shape, rows))
+        after_parent(shape, bases)
+        if preorder:
+            assert bases == reference_bases(preorder_walk, shape, rows)
 
 
 def test_walk_equals_rref_from_scratch_walk():
-    # the canonical walk's codes, bases and order, shape after shape;
-    # the same set of codes as the from-scratch walk
+    # each shape's stream holds the canonical walk's codes, each once and
+    # after its parent, and the from-scratch walk's set
     spaces = [SearchSpace(alpha=(0, 4), beta=(0, 2), max_rows=rows)
               for rows in (1, 2, 3)]
     spaces += [SearchSpace(alpha=a, beta=b, max_rows=3)
                for a, b in ((6, 1), (0, 3), (2, 3))]
     for space in spaces:
-        got = [(c.shape, c.basis) for c in enumerate_candidates(space)]
-        assert got == canonical_stream(space.alpha, space.beta, space.max_rows)
-        assert set(got) == set(rref_stream(
-            space.alpha, space.beta, space.max_rows))
-
-
-@functools.cache
-def rref_stream(alpha, beta, max_rows):
-    """rref_walk over a space's shapes, as (shape, basis) pairs."""
-    space = SearchSpace(alpha=alpha, beta=beta, max_rows=max_rows)
-    return [(c.shape, c.basis) for shape in space.shapes()
-            for c in rref_walk(shape, max_rows)]
-
-
-@functools.cache
-def canonical_stream(alpha, beta, max_rows):
-    """canonical_walk over a space's shapes, as (shape, basis) pairs."""
-    space = SearchSpace(alpha=alpha, beta=beta, max_rows=max_rows)
-    return [(c.shape, c.basis) for shape in space.shapes()
-            for c in canonical_walk(shape, max_rows)]
+        check_candidates(space)
 
 
 @pytest.mark.parametrize("run_pairs, spaces", [
-    # one pair per run: every pair starts a run (rows 2 and 3 on fewer
-    # shapes, as each run costs a whole numpy pass)
+    # one pair per run: every pair starts a run, and every chunk of
+    # parents is one code, so each shape's stream is the tree in
+    # pre-order (rows 2 and 3 on fewer shapes, as each run costs a
+    # whole numpy pass; (2, 2) at 4 rows is its complete walk, as a
+    # code of alpha + beta = 4 needs at most 4 generators)
     (1, [((0, 4), (0, 2), 1), ((0, 4), (0, 1), 2), ((0, 2), (0, 2), 2),
-         ((0, 3), (0, 1), 3)]),
+         ((0, 3), (0, 1), 3), (0, 3, 3), (2, 2, 4)]),
     # the zero code of (0, 3) has 8 unit parts to test, one passing
     # with 7 children: both cut into runs of 3
     (3, [((0, 4), (0, 2), 1), ((0, 4), (0, 2), 2), (3, 0, 3), (0, 3, 3)]),
@@ -256,14 +318,13 @@ def canonical_stream(alpha, beta, max_rows):
 ])
 def test_walk_is_the_same_for_any_run_size(monkeypatch, run_pairs, spaces):
     # runs cut the unit parts and the (parent, word) pairs anywhere, a
-    # parent's words too, and the chunks of parents with them; the
-    # stream must not see the cuts
+    # parent's words too, and the chunks of parents with them; the cuts
+    # set the depth-first order, but not the codes, and at one pair per
+    # run the order is pre-order
     monkeypatch.setattr(z2zu.search, "_RUN_PAIRS", run_pairs)
     for alpha, beta, rows in spaces:
-        space = SearchSpace(alpha=alpha, beta=beta, max_rows=rows)
-        got = [(c.shape, c.basis) for c in enumerate_candidates(space)]
-        assert got == canonical_stream(alpha, beta, rows)
-        assert set(got) == set(rref_stream(alpha, beta, rows))
+        check_candidates(SearchSpace(alpha=alpha, beta=beta, max_rows=rows),
+                         preorder=run_pairs == 1)
 
 
 def walk_bases(shape, max_rows):
@@ -274,8 +335,10 @@ def walk_bases(shape, max_rows):
 
 
 def test_exhaustive_batches_read_every_shape_off_the_top_walk():
-    # each smaller shape's stream is read off the top shape's walk; it
-    # must be that shape's own walk, the same bases in the same order
+    # each smaller shape's batches are read off each top batch as it
+    # comes, in shape order, before that top batch; each smaller
+    # shape's stream holds its own walk's codes, each once and after
+    # its parent
     spaces = [SearchSpace(alpha=(2, 4), beta=(1, 2), max_rows=3),
               SearchSpace(alpha=0, beta=(0, 4), max_rows=2),
               SearchSpace(alpha=(0, 5), beta=0, max_rows=3),
@@ -283,12 +346,24 @@ def test_exhaustive_batches_read_every_shape_off_the_top_walk():
               SearchSpace(alpha=(0, 6), beta=(0, 1), max_rows=3),
               SearchSpace(alpha=(0, 2), beta=(0, 3), max_rows=3)]
     for space in spaces:
-        got = [(shape, tuple(filter(None, row)))
-               for shape, batch in z2zu.search._exhaustive_batches(space)
-               for row in batch.tolist()]
-        expected = [(shape, basis) for shape in space.shapes()
-                    for basis in walk_bases(shape, space.max_rows)]
-        assert got == expected
+        shapes = space.shapes()
+        top, rows = shapes[-1], space.max_rows
+        stream = list(z2zu.search._exhaustive_batches(space))
+        last = -1
+        for shape, batch in stream:
+            assert shapes.index(shape) > last
+            last = -1 if shape == top else shapes.index(shape)
+        assert last == -1
+        got = shape_streams((shape, tuple(filter(None, row)))
+                            for shape, batch in stream
+                            for row in batch.tolist())
+        assert list(got) == shapes
+        assert got[top] == walk_bases(top, rows)
+        for shape in shapes[:-1]:
+            bases = got[shape]
+            assert len(set(bases)) == len(bases)
+            assert sorted(bases) == sorted(walk_bases(shape, rows))
+            after_parent(shape, bases)
 
 
 def test_walk_batches_are_one_rank_wide():
@@ -349,17 +424,33 @@ def test_free_words_are_numbered_by_pivot_insertion(monkeypatch):
                 assert child[-1] >> max(parent, default=0).bit_length()
 
 
+def gaussian(n, k):
+    """The Gaussian binomial [n choose k]_2: the k-dimensional
+    subspaces of F2^n."""
+    num = den = 1
+    for i in range(k):
+        num *= (1 << (n - i)) - 1
+        den *= (1 << (i + 1)) - 1
+    return num // den
+
+
+def submodule_count(alpha, beta):
+    """The submodules of F2^alpha x R^beta, R = F2[u]/(u^2), by
+    Birkhoff's count of the subgroups of each type (G. Birkhoff,
+    Subgroups of abelian groups, Proc. LMS 1935), which depends only on
+    the residue field F2: R^k1 + F2^t occurs
+    2^(k1 (alpha + beta - k1 - t)) [alpha + beta - k1 choose t]_2
+    [beta choose k1]_2 times."""
+    n = alpha + beta
+    return sum((1 << k1 * (n - k1 - t)) * gaussian(n - k1, t)
+               * gaussian(beta, k1)
+               for k1 in range(beta + 1) for t in range(n - k1 + 1))
+
+
 def test_complete_walk_counts_every_submodule():
     # with enough rows the walk yields every submodule of the ambient:
     # over F2^n that is every subspace, the sum of the Gaussian
     # binomials [n, k]_2 over k
-    def gaussian(n, k):
-        num = den = 1
-        for i in range(k):
-            num *= (1 << (n - i)) - 1
-            den *= (1 << (i + 1)) - 1
-        return num // den
-
     counts = []
     for n in range(1, 7):
         bases = walk_bases(AmbientShape(n, 0), n)
@@ -380,6 +471,22 @@ def test_complete_walk_counts_every_submodule():
     shape = AmbientShape(6, 1)
     bases = walk_bases(shape, shape.big_n)
     assert len(set(bases)) == len(bases) == 55599
+    # every shape with N <= 8 against Birkhoff's count, which owes the
+    # walk nothing, and the count of every complete walk pinned in this
+    # file or in CI, with (10, 0)'s, a walk of 82 s
+    shapes = 0
+    for alpha in range(9):
+        for beta in range((8 - alpha) // 2 + 1):
+            if alpha + beta:
+                shape = AmbientShape(alpha, beta)
+                walk = z2zu.search._codes_by_closure(shape, shape.big_n)
+                assert sum(len(batch) for batch in walk) == submodule_count(
+                    alpha, beta)
+                shapes += 1
+    assert shapes == 24
+    pins = {(4, 2): 12015, (6, 1): 55599, (4, 3): 378453, (6, 2): 1916373,
+            (8, 1): 16149717, (10, 0): 229755605}
+    assert {shape: submodule_count(*shape) for shape in pins} == pins
 
 
 def test_walk_of_nine_bits_at_four_rows_equals_the_scalar_walks():
@@ -403,6 +510,23 @@ def test_walk_counts_equal_the_deduplicating_walk(alpha, beta, rows, count):
     # kept the first occurrence of each basis by an exact key
     walk = z2zu.search._codes_by_closure(AmbientShape(alpha, beta), rows)
     assert sum(len(batch) for batch in walk) == count
+
+
+def test_walk_memory_follows_the_depth_of_the_tree():
+    # the complete (6, 2) walk, 1,916,373 codes in 11 ranks, holds a few
+    # chunks of parents per rank: its traced peak was 7.5 MB, against
+    # 31.8 MB when the walk held each rank whole before growing it
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        walk = z2zu.search._codes_by_closure(AmbientShape(6, 2), 10)
+        count = sum(len(batch) for batch in walk)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert count == 1916373
+    assert peak < 12 << 20
 
 
 def test_row_cut_walks_are_the_complete_walks_codes_of_few_rows():
