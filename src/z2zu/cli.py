@@ -116,13 +116,9 @@ def _dump_at(obj, newline: str) -> str:
     return json.dumps(obj)
 
 
-def _load(path: str) -> tuple[AdditiveCode, bool]:
-    """Span of a matrix file, plus whether the rows were u-closed."""
-    shape, rows = parse_matrix_file(path)
-    subgroup = additive_span(shape, rows)
-    if subgroup.is_module():
-        return subgroup, True
-    return span(shape, rows), False
+def _load(path: str) -> AdditiveCode:
+    """The code a matrix file's rows span (core.span), closed under u."""
+    return span(*parse_matrix_file(path))
 
 
 def _enum_obj(enum) -> dict:
@@ -167,7 +163,11 @@ def _theorem_checks(code, profile, report) -> dict:
 
 
 def cmd_analyze(args) -> int:
-    code, u_closed = _load(args.file)
+    shape, rows = parse_matrix_file(args.file)
+    code = span(shape, rows)
+    # the subgroup the rows generate lies inside their span, so the two
+    # are the same code exactly when they are the same size
+    u_closed = additive_span(shape, rows).cardinality == code.cardinality
     if code.cardinality == 1:
         raise TrivialCode("matrix spans only the zero code")
     sf = standard_form(code)
@@ -242,7 +242,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_dual(args) -> int:
-    code, _ = _load(args.file)
+    code = _load(args.file)
     summary = dual_summary(code)
     enum, dual = summary.enumerator, summary.dual_code
     sf = standard_form(dual)
@@ -272,7 +272,7 @@ def cmd_dual(args) -> int:
 
 
 def cmd_gray(args) -> int:
-    code, _ = _load(args.file)
+    code = _load(args.file)
     enum = lee_enumerator(code)
     gp = gray_parameters(code)
     # the image holds every word; only --words needs it
@@ -298,7 +298,7 @@ def cmd_gray(args) -> int:
 
 
 def cmd_standard_form(args) -> int:
-    code, _ = _load(args.file)
+    code = _load(args.file)
     sf = standard_form(code)
     if args.json:
         print(_dump({
@@ -318,7 +318,7 @@ def cmd_standard_form(args) -> int:
 
 
 def cmd_macwilliams(args) -> int:
-    code, _ = _load(args.file)
+    code = _load(args.file)
     enum = lee_enumerator(code)
     transformed = macwilliams(enum, code.cardinality)
     if args.json:
@@ -334,7 +334,7 @@ def cmd_macwilliams(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    code, _ = _load(args.file)
+    code = _load(args.file)
     report = classify(code)
     obj = report.to_json_obj()
     if args.json:

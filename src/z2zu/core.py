@@ -878,11 +878,12 @@ def parse_matrix(text: str) -> tuple[AmbientShape, list[MixedVector]]:
     missing or repeated '|'.  The error cites the 1-based line and the
     character column where the offending token starts; for a missing
     '|' the column is one past the row's last token, and a wrong row
-    width cites the row's '|'.
+    width cites the row's '|'.  Lines end at "\n" alone, as an editor
+    counts them: a form feed, U+2028 or a CRLF's "\r" is whitespace.
     """
     shape: AmbientShape | None = None
     rows: list[MixedVector] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.split("#", 1)[0]
         # str.split, _TOKEN only for an error's column: the regex alone
         # took 134-144 us per 12-row analyze_large file against 84-94 us,

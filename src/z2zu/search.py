@@ -174,12 +174,6 @@ MAX_EXHAUSTIVE_TUPLES = 1 << 26
 # numpy's per-call cost, few enough to keep the batch small.
 _RUN_PAIRS = 1 << 12
 
-# Words per one-weight screen call of the survey: a top batch of rank k
-# is weighed 2^14 >> k lines at a time.  Weighing whole batches, 40
-# calls of verify_fsd_classification(4, 2, 3) peaked at 33.7-33.8 MB
-# (ru_maxrss), against 32.1-32.2 MB in these slices (3 runs each).
-_SCREEN_WORDS = 1 << 14
-
 # Random draws per numpy block, and the Mersenne Twister words a block
 # draws per field (a shape index or a row part) of the draws it wants:
 # a field takes 2 words on average, and a block short of words carries
@@ -931,19 +925,20 @@ def verify_fsd_classification(
     candidate there exactly when a + 2b = 2k (|C|^2 = 2^N).  Each line
     counts as examined once per shape holding it, the zero code in
     every shape but (0, 0).  The lines with a candidate shape are
-    weighed once, in the top shape, _SCREEN_WORDS words at a time: the
-    bases whose words, built in numpy, show one nonzero Lee weight
-    (_batch_one_weight) are one-weight in every shape.  Only those are
-    built as codes, one per candidate shape (_survey_code), each after
-    a scalar check of its compressed basis and of its Lee count, which
-    raise InternalVerificationFailure; formal self-duality then picks
-    the survivors.  The survivor list must be exactly the four known
-    two-word codes (those with shapes inside the range); anything else
-    raises ClassificationViolation.  Reading each smaller shape's
-    batches off the top walk instead (_exhaustive_batches), and
-    screening each in its own shape, ran verify_fsd_classification(4,
-    2, 3) at 1.29-1.36M codes/s against 2.06-2.41M (medians of 40
-    calls, 5 alternating runs, 2-core host)."""
+    weighed once, in the top shape, by one numpy call per batch (a batch
+    holds at most one run of the walk's children, so the traced peak of
+    (6, 1, 3) is 3.4 MB): the bases whose words show one nonzero Lee
+    weight (_batch_one_weight) are one-weight in every shape.  Only
+    those are built as codes, one per candidate shape (_survey_code),
+    each after a scalar check of its compressed basis and of its Lee
+    count, which raise InternalVerificationFailure; formal self-duality
+    then picks the survivors.  The survivor list must be exactly the
+    four known two-word codes (those with shapes inside the range);
+    anything else raises ClassificationViolation.  Reading each smaller
+    shape's batches off the top walk instead (_exhaustive_batches), and
+    screening each in its own shape, ran verify_fsd_classification(4, 2,
+    3) at 1.29-1.36M codes/s against 2.06-2.41M (medians of 40 calls, 5
+    alternating runs, 2-core host)."""
     if max_alpha > 6 or max_beta > 3:
         raise ValueError("screen is capped at max_alpha = 6, max_beta = 3")
     if max_alpha < 0 or max_beta < 0 or max_alpha + max_beta < 1:
@@ -966,16 +961,13 @@ def verify_fsd_classification(
         lo = np.maximum(b, k - max_alpha // 2)
         hi = np.minimum(max_beta, k - (a + 1) // 2)
         lines = np.flatnonzero(lo <= hi)
-        step = max(1, _SCREEN_WORDS >> k)
-        for start in range(0, len(lines), step):
-            part = lines[start:start + step]
-            for i in part[_batch_one_weight(top, batch[part])].tolist():
-                row = batch[i].tolist()
-                for beta in range(int(lo[i]), int(hi[i]) + 1):
-                    code = _survey_code(
-                        top, AmbientShape(2 * (k - beta), beta), row)
-                    if is_formally_self_dual(code):
-                        survivors.append(code)
+        for i in lines[_batch_one_weight(top, batch[lines])].tolist():
+            row = batch[i].tolist()
+            for beta in range(int(lo[i]), int(hi[i]) + 1):
+                code = _survey_code(
+                    top, AmbientShape(2 * (k - beta), beta), row)
+                if is_formally_self_dual(code):
+                    survivors.append(code)
     survivors.sort(key=lambda c: (c.shape.alpha, c.shape.beta, c.basis))
     expected = [
         AdditiveCode(shape, None, basis)
@@ -986,8 +978,9 @@ def verify_fsd_classification(
     report = FsdSurveyReport(max_alpha, max_beta, max_rows, examined,
                              tuple(survivors), tuple(expected))
     if not report.matches:
-        unexpected = [c for c in survivors if c not in set(expected)]
-        missing = [c for c in expected if c not in set(survivors)]
+        expected_set, survivor_set = set(expected), set(survivors)
+        unexpected = [c for c in survivors if c not in expected_set]
+        missing = [c for c in expected if c not in survivor_set]
         raise ClassificationViolation(
             f"unexpected survivors {unexpected}, missing {missing}"
         )

@@ -4,16 +4,21 @@ import json
 import random
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+import z2zu.cli
+import z2zu.search
 from z2zu.cli import _build_parser, _dump, main
 from z2zu.core import (
     MAX_CODE_WORD_BITS,
     additive_span,
+    gray_image,
     parse_matrix,
     parse_matrix_file,
+    span,
 )
 from z2zu.errors import InternalVerificationFailure, MatrixParseError
 from z2zu.presets import PRESETS, preset_code
@@ -127,6 +132,20 @@ def test_analyze_trivial_span_is_an_input_error(capsys, tmp_path):
     assert "zero code" in err
 
 
+def test_analyze_skips_two_weight_relations_when_not_projective(
+    capsys, tmp_path
+):
+    # weights 1 and 2, and the zero column puts a weight-1 word in the dual
+    f = tmp_path / "zero-column.txt"
+    f.write_text("1 0 0 |\n0 1 0 |\n")
+    rc, out, _ = run(capsys, ["analyze", str(f), "--json"])
+    assert rc == 0
+    obj = json.loads(out)
+    assert obj["classification"]["two_lee_weight"] is True
+    assert obj["classification"]["projective"] is False
+    assert obj["checks"]["two_weight_relations"] == "skipped: not projective"
+
+
 def test_missing_file(capsys):
     rc, _, err = run(capsys, ["analyze", "data/no_such_file.txt"])
     assert rc == 2
@@ -189,6 +208,31 @@ def count_calls(monkeypatch, name):
         if mod_name.split(".")[0] == "z2zu" and getattr(mod, name, None) is fn:
             monkeypatch.setattr(mod, name, counted)
     return calls
+
+
+@pytest.mark.parametrize("command", ["analyze", "dual", "gray",
+                                     "standard-form", "macwilliams",
+                                     "classify"])
+def test_each_file_command_builds_one_code(monkeypatch, capsys, command):
+    # every command spans the file's rows once; analyze also builds the
+    # bare subgroup once, to tell whether the rows were u-closed
+    built = []
+    for name in ("span", "additive_span"):
+        fn = getattr(z2zu.cli, name)
+        monkeypatch.setattr(z2zu.cli, name,
+                            lambda *a, fn=fn, name=name:
+                            built.append(name) or fn(*a))
+    for path in sorted(Path("data").iterdir()):
+        built.clear()
+        rc, out, _ = run(capsys, ["--json", command, str(path)])
+        assert rc == 0
+        if command != "analyze":
+            assert built == ["span"], path
+            continue
+        assert sorted(built) == ["additive_span", "span"], path
+        shape, rows = parse_matrix_file(path)
+        assert (json.loads(out)["rows_u_closed"]
+                == additive_span(shape, rows).is_module()), path
 
 
 @pytest.mark.parametrize("key", list(PRESETS))
@@ -259,6 +303,16 @@ def test_gray_with_words(capsys):
     assert lines[2:] == ["00", "11"]
 
 
+def test_gray_json_words_are_the_image(capsys):
+    for path in sorted(Path("data").iterdir()):
+        rc, out, _ = run(capsys, ["gray", str(path), "--json", "--words"])
+        assert rc == 0
+        obj = json.loads(out)
+        image = gray_image(span(*parse_matrix_file(path)))
+        assert obj["words"] == [format(w, f"0{obj['n']}b")
+                                for w in image.words], path
+
+
 def test_gray_without_words_builds_no_image(monkeypatch, capsys):
     def refuse(code):
         raise AssertionError("gray image built")
@@ -321,6 +375,19 @@ def test_macwilliams_command(capsys):
             " + 27x^4y^5 + 27x^3y^6 + 9x^2y^7 + y^9") in out
 
 
+def test_macwilliams_json_agrees_with_analyze(capsys):
+    for path in sorted(Path("data").iterdir()):
+        rc, out, _ = run(capsys, ["macwilliams", str(path), "--json"])
+        assert rc == 0
+        obj = json.loads(out)
+        rc, out, _ = run(capsys, ["analyze", str(path), "--json"])
+        assert rc == 0
+        report = json.loads(out)
+        assert obj["primal"] == report["lee"], path
+        assert obj["dual"]["counts"] == report["dual"]["counts"], path
+        assert obj["dual"]["poly"] == report["dual"]["poly"], path
+
+
 def test_classify_command(capsys):
     rc, out, _ = run(capsys, ["classify", data_file("5.6"), "--json"])
     assert rc == 0
@@ -378,6 +445,16 @@ def test_reproduce_all(capsys):
     assert [o["example"] for o in obj["examples"]] == list(PRESETS)
     # every name, status and detail string, byte for byte as stored
     assert out == (Path(__file__).parent / "reproduce_all.json").read_text()
+
+
+def test_reproduce_fails_on_an_altered_preset(monkeypatch, capsys):
+    p = PRESETS["5.5"]
+    monkeypatch.setitem(PRESETS, "5.5", replace(p, gray=(16, 5, 9)))
+    rc, out, _ = run(capsys, ["reproduce", "5.5"])
+    assert rc == 4
+    assert (f"FAIL  gray parameters: expected (16, 5, 9), "
+            f"got {p.gray!r}") in out
+    assert "1 failure(s)" in out
 
 
 def pinned_json_objects():
@@ -592,6 +669,17 @@ def test_search_verify_classification_output_is_pinned(capsys):
     assert rc == 0
     pinned = Path(__file__).parent / "search_outputs" / "verify_thm_4_5.json"
     assert out == pinned.read_text()
+
+
+def test_search_verify_classification_mismatch_exits_4(monkeypatch, capsys):
+    expected = z2zu.search._EXPECTED_FSD_SURVIVORS
+    monkeypatch.setattr(z2zu.search, "_EXPECTED_FSD_SURVIVORS", expected[1:])
+    rc, out, err = run(capsys, ["search", "--verify-thm-4.5",
+                                "--alpha", "4", "--beta", "2"])
+    assert (rc, out) == (4, "")
+    assert err == ("classification mismatch: unexpected survivors "
+                   "[AdditiveCode(alpha=2, beta=0, cardinality=2)], "
+                   "missing []\n")
 
 
 def test_search_verify_classification_refuses_ignored_flags(capsys):

@@ -639,19 +639,38 @@ NOT_A_BIT_ERRORS = [
 ]
 
 
+# Lines end at "\n" alone: a form feed, vertical tab, U+0085 or U+2028
+# inside a row is whitespace, and the lines after it keep their numbers.
+LINE_SEPARATOR_ERRORS = [
+    ("1 0 | u\x0c0 1 | u v\n",
+     "line 1, column 13: row has more than one '|' separator", 1, 13),
+    ("1 0 | u\u2028\n1 | u\n",
+     "line 2, column 3: row has 1+1 columns, expected 2+1", 2, 3),
+    ("1 0 | u\x0b\n0 1\x85| q\n",
+     "line 2, column 7: invalid ring token 'q'", 2, 7),
+]
+
+
 @pytest.mark.parametrize("text,message,line,col",
-                         PARSE_ERRORS + NOT_A_BIT_ERRORS)
+                         PARSE_ERRORS + NOT_A_BIT_ERRORS
+                         + LINE_SEPARATOR_ERRORS)
 def test_parse_error_message_line_and_column(text, message, line, col):
     with pytest.raises(MatrixParseError) as err:
         parse_matrix(text)
     assert (str(err.value), err.value.line, err.value.col) == (message, line, col)
 
 
+def test_line_separators_inside_a_row_are_whitespace():
+    expected = parse_matrix("1 0 | u\n0 1 | v\n")
+    for sep in "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029":
+        assert parse_matrix(f"1 0 | u{sep}\n0 1{sep}| v\n") == expected, sep
+
+
 def parse_token_by_token(text):
     """The matrix grammar read one token at a time, with each token's
     column from its own regex match: the reference for parse_matrix."""
     shape, rows = None, []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         found = [(m.group(), m.start() + 1)
                  for m in re.finditer(r"[^\s|]+|\|", raw.split("#", 1)[0])]
         if not found:
@@ -702,7 +721,7 @@ def random_matrix_text(rng, alpha, beta, n_rows, bad=None):
     """Rows of random entries in every ring spelling, joined by mixed
     separators, a glued or spaced '|', and comment and blank lines;
     ``bad`` replaces one random token with itself."""
-    seps = (" ", "  ", "\t", "\u00a0", "\u2003", " \t")
+    seps = (" ", "  ", "\t", "\u00a0", "\u2003", " \t", "\x0c", "\u2028")
     spellings = ("0", "1", "u", "v", "1+u", "u+1")
     rows = [[rng.choice("01") for _ in range(alpha)] + ["|"]
             + [rng.choice(spellings) for _ in range(beta)]
@@ -738,6 +757,8 @@ def test_parse_matrix_equals_the_token_by_token_reader():
             text += "1 " * rng.randint(0, 2) + "| u\n"
         got = parse_outcome(parse_matrix, text)
         assert got == parse_outcome(parse_token_by_token, text), text
+        # CRLF line ends read as "\n" ones, errors cite the same places
+        assert parse_outcome(parse_matrix, text.replace("\n", "\r\n")) == got
         outcomes[isinstance(got[0], AmbientShape)] += 1
     # both sides of the comparison are exercised, past 64 bits too
     assert min(outcomes.values()) > 50

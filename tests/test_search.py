@@ -1265,6 +1265,29 @@ def test_screen_range_caps():
         verify_fsd_classification(6, 3)
 
 
+# Traced peak bounds (MB) of the survey on the largest ranges the caps
+# admit, about twice the peak each read (2-core host, Python 3.11):
+# 3.5 MB at (6, 3, 2), 3.4 at (6, 1, 3), 2.5 at (4, 2, 3), 0.47 at
+# (6, 3, 1) and 0.07 at (5, 0, 5) (0.08 in a fresh process).  Each top
+# batch is weighed whole.
+SURVEY_PEAK_MB = {(6, 3, 2): 7, (6, 1, 3): 8, (4, 2, 3): 5, (6, 3, 1): 1,
+                  (5, 0, 5): 0.2}
+
+
+@pytest.mark.parametrize("args", SURVEY_PEAK_MB)
+def test_survey_memory_stays_bounded(args):
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        report = verify_fsd_classification(*args)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert report.matches
+    assert peak < SURVEY_PEAK_MB[args] * 1e6, peak
+
+
 # -------------------------------------------------------------- optimality
 
 
