@@ -469,17 +469,18 @@ def cmd_reproduce(args) -> int:
 # ------------------------------------------------------------------ search
 
 
-def _parse_range(text: str) -> tuple[int, int]:
+def _parse_range(flag: str, text: str) -> tuple[int, int]:
     lo, sep, hi = text.partition("..")
-    if not sep:
-        v = int(text)
-        return (v, v)
-    return (int(lo), int(hi))
+    try:
+        return (int(lo), int(hi)) if sep else (int(text),) * 2
+    except ValueError:
+        raise ValueError(
+            f"--{flag} takes N or LO..HI, got {text!r}") from None
 
 
 def cmd_search(args) -> int:
-    alpha = _parse_range(args.alpha)
-    beta = _parse_range(args.beta)
+    alpha = _parse_range("alpha", args.alpha)
+    beta = _parse_range("beta", args.beta)
     if args.verify_thm_4_5:
         # the survey covers every shape from alpha = beta = 0 up to the
         # given bounds and has no target, budget or include rows

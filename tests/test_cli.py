@@ -618,7 +618,8 @@ def test_search_random_output_is_pinned(capsys, target, hits):
 
 
 @pytest.mark.parametrize("target, hits", [("one-weight", 28),
-                                           ("two-weight-projective", 25)])
+                                           ("two-weight-projective", 25),
+                                           ("fsd-one-weight", 2)])
 def test_search_exhaustive_output_is_pinned(capsys, target, hits):
     # the exhaustive walk of every code of alpha <= 4, beta <= 2 at 3
     # rows: its hits, rows and all, stay byte for byte as stored
@@ -629,6 +630,25 @@ def test_search_exhaustive_output_is_pinned(capsys, target, hits):
     assert err == f"# {hits} hit(s)\n"
     name = "exhaustive_" + target.replace("-", "_") + ".jsonl"
     assert out == (Path(__file__).parent / "search_outputs" / name).read_text()
+
+
+def test_search_fsd_target_hits_are_survey_survivors(capsys):
+    # the target keeps codes meeting both one-weight relations, which a
+    # zero column breaks, of |C|^2 = 2^N, which with N = lambda(|C| - 1)
+    # admits only |C| = 2 at N = 2: of the survey's four survivors it
+    # hits (|u) and (1,1|), not (0,1|) or (1,0|)
+    rc, out, _ = run(capsys, ["search", "--verify-thm-4.5",
+                              "--alpha", "4", "--beta", "2", "--json"])
+    survivors = json.loads(out)["survivors"]
+    assert rc == 0 and len(survivors) == 4
+    rc, out, _ = run(capsys, ["search", "--alpha", "0..4", "--beta", "0..2",
+                              "--rows", "3", "--target", "fsd-one-weight"])
+    hits = [{key: hit[key] for key in ("alpha", "beta", "generators")}
+            for hit in map(json.loads, out.splitlines())]
+    assert rc == 0
+    assert hits == [{"alpha": 0, "beta": 1, "generators": ["| u"]},
+                    {"alpha": 2, "beta": 0, "generators": ["1 1 |"]}]
+    assert all(hit in survivors for hit in hits)
 
 
 def test_search_budget_below_one_is_an_input_error(capsys):
@@ -703,19 +723,44 @@ def test_search_verify_classification_refuses_ignored_flags(capsys):
 
 
 def test_search_verify_classification_guards_the_walk(capsys):
-    # no rows would survey the zero code alone; (6, 3) at 3 rows holds
-    # 2^36 generator tuples, past the exhaustive cap; (7, 0) at 1 row
-    # fits that cap but not the survey's own range cap
+    # no rows would survey the zero code alone; at 3 rows the top
+    # shapes (6, 3) and (7, 1) alone hold 2^36 and 2^27 generator
+    # tuples, past the exhaustive cap, the survey's one guard; (7, 0) at
+    # 1 row fits it
     for argv, message in (
         (["--alpha", "4", "--beta", "2", "--rows", "0"],
          "max_rows must be positive"),
         (["--alpha", "6", "--beta", "3"], "exhaustive cap"),
-        (["--alpha", "7", "--beta", "0", "--rows", "1"],
-         "screen is capped at max_alpha = 6, max_beta = 3\n"),
+        (["--alpha", "7", "--beta", "1"], "exhaustive cap"),
     ):
         rc, out, err = run(capsys, ["search", "--verify-thm-4.5"] + argv)
         assert (rc, out) == (2, "")
         assert err.startswith("error: ") and message in err
+    rc, out, _ = run(capsys, ["search", "--verify-thm-4.5", "--alpha", "7",
+                              "--beta", "0", "--rows", "1", "--json"])
+    assert rc == 0 and json.loads(out)["matches"] is True
+
+
+@pytest.mark.parametrize("survey", [False, True])
+@pytest.mark.parametrize("flag", ["--alpha", "--beta"])
+@pytest.mark.parametrize("text", ["1..", "..3", "x", "1..2..3"])
+def test_search_malformed_range_names_the_flag(capsys, survey, flag, text):
+    argv = {"--alpha": "2", "--beta": "1", flag: text}
+    head = ["--verify-thm-4.5"] if survey else ["--target", "one-weight"]
+    rc, out, err = run(capsys, ["search"] + head + [
+        f"--alpha={argv['--alpha']}", f"--beta={argv['--beta']}"])
+    assert (rc, out) == (2, "")
+    assert err == f"error: {flag} takes N or LO..HI, got {text!r}\n"
+
+
+def test_search_backwards_or_negative_range_is_refused_by_the_space(capsys):
+    for argv, message in (
+        (["--target", "one-weight", "--alpha=3..1"], "(3, 1)"),
+        (["--target", "one-weight", "--alpha=-1"], "(-1, -1)"),
+        (["--verify-thm-4.5", "--alpha=-1"], "(0, -1)"),
+    ):
+        rc, out, err = run(capsys, ["search", "--beta=1"] + argv)
+        assert (rc, out, err) == (2, "", f"error: bad alpha range {message}\n")
 
 
 def test_search_space_too_large(capsys):

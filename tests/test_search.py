@@ -8,6 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import z2zu.cli
 import z2zu.search
 from z2zu.core import (
     AdditiveCode,
@@ -434,17 +435,20 @@ def gaussian(n, k):
     return num // den
 
 
-def submodule_count(alpha, beta):
+def submodule_count(alpha, beta, rows=None):
     """The submodules of F2^alpha x R^beta, R = F2[u]/(u^2), by
     Birkhoff's count of the subgroups of each type (G. Birkhoff,
     Subgroups of abelian groups, Proc. LMS 1935), which depends only on
     the residue field F2: R^k1 + F2^t occurs
     2^(k1 (alpha + beta - k1 - t)) [alpha + beta - k1 choose t]_2
-    [beta choose k1]_2 times."""
+    [beta choose k1]_2 times.  Given ``rows``, only those generated by
+    at most that many rows: a submodule of type R^k1 + F2^t needs
+    k1 + t generators."""
     n = alpha + beta
     return sum((1 << k1 * (n - k1 - t)) * gaussian(n - k1, t)
                * gaussian(beta, k1)
-               for k1 in range(beta + 1) for t in range(n - k1 + 1))
+               for k1 in range(beta + 1) for t in range(n - k1 + 1)
+               if rows is None or k1 + t <= rows)
 
 
 def test_complete_walk_counts_every_submodule():
@@ -638,6 +642,32 @@ def test_exhaustive_cap_refuses_one_shape_before_counting():
         cap = rf"2\^{rows} generator tuples; the exhaustive cap"
         with pytest.raises(SpaceTooLarge, match=cap):
             next(enumerate_candidates(space))
+
+
+def test_exhaustive_cap_refuses_before_any_shape_is_built(
+        monkeypatch, capsys):
+    # a space whose shape list alone would take gigabytes is refused
+    # off its ranges' upper ends, by the library and the CLI alike
+    def built(*args):
+        raise AssertionError("a shape list was built")
+
+    monkeypatch.setattr(SearchSpace, "shapes", built)
+    monkeypatch.setattr(z2zu.search, "_rank_fits", built)
+    message = ("AmbientShape(alpha=30000, beta=30000) alone holds 2^90000 "
+               "generator tuples; the exhaustive cap is 67108864")
+    space = SearchSpace(alpha=(0, 30000), beta=(0, 30000), max_rows=1,
+                        target="one_weight")
+    for refused in (lambda: next(enumerate_candidates(space)),
+                    lambda: verify_fsd_classification(30000, 30000, 1)):
+        with pytest.raises(SpaceTooLarge) as info:
+            refused()
+        assert str(info.value) == message
+    for argv in (["--target", "one-weight", "--alpha", "0..30000",
+                  "--beta", "0..30000"],
+                 ["--verify-thm-4.5", "--alpha", "30000",
+                  "--beta", "30000"]):
+        assert z2zu.cli.main(["search", "--rows", "1"] + argv) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def test_random_stream_is_reproducible():
@@ -1250,28 +1280,52 @@ def test_survey_checks_each_compressed_basis(monkeypatch, bit):
 
 
 def test_screen_range_caps():
-    # the screen's own cap, which the tuple cap alone would not give:
-    # (7, 0) and (2, 4) at 1 row fit 2^26 tuples
-    cap = "screen is capped at max_alpha = 6, max_beta = 3"
-    for args in ((7, 1), (2, 4), (7, 0, 1), (2, 4, 1)):
-        with pytest.raises(ValueError, match=cap):
+    # the screen's one guard is the walk's: at least one row, at most
+    # 2^26 tuples; (7, 1) and (2, 4) at 3 rows are past the cap, and at
+    # 1 row (7, 0) and (2, 4) fit it and run
+    for args in ((7, 1), (2, 4), (6, 3)):
+        with pytest.raises(SpaceTooLarge, match="the exhaustive cap is"):
             verify_fsd_classification(*args)
+    for args in ((7, 0, 1), (2, 4, 1)):
+        assert verify_fsd_classification(*args).matches
     with pytest.raises(ValueError):
         verify_fsd_classification(0, 0)
-    # the walk's own guards: at least one row, at most 2^26 tuples
+    with pytest.raises(ValueError, match="bad alpha range"):
+        verify_fsd_classification(-1, 2)
     with pytest.raises(ValueError, match="max_rows"):
         verify_fsd_classification(4, 2, 0)
-    with pytest.raises(SpaceTooLarge):
-        verify_fsd_classification(6, 3)
 
 
-# Traced peak bounds (MB) of the survey on the largest ranges the caps
-# admit, about twice the peak each read (2-core host, Python 3.11):
-# 3.5 MB at (6, 3, 2), 3.4 at (6, 1, 3), 2.5 at (4, 2, 3), 0.47 at
-# (6, 3, 1) and 0.07 at (5, 0, 5) (0.08 in a fresh process).  Each top
-# batch is weighed whole.
-SURVEY_PEAK_MB = {(6, 3, 2): 7, (6, 1, 3): 8, (4, 2, 3): 5, (6, 3, 1): 1,
-                  (5, 0, 5): 0.2}
+# (max_alpha, max_beta, max_rows) -> codes examined: CI's five ranges,
+# then ranges past the survey's old cap of max_alpha <= 6 and
+# max_beta <= 3, which the tuple cap admits
+SURVEY_COUNTS = {(4, 2, 3): 11150, (6, 1, 3): 34293, (2, 3, 3): 4677,
+                 (4, 1, 4): 925, (6, 3, 1): 6349,
+                 (0, 4, 3): 2063, (8, 0, 3): 125353, (4, 4, 2): 408112,
+                 (0, 6, 2): 216240, (8, 2, 2): 964776, (12, 0, 2): 3732369}
+
+
+@pytest.mark.parametrize("args", SURVEY_COUNTS)
+def test_survey_examines_every_submodule_of_its_range(args):
+    # each shape of the range counts its codes of at most max_rows
+    # generators once: Birkhoff's count, which owes the walk nothing
+    max_alpha, max_beta, rows = args
+    count = sum(submodule_count(a, b, rows)
+                for a in range(max_alpha + 1) for b in range(max_beta + 1)
+                if a + b)
+    assert count == SURVEY_COUNTS[args]
+    report = verify_fsd_classification(*args)
+    assert report.matches and report.codes_examined == count
+
+
+# Traced peak bounds (MB) of the survey on large ranges the cap
+# admits, about twice the peak each read (2-core host, Python 3.11):
+# 3.60 MB at (8, 2, 2), 3.54 at (4, 4, 2), 3.5 at (6, 3, 2), 3.4 at
+# (6, 1, 3), 2.5 at (4, 2, 3), 1.33 at (12, 0, 2), 0.47 at (6, 3, 1)
+# and 0.07 at (5, 0, 5) (0.08 in a fresh process).  Each top batch is
+# weighed whole.
+SURVEY_PEAK_MB = {(8, 2, 2): 7, (4, 4, 2): 7, (6, 3, 2): 7, (6, 1, 3): 8,
+                  (4, 2, 3): 5, (12, 0, 2): 3, (6, 3, 1): 1, (5, 0, 5): 0.2}
 
 
 @pytest.mark.parametrize("args", SURVEY_PEAK_MB)
