@@ -25,10 +25,12 @@ generated by up to max_rows rows are a subtree, and the walk grows
 nothing past it.  Word j of a parent is j with a 0 inserted at each of
 its pivots; its free unit bits are its top free bits, so the top bits
 of j fix u*x, and each unit part is tested once: every word of a part
-that passes is a child.  The children are taken back to packed words
-and reduced there, and one vectorized check per batch (_check_bases)
-confirms that every basis is in sorted reduced echelon form, below 2^N
-and closed under u before the batch is yielded.  Far fewer candidates
+that passes is a child.  Only x is taken back to a packed word, and it
+joins the packed reduced basis of P, which the walk carries with P's
+walk basis, in one elimination step.  One vectorized check per batch
+(_check_bases) confirms that every basis is in sorted reduced echelon
+form, below 2^N and closed under u before the batch is yielded,
+read-only, as its lines' children grow from it.  Far fewer candidates
 are touched than the (2^(alpha+2*beta))^g generator tuples the space
 nominally contains.  That nominal count is still the budget guard:
 exhaustive mode refuses a space whose tuples, summed over all its
@@ -63,19 +65,22 @@ the shapes of N = 2k that hold a line and the one-weight rule on the
 top batch (_batch_one_weight).
 
 Both modes work on columns of reduced, increasing ``uint64`` bases:
-_reduced reduces a word against a basis, which tests membership, and
-_echelon reduces the rows of a (k, n) array to n such bases, row by
-row.  The walk tests its parents' unit parts with _reduced and
-rebuilds its children's packed bases with _echelon, and the random
-blocks build each draw's basis of {g, u*g} with _echelon.
+_reduced reduces a word against a basis, which tests membership,
+_joined joins a word to a basis, and _echelon reduces the rows of a
+(k, n) array to n such bases, joining them row by row.  The walk tests
+its parents' unit parts with _reduced and joins each child's packed
+word to its parent's basis with _joined, and the random blocks build
+each draw's basis of {g, u*g} with _echelon.
 
 A random draw is handled rank first.  Its rows are drawn as packed
 integers and reduced to the basis of {g, u*g}, whose rank k gives
 |C| = 2^k.  enumerate_candidates, the one candidate stream, applies a
-target's size rule (_size_fits), read on k from a per-shape table
-filled before the first draw or walk: in random mode so that only
+target's size rule (_size_fits) on k: in random mode so that only
 passing draws are deduplicated on (shape, basis), the first drawing
-kept, and built as codes; in exhaustive mode on each walked basis.  A
+kept, and built as codes; in exhaustive mode on each walked basis.  It
+is read from a per-shape table filled before the first walk or block
+of draws, except on the per-draw path below, which reads it per draw
+and builds no shape list.  A
 code's size does not depend on which rows drew it, so this yields
 exactly the untargeted stream's codes that pass, in the same order.
 When every shape has alpha <= 31 and beta <= 15, the draws come in
@@ -83,7 +88,8 @@ numpy blocks of at most 2^12: one bulk getrandbits call gives a
 block's 32-bit words, randrange's rejections become masks on them, the
 kernel builds every draw's basis, and each passing draw's basis must
 equal the scalar core._rref of its rows.  A space with a wider shape
-calls randrange per field and core._rref per draw.  Either way a seed
+calls randrange per field and core._rref per draw, and reads each
+draw's shape off the ranges by arithmetic.  Either way a seed
 gives the stream that randrange draws would (see _random_candidates
 for why), and a space whose block of draws would take more than 2^20
 words of the generator is refused before the first draw.
@@ -105,10 +111,10 @@ conditions before any dual work:
 The basis-row rule (_basis_weights_fit) reads the basis alone, before
 any word is built: basis rows are nonzero codewords, so a code with at
 most t nonzero Lee weights shows at most t distinct weights on them.
-The one-weight survey needs no such pre-filter: it weighs every word
-of its lines of a walk batch at once on core's kernels
-(_batch_one_weight), and the scalar Lee count of each code it keeps is
-that rule's check.
+The one-weight survey applies the same rule to its lines of a walk
+batch at once, then weighs every word of the lines that pass, on
+core's kernels (_batch_one_weight); the scalar Lee count of each code
+it keeps is that screen's check.
 
 Each pruner only skips codes the target rejects; the test suite checks
 the hits against an unpruned search of its own.
@@ -271,12 +277,8 @@ def _reduced(rows: np.ndarray, x: np.ndarray) -> np.ndarray:
 def _echelon(words: np.ndarray) -> np.ndarray:
     """The reduced, increasing ``uint64`` bases of the columns of a
     (k, n) array, as a (k, n) array with a leading 0 per rank short of
-    k.  Each row x is reduced against the basis built so far (_reduced)
-    and joined in order: min(row, row ^ x) clears x's leading bit from
-    the rows that have it, leaving every leading bit where it was, then,
-    from the largest row down, each slot keeps the larger of its row
-    and x, x carrying on with the smaller into the free slot below the
-    basis.  A zero x joins as a leading 0.
+    k: each row joins the basis built so far (_joined), in the free slot
+    below it.
 
     A basis has no more rows than its words have bits, so only the last
     that many slots are swept: the ones above stay leading zeros."""
@@ -286,16 +288,26 @@ def _echelon(words: np.ndarray) -> np.ndarray:
     # zeros, as the slots above the last bits are never written
     out = np.zeros(words.shape, np.uint64)
     for i, x in enumerate(words):
-        swept = min(i, bits)
-        rows = out[k - swept:]
-        x = _reduced(rows, x)
-        np.minimum(rows, rows ^ x, out=rows)
-        for row in rows[::-1]:
-            lower = np.minimum(row, x)
-            np.maximum(row, x, out=row)
-            x = lower
-        out[k - swept - 1] = x
+        _joined(out[k - min(i, bits) - 1:], x)
     return out
+
+
+def _joined(out: np.ndarray, x: np.ndarray) -> None:
+    """Join x to the reduced, increasing bases in the columns of
+    out[1:], writing the bases of their spans with x into all of
+    ``out``.  x is reduced against them (_reduced) and min(row, row ^ x)
+    clears x's leading bit from the rows that have it, leaving every
+    leading bit where it was; then, from the largest row down, each slot
+    keeps the larger of its row and x, x carrying on with the smaller
+    into out[0].  A zero x joins as a leading 0."""
+    rows = out[1:]
+    x = _reduced(rows, x)
+    np.minimum(rows, rows ^ x, out=rows)
+    for row in rows[::-1]:
+        lower = np.minimum(row, x)
+        np.maximum(row, x, out=row)
+        x = lower
+    out[0] = x
 
 
 def _codes_by_closure(
@@ -308,56 +320,66 @@ def _codes_by_closure(
     columns _check_bases sweeps are contiguous.
 
     The walk yields the tree of the module docstring depth first, a
-    chunk of parents at a time: subtrees(parents, depth) yields their
-    children and the children's subtrees, depth ranks in all.  The walk
-    bases of the children, a column of k rows per code, go onto a
-    pending list run by run, and once it holds _RUN_PAIRS parents or
-    more, or the runs end, they are grown as the next chunk, subtree and
-    all, before the next run.  _children and _grow work _RUN_PAIRS unit
-    parts or words at a time, so a rank holds at most about two runs of
-    children at once, and memory follows the depth of the tree, not its
-    widest rank.  At one pair per run the stream is the tree in
-    pre-order.  The pending list keeps chunks near _RUN_PAIRS parents:
-    growing each run's children alone cut the (4, 2) walk at 3 rows
-    into 8 batches against 7 and ran perfbench's survey_exhaustive
-    2.0-5.9% slower (5 of 5 pairs, 2-core host).  A batch is yielded
-    only after _check_bases confirms every line is a sorted reduced
-    echelon basis below 2^N, closed under u.
+    chunk of parents at a time: subtrees(parents, packed, depth) yields
+    their children and the children's subtrees, depth ranks in all.  The
+    walk bases of the children, a column of k rows per code, go onto a
+    pending list run by run, each beside its batch's packed reduced
+    bases, from which their own children grow (_grow), and once it
+    holds _RUN_PAIRS parents or more, or the runs end, they are grown as
+    the next chunk, subtree and all, before the next run.  _children and
+    _grow work _RUN_PAIRS unit parts or words at a time, so a rank holds
+    at most about two runs of children at once, and memory follows the
+    depth of the tree, not its widest rank.  At one pair per run the
+    stream is the tree in pre-order.  The pending list keeps chunks near
+    _RUN_PAIRS parents: growing each run's children alone cut the (4, 2)
+    walk at 3 rows into 8 batches against 7 and ran perfbench's
+    survey_exhaustive 2.0-5.9% slower (5 of 5 pairs, 2-core host).  A
+    batch is yielded only after _check_bases confirms every line is a
+    sorted reduced echelon basis below 2^N, closed under u, and
+    read-only: a write by a consumer would change the bases the subtree
+    below it grows from.
 
     Words are ``uint64``: the exhaustive cap of 2^26 tuples keeps
     N <= 26.
     """
-    def subtrees(parents: np.ndarray, depth: int) -> Iterator[np.ndarray]:
-        pending: list[np.ndarray] = []
+    def subtrees(
+        parents: np.ndarray, packed: np.ndarray, depth: int,
+    ) -> Iterator[np.ndarray]:
+        pending: list[tuple[np.ndarray, np.ndarray]] = []
         size = 0
-        for children, batch in _children(shape, parents, max_rows):
+        for children, batch in _children(shape, parents, packed, max_rows):
             _check_bases(shape, batch)
+            # its lines' children grow from it: no consumer may change it
+            batch.flags.writeable = False
             yield batch
             if depth > 1:
-                pending.append(children)
+                pending.append((children, batch.T))
                 size += children.shape[1]
             if size >= _RUN_PAIRS:
-                yield from subtrees(np.concatenate(pending, axis=1), depth - 1)
+                yield from subtrees(*map(np.hstack, zip(*pending)), depth - 1)
                 pending, size = [], 0
         if pending:
-            yield from subtrees(np.concatenate(pending, axis=1), depth - 1)
+            yield from subtrees(*map(np.hstack, zip(*pending)), depth - 1)
 
     yield np.zeros((1, 0), np.uint64)
+    root = np.zeros((0, 1), np.uint64)
     # rank(C) is the generator count plus rank(u*C) <= min(beta, max_rows)
-    yield from subtrees(np.zeros((0, 1), np.uint64),
+    yield from subtrees(root, root,
                         min(max_rows + min(shape.beta, max_rows), shape.big_n))
 
 
 def _children(
-    shape: AmbientShape, basis: np.ndarray, max_rows: int,
+    shape: AmbientShape, basis: np.ndarray, packed: np.ndarray,
+    max_rows: int,
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """The children of a chunk of parents, in the walk's order, as
-    _grow returns them run by run.  Parent P's words x are word j for
-    2^m0 <= j < 2^(N - k), m0 counting P's free bits below its top pivot.
-    A unit part passes when u*x reduces to 0 against P and, if P has
-    max_rows generators already, it is not 0, so that x adds none; then
-    every word of it is a child, so a parent costs at most 2^beta tests
-    beside them."""
+    """The children of a chunk of parents, walk bases in the columns of
+    ``basis`` and their packed reduced bases in those of ``packed``, in
+    the walk's order, as _grow returns them run by run.  Parent P's
+    words x are word j for 2^m0 <= j < 2^(N - k), m0 counting P's free
+    bits below its top pivot.  A unit part passes when u*x reduces to 0
+    against P and, if P has max_rows generators already, it is not 0,
+    so that x adds none; then every word of it is a child, so a parent
+    costs at most 2^beta tests beside them."""
     k, count = basis.shape
     n, beta = shape.big_n, shape.beta
     tops = _top_bits(basis)
@@ -370,16 +392,22 @@ def _children(
     # P needs k - (beta - units) generators, rank(u*P) being its unit
     # pivots; at max_rows, unit part 0 (no unit bit in x) would add one
     first = np.maximum((1 << m0) >> low, k - beta + units == max_rows)
+    # columns are gathered by take: fancy indexing ran the complete
+    # (2, 5) walk in 2.8 s against 2.3-2.6 s (medians of 3 walks, 3
+    # alternating rounds of processes, 2-core host)
     for owner, part in _numbered((1 << units) - first):
         part += first[owner]
         lo = part << low[owner]
-        ux = _inserted(tops[:, owner], lo.astype(np.uint64)) >> np.uint64(beta)
-        ok = _reduced(basis[:, owner], ux) == 0
+        ux = _inserted(tops.take(owner, axis=1),
+                       lo.astype(np.uint64)) >> np.uint64(beta)
+        ok = _reduced(basis.take(owner, axis=1), ux) == 0
         owner = owner[ok]
         lo = np.maximum(lo[ok], 1 << m0[owner])
         for at, index in _numbered(((part[ok] + 1) << low[owner]) - lo):
             j = (lo[at] + index).astype(np.uint64)
-            yield _grow(shape, basis[:, owner[at]], j)
+            grown = owner[at]
+            yield _grow(shape, *(a.take(grown, axis=1)
+                                 for a in (basis, packed, tops)), j)
 
 
 def _numbered(sizes: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -394,25 +422,35 @@ def _numbered(sizes: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
 
 
 def _grow(
-    shape: AmbientShape, parents: np.ndarray, j: np.ndarray,
+    shape: AmbientShape, parents: np.ndarray, packed: np.ndarray,
+    tops: np.ndarray, j: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """The children of (parent, word) pairs, one per entry of ``j``:
-    the columns of ``parents`` are walk bases, rows increasing.  Returns
-    the children's walk bases (x, word j of its parent, on top of the
-    parent's rows) and their packed reduced bases (_echelon of the
-    packed rows), one per line.  x's leading bit lies above the
-    parent's top pivot, so a child of k rows has rank k: a line has no
-    leading 0."""
-    children = np.vstack((parents, _inserted(_top_bits(parents), j)))
-    # packed words: binary part above the ring digits, each digit's u
+    the columns of ``parents`` are walk bases, rows increasing, those of
+    ``tops`` their leading bits and those of ``packed`` their packed
+    reduced bases.  Returns the children's walk bases (x, word j of its
+    parent, on top of the parent's rows) and their packed reduced
+    bases, one per line.  x's leading bit lies above the parent's top
+    pivot, so a child of k rows has rank k: a line has no leading 0.
+    Only x is packed, and it joins its parent's basis in one step of
+    _echelon (_joined): a space has one reduced echelon basis, so that
+    is _echelon of all k packed rows.  Packing and reducing all k rows
+    instead ran the complete (2, 5) walk, 6,555,771 codes, in 2.9-3.2 s
+    against 2.3-2.6 s (medians of 3 walks, 3 alternating rounds of
+    processes, 2-core host)."""
+    x = _inserted(tops, j)
+    # packed word: binary part above the ring digits, each digit's u
     # bit above its unit bit
     alpha, beta = shape.alpha, shape.beta
     one = np.uint64(1)
-    words = (children & np.uint64((1 << alpha) - 1)) << np.uint64(2 * beta)
+    word = (x & np.uint64((1 << alpha) - 1)) << np.uint64(2 * beta)
     for d in range(beta):
         for bit, at in ((alpha + d, 2 * d + 1), (alpha + beta + d, 2 * d)):
-            words |= (children >> np.uint64(bit) & one) << np.uint64(at)
-    return children, _echelon(words).T
+            word |= (x >> np.uint64(bit) & one) << np.uint64(at)
+    out = np.empty((len(packed) + 1, len(j)), np.uint64)
+    out[1:] = packed
+    _joined(out, word)
+    return np.vstack((parents, x)), out.T
 
 
 def _inserted(tops: np.ndarray, j: np.ndarray) -> np.ndarray:
@@ -478,14 +516,25 @@ def _basis_weights_fit(code: AdditiveCode, t: int) -> bool:
 
 def _batch_one_weight(shape: AmbientShape, batch: np.ndarray) -> np.ndarray:
     """Whether each basis of a walk batch spans a code with exactly one
-    nonzero Lee weight, as a mask.  With the batch's lines in place of
-    limbs, core._doubled builds every line's words at once, column j
-    holding line j's, and their Lee weights are the popcounts of their
-    Gray images (core._gray_array); only the zero word weighs 0, so the
-    zero code is not one-weight."""
-    lee = np.bitwise_count(_gray_array(shape, _doubled(batch.T)))
+    nonzero Lee weight, as a mask.  A line's basis rows are weighed
+    first, as the popcounts of their Gray images (core._gray_array):
+    they are nonzero codewords, so a line whose rows show two weights
+    is not one-weight (the rule of _basis_weights_fit).  Only the lines
+    that pass build their words: with those lines in place of limbs,
+    core._doubled builds every line's words at once, column j holding
+    line j's, and they are weighed the same way; only the zero word
+    weighs 0, so the zero code is not one-weight.  Building every
+    line's words instead took the 6 calls of
+    verify_fsd_classification(4, 2, 3), on 4,398 lines, 0.62-0.74 ms
+    against 0.26-0.33 ms (medians of 300 rounds, 3 alternating pairs of
+    processes, 2-core host)."""
+    rows = np.bitwise_count(_gray_array(shape, batch))
+    fit = np.flatnonzero((rows == rows[:, :1]).all(axis=1))
+    lee = np.bitwise_count(_gray_array(shape, _doubled(batch[fit].T)))
     top = lee.max(axis=0)
-    return (top > 0) & ((lee == 0) | (lee == top)).all(axis=0)
+    one = np.zeros(len(batch), bool)
+    one[fit] = (top > 0) & ((lee == 0) | (lee == top)).all(axis=0)
+    return one
 
 
 def _survey_code(
@@ -532,8 +581,7 @@ def _random_candidates(space: SearchSpace) -> Iterator[AdditiveCode]:
     are deduplicated and built as codes.  The rule depends on (shape,
     size) alone, so a code either survives every drawing or none, and
     the survivors come in the order of their first drawing, as in the
-    unfiltered stream.  It is read from a per-shape table indexed by
-    rank, filled before the first draw.
+    unfiltered stream.
 
     The draws are those of ``random.Random(seed).randrange``: the shape
     index from range(len(shapes)), then per row the binary part from
@@ -558,16 +606,20 @@ def _random_candidates(space: SearchSpace) -> Iterator[AdditiveCode]:
     When every shape has alpha <= 31 and beta <= 15, every field fits
     one word and N <= 61 fits uint64: the draws are then taken in numpy
     blocks of at most _BLOCK_DRAWS (_batched_draws), which copy
-    randrange's bits in randrange's order.  A space with a wider shape
-    calls randrange itself, field by field (_plain_draws).  So a seed
-    gives the same stream either way.
+    randrange's bits in randrange's order, and read the size rule from
+    a table over the space's shapes, at most 512 of them (_rank_fits).
+    A space with a wider shape calls randrange itself, field by field
+    (_plain_draws).  So a seed gives the same stream either way.  The
+    last shape (alpha[1], beta[1]) is the widest in both parts, so the
+    ranges' upper ends pick the path, and a space has no shape exactly
+    when both are 0.
 
     A space whose first block would draw more than _MAX_BLOCK_WORDS
     words, about _WORDS_PER_FIELD per field, raises SpaceTooLarge before
-    any draw, on either path: the plain one holds a draw's rows as one
-    list, and max_rows is not bounded otherwise."""
-    shapes = space.shapes()
-    if not shapes:
+    any draw or shape is built, on either path: the plain one holds a
+    draw's rows as one list, and max_rows is not bounded otherwise."""
+    alpha, beta = space.alpha[1], space.beta[1]
+    if alpha + beta == 0:
         return
     assert space.budget is not None
     want = min(_BLOCK_DRAWS, space.budget)
@@ -576,13 +628,12 @@ def _random_candidates(space: SearchSpace) -> Iterator[AdditiveCode]:
         raise SpaceTooLarge(
             f"a block of {want} random draws of {space.max_rows} rows takes "
             f"{words} words; the cap is {_MAX_BLOCK_WORDS}")
-    fits = _rank_fits(space)
     rng = random.Random(space.seed)
-    if all(s.alpha <= 31 and s.beta <= 15 for s in shapes):
-        draws = _batched_draws(shapes, space.max_rows, space.budget, fits,
-                               rng.getrandbits)
+    if alpha <= 31 and beta <= 15:
+        draws = _batched_draws(space.shapes(), space.max_rows, space.budget,
+                               _rank_fits(space), rng.getrandbits)
     else:
-        draws = _plain_draws(shapes, space.max_rows, space.budget, fits, rng)
+        draws = _plain_draws(space, rng)
     # keys, not the codes: a long random run would otherwise pin the
     # words of every distinct code whose words a consumer built
     seen: set[tuple[AmbientShape, tuple[int, ...]]] = set()
@@ -595,23 +646,30 @@ def _random_candidates(space: SearchSpace) -> Iterator[AdditiveCode]:
 _Draws = Iterator[tuple[AmbientShape, list[int], tuple[int, ...]]]
 
 
-def _plain_draws(
-    shapes: list[AmbientShape], max_rows: int, budget: int,
-    fits: np.ndarray, rng: random.Random,
-) -> _Draws:
+def _plain_draws(space: SearchSpace, rng: random.Random) -> _Draws:
     """The draws that pass the size rule, as (shape, packed rows,
     reduced basis), drawn one field per ``randrange`` call and reduced
-    by the scalar _rref."""
+    by the scalar _rref.  Neither the shape list nor the rank table is
+    built: a draw's shape is its index in space.shapes() read off the
+    ranges, which run alpha-major and drop (0, 0), first when both
+    start at 0, and its size is read by _size_fits.  Building both
+    first took the one-weight search of one draw over alpha, beta <= 600
+    at 1 row 1.90 s at 166 MB of RSS (2-core host), and ranges to 30,000
+    hold 9 * 10^8 shapes, past any memory."""
+    (a0, a1), (b0, b1) = space.alpha, space.beta
+    target, betas = space.target, b1 - b0 + 1
+    skip = a0 == b0 == 0
+    count = (a1 - a0 + 1) * betas - skip
     randrange = rng.randrange
-    for _ in range(budget):
-        i = randrange(len(shapes))
-        shape = shapes[i]
+    for _ in range(space.budget):
+        a, b = divmod(randrange(count) + skip, betas)
+        shape = AmbientShape(a0 + a, b0 + b)
         ring_bits = 2 * shape.beta
         # binary part drawn before ring part, row by row
         rows = [randrange(1 << shape.alpha) << ring_bits
-                | randrange(1 << ring_bits) for _ in range(max_rows)]
+                | randrange(1 << ring_bits) for _ in range(space.max_rows)]
         basis = _rref(shape, rows)
-        if fits[i, len(basis)]:
+        if target is None or _size_fits(target, shape, 1 << len(basis)):
             yield shape, rows, basis
 
 
@@ -739,7 +797,7 @@ def _check_tuple_cap(space: SearchSpace) -> None:
     refused off its ranges' upper ends, before its shape list or that
     count, an integer of N * max_rows bits, is built; the rest have
     N * max_rows <= 26, so at most 105 shapes.  The slowest survey it
-    admits, (1, 12, 1), examines 33,566,717 codes in 4.2-4.6 s, and
+    admits, (1, 12, 1), examines 33,566,717 codes in 3.1-3.4 s, and
     none peaks above 34 MB of RSS (2-core host)."""
     alpha, beta = space.alpha[1], space.beta[1]
     bits = (alpha + 2 * beta) * space.max_rows
@@ -927,8 +985,10 @@ def verify_fsd_classification(
     every shape but (0, 0).  The lines with a candidate shape are
     weighed once, in the top shape, by one numpy call per batch (a batch
     holds at most one run of the walk's children, so the traced peak of
-    (6, 1, 3) is 3.4 MB): the bases whose words show one nonzero Lee
-    weight (_batch_one_weight) are one-weight in every shape.  Only
+    (6, 1, 3) is 2.7 MB), which weighs a line's words only when its
+    basis rows share one Lee weight: the bases whose words show one
+    nonzero Lee weight (_batch_one_weight) are one-weight in every
+    shape.  Only
     those are built as codes, one per candidate shape (_survey_code),
     each after a scalar check of its compressed basis and of its Lee
     count, which raise InternalVerificationFailure; formal self-duality

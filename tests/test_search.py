@@ -123,9 +123,9 @@ def test_exhaustive_walk_grows_each_code_once(monkeypatch):
     pairs = []
     real = z2zu.search._grow
 
-    def counting(*args):
-        pairs.append(len(args[2]))
-        return real(*args)
+    def counting(shape, parents, packed, tops, j):
+        pairs.append(len(j))
+        return real(shape, parents, packed, tops, j)
 
     monkeypatch.setattr(z2zu.search, "_grow", counting)
     codes = list(enumerate_candidates(SearchSpace(alpha=1, beta=2, max_rows=2)))
@@ -406,9 +406,9 @@ def test_free_words_are_numbered_by_pivot_insertion(monkeypatch):
     calls = []
     real = z2zu.search._grow
 
-    def grow(shape, parents, j):
+    def grow(shape, parents, packed, tops, j):
         calls.append((parents.T.tolist(), j.tolist()))
-        children, batch = real(shape, parents, j)
+        children, batch = real(shape, parents, packed, tops, j)
         calls[-1] += (children.T.tolist(),)
         return children, batch
 
@@ -423,6 +423,55 @@ def test_free_words_are_numbered_by_pivot_insertion(monkeypatch):
                 assert child[:-1] == parent
                 assert child[-1] == inserted(j, pivots)
                 assert child[-1] >> max(parent, default=0).bit_length()
+
+
+def packed_words(shape, children):
+    """Walk words as packed words, bit by bit: the binary part above
+    the ring digits, each digit's u bit above its unit bit."""
+    alpha, beta = shape.alpha, shape.beta
+    one = np.uint64(1)
+    words = (children & np.uint64((1 << alpha) - 1)) << np.uint64(2 * beta)
+    for d in range(beta):
+        for bit, at in ((alpha + d, 2 * d + 1), (alpha + beta + d, 2 * d)):
+            words |= (children >> np.uint64(bit) & one) << np.uint64(at)
+    return words
+
+
+def test_grown_bases_equal_the_bases_reduced_from_scratch(monkeypatch):
+    # the grow kernel joins each child's new word to its parent's packed
+    # basis; every batch must be the elimination of all the child's
+    # packed rows, on walks cut by rows, ring-only, wide in u, binary
+    # heavy and complete
+    real = z2zu.search._grow
+    lines = []
+
+    def grow(shape, *args):
+        children, batch = real(shape, *args)
+        expected = z2zu.search._echelon(packed_words(shape, children)).T
+        assert np.array_equal(batch, expected)
+        lines.append(len(batch))
+        return children, batch
+
+    monkeypatch.setattr(z2zu.search, "_grow", grow)
+    for alpha, beta, rows in ((4, 2, 3), (0, 4, 3), (2, 5, 2), (6, 1, 3),
+                              (2, 2, 6)):
+        lines.clear()
+        bases = walk_bases(AmbientShape(alpha, beta), rows)
+        assert sum(lines) == len(bases) - 1
+
+
+def test_yielded_batches_are_read_only():
+    # a batch seeds its lines' children: a consumer's write raises, and
+    # the walk goes on as if none had been tried
+    shape = AmbientShape(2, 2)
+    stream = []
+    for batch in z2zu.search._codes_by_closure(shape, 3):
+        stream += [tuple(filter(None, row)) for row in batch.tolist()]
+        if batch.shape[1]:
+            for view in (batch, batch.T, batch[:1]):
+                with pytest.raises(ValueError, match="read-only"):
+                    view[0] = 0
+    assert stream == walk_bases(shape, 3)
 
 
 def gaussian(n, k):
@@ -518,8 +567,9 @@ def test_walk_counts_equal_the_deduplicating_walk(alpha, beta, rows, count):
 
 def test_walk_memory_follows_the_depth_of_the_tree():
     # the complete (6, 2) walk, 1,916,373 codes in 11 ranks, holds a few
-    # chunks of parents per rank: its traced peak was 7.5 MB, against
-    # 31.8 MB when the walk held each rank whole before growing it
+    # chunks of parents per rank, each with its packed bases: its traced
+    # peak is 9.5 MB (7.9 MB without the packed bases), against 31.8 MB
+    # when the walk held each rank whole before growing it
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
@@ -749,7 +799,8 @@ def stream_rows(codes):
 # the numpy blocks: alpha = 31, beta = 15 is the widest batched space
 # (fields of exactly 32 bits), a shape with alpha = 32 or beta = 16
 # sends its space to the loop per draw, and 34 shapes at 5 rows give
-# lone shape words and 10 rank vectors
+# lone shape words and 10 rank vectors.  The last is drawn per draw
+# too, from ranges that start at 0: its shape indices skip (0, 0)
 RANDOM_SPACES = [
     dict(alpha=(0, 3), beta=(0, 2), max_rows=1),
     dict(alpha=(0, 4), beta=(0, 1), max_rows=2),
@@ -761,6 +812,7 @@ RANDOM_SPACES = [
     dict(alpha=31, beta=15, max_rows=2),
     dict(alpha=(31, 32), beta=(15, 16), max_rows=2),
     dict(alpha=(0, 6), beta=(0, 4), max_rows=5),
+    dict(alpha=(0, 32), beta=(0, 1), max_rows=2),
 ]
 
 
@@ -823,6 +875,26 @@ def test_random_block_cap_is_checked_before_any_draw(monkeypatch):
                             **kw)
         with pytest.raises(SpaceTooLarge, match=r"words; the cap is 1048576"):
             next(enumerate_candidates(space))
+
+
+def test_wide_random_space_builds_no_shape_list(monkeypatch, capsys):
+    # a space with a shape too wide for the numpy blocks draws each
+    # shape off its ranges: one of 30001^2 - 1 shapes costs no list or
+    # table of them, in the library and the CLI alike
+    def built(*args):
+        raise AssertionError("a shape list was built")
+
+    monkeypatch.setattr(SearchSpace, "shapes", built)
+    monkeypatch.setattr(z2zu.search, "_rank_fits", built)
+    space = SearchSpace(alpha=(0, 30000), beta=(0, 30000), max_rows=1,
+                        mode="random", budget=20, seed=0)
+    codes = list(enumerate_candidates(space))
+    assert len(codes) == 20
+    assert all(c.shape.big_n > 2 for c in codes)
+    assert z2zu.cli.main(["search", "--target", "one-weight", "--budget", "1",
+                          "--alpha", "0..30000", "--beta", "0..30000",
+                          "--rows", "1"]) == 0
+    assert capsys.readouterr().out == ""
 
 
 def test_batched_bases_equal_rref():
@@ -964,16 +1036,28 @@ def test_basis_weight_prune_is_exact():
     assert few[1] and few[2] > few[1]
 
 
-def test_batched_one_weight_rule_equals_the_lee_count():
+def test_batched_one_weight_rule_equals_the_lee_count(monkeypatch):
     # the survey reads one-weightness on the batch; it must agree with
     # the Lee enumerator on every code of the survey's walk, of a
-    # ring-heavy walk, and of a 4-row walk, whose ranks reach N
+    # ring-heavy walk, and of a 4-row walk, whose ranks reach N.  Only
+    # the lines whose basis rows share one Lee weight have their words
+    # built, and the zero codes, which have no rows to differ
+    real = z2zu.search._doubled
+    built = []
+
+    def doubled(rows):
+        built.append(rows.shape[1])
+        return real(rows)
+
+    monkeypatch.setattr(z2zu.search, "_doubled", doubled)
     for space, counts in (
-        (SearchSpace(alpha=(0, 4), beta=(0, 2), max_rows=3), (316, 11136)),
-        (SearchSpace(alpha=(0, 2), beta=(0, 3), max_rows=3), (144, 4666)),
-        (SearchSpace(alpha=(0, 3), beta=(0, 1), max_rows=4), (45, 172)),
+        (SearchSpace(alpha=(0, 4), beta=(0, 2), max_rows=3),
+         (1001, 316, 11136)),
+        (SearchSpace(alpha=(0, 2), beta=(0, 3), max_rows=3), (360, 144, 4666)),
+        (SearchSpace(alpha=(0, 3), beta=(0, 1), max_rows=4), (74, 45, 172)),
     ):
-        one = nonzero = 0
+        built.clear()
+        rows = one = nonzero = 0
         for shape, batch in z2zu.search._exhaustive_batches(space):
             mask = z2zu.search._batch_one_weight(shape, batch).tolist()
             for row, fits in zip(batch.tolist(), mask):
@@ -982,7 +1066,10 @@ def test_batched_one_weight_rule_equals_the_lee_count():
                                 == 1)
                 one += fits
                 nonzero += code.cardinality > 1
-        assert (one, nonzero) == counts
+                rows += (code.cardinality > 1
+                         and _basis_weights_fit(code, 1))
+        assert (rows, one, nonzero) == counts
+        assert sum(built) == rows + len(space.shapes())
 
 
 def test_survey_checks_the_batched_rule_against_the_lee_count(monkeypatch):
@@ -1319,11 +1406,12 @@ def test_survey_examines_every_submodule_of_its_range(args):
 
 
 # Traced peak bounds (MB) of the survey on large ranges the cap
-# admits, about twice the peak each read (2-core host, Python 3.11):
-# 3.60 MB at (8, 2, 2), 3.54 at (4, 4, 2), 3.5 at (6, 3, 2), 3.4 at
-# (6, 1, 3), 2.5 at (4, 2, 3), 1.33 at (12, 0, 2), 0.47 at (6, 3, 1)
-# and 0.07 at (5, 0, 5) (0.08 in a fresh process).  Each top batch is
-# weighed whole.
+# admits, each read at no more than 58% of its bound (2-core host,
+# Python 3.11): 4.03 MB at (8, 2, 2), 3.95 at (4, 4, 2), 3.93 at
+# (6, 3, 2), 2.67 at (6, 1, 3), 1.76 at (4, 2, 3), 1.40 at (12, 0, 2),
+# 0.49 at (6, 3, 1) and 0.08 at (5, 0, 5).  The walk carries each
+# batch's packed bases to grow the next, and each top batch is weighed
+# on its basis rows, then the lines that pass whole.
 SURVEY_PEAK_MB = {(8, 2, 2): 7, (4, 4, 2): 7, (6, 3, 2): 7, (6, 1, 3): 8,
                   (4, 2, 3): 5, (12, 0, 2): 3, (6, 3, 1): 1, (5, 0, 5): 0.2}
 
