@@ -21,7 +21,8 @@ elimination routine :func:`_rref`.  The basis is canonical, so size,
 equality, membership, the module test, the dual and the column profile
 all come from it.  The Lee enumerator is counted from it too, in
 cache-sized blocks of the Gray span, two blocks per bincount while
-N <= 89, and keeps no words (:func:`_lee_counts`).  The codewords are
+N <= 89, and keeps no words (:func:`_lee_counts`); a code of at most
+2^7 words is counted in Python ints.  The codewords are
 built from the basis only for ``words``, the Gray image and the
 minimum Lee weight, once, as a numpy ``uint64`` array of shape (|C|, L)
 with L = ceil(N/64) limbs per word, limb 0 the most significant
@@ -108,6 +109,20 @@ MAX_CODE_WORD_BITS = 26
 # Basis rows in the low block of the Lee count (_lee_counts): its 2^13
 # words take 64 KB per limb, which stays in L2 cache.
 _LEE_BLOCK_BITS = 13
+
+# Most basis rows whose Lee count runs in Python ints (_lee_counts):
+# lee_enumerator of a fresh code took 21.8 against 25.9 us at 7 rows
+# and N = 26, and 33.5 against 31.2 us at 8 rows (int route against
+# numpy, medians of 2,000 calls, 2-core host); N = 8, 14 and 130 cross
+# between the same two sizes.
+_LEE_INT_BITS = 7
+
+# Most (x, y) pairs that _orthogonal tests one at a time in Python ints:
+# dual() took 38.7 against 39.7 us with 40 pairs at N = 14, and 35.9
+# against 33.8 us with 45 pairs (int route against numpy, every pair
+# orthogonal, medians of 3,000 calls, 2-core host); at N = 16 to 26 the
+# int route won at 25 to 39 pairs and lost at 45 to 51.
+_ORTHOGONAL_INT_PAIRS = 40
 
 
 @dataclass(frozen=True)
@@ -308,7 +323,16 @@ def _orthogonal(shape: AmbientShape, xs: Sequence[int],
     The rows are words of alpha + 6*beta binary coordinates.  All pairs
     are ANDed at once, one 64-bit limb at a time, and the limbs
     XOR-folded before one popcount.
+
+    At most _ORTHOGONAL_INT_PAIRS (40) pairs are instead tested one at
+    a time by :func:`_inner_packed`, which reads both components from
+    the same definition, stopping at the first nonzero product.  Below
+    that count numpy's fixed cost per call outweighs the batching: timed
+    inside :func:`dual`, the two routes cross between 40 and 45 pairs
+    (the times are at the constant).
     """
+    if len(xs) * len(ys) <= _ORTHOGONAL_INT_PAIRS:
+        return not any(_inner_packed(shape, x, y) for x in xs for y in ys)
     beta2 = 2 * shape.beta
     a_mask = shape.ring_a_mask
     rows: list[int] = []
@@ -653,9 +677,25 @@ def _lee_counts(shape: AmbientShape, basis: Sequence[int]) -> np.ndarray:
     summed along each axis, gives the count of both.  Past that, the
     histogram would cost more than the halved bincount saves, and grow
     as N^2, so each block is counted in turn.
+
+    A basis of at most _LEE_INT_BITS (7) rows, 2^7 words, is counted in
+    Python ints instead: the rows' Gray images are doubled into a list
+    of words, as :func:`_doubled` does, and each word's int.bit_count()
+    is tallied.  Below that size numpy's fixed cost per call outweighs
+    its speed: timed inside :func:`z2zu.weights.lee_enumerator`, the two
+    routes cross between 7 and 8 rows (the times are at the constant).
     """
     _check_code_size(basis)
     n = shape.big_n
+    if len(basis) <= _LEE_INT_BITS:
+        words = [0]
+        for b in basis:
+            gray = _gray_packed(shape, b)
+            words += [w ^ gray for w in words]
+        counts = [0] * (n + 1)
+        for w in words:
+            counts[w.bit_count()] += 1
+        return np.array(counts)
     gray = _to_limbs(shape, [_gray_packed(shape, b) for b in basis])
     low = _doubled(gray[:_LEE_BLOCK_BITS]).T.copy()
     # the loop below would count a small code too, with one zero x, but
@@ -706,9 +746,9 @@ def dual(code: AdditiveCode) -> AdditiveCode:
     sigma of those rows spans the dual (see the module docstring).  Two
     exact checks pin the result: every dual row is orthogonal to every
     code row under the full R-valued inner product, both components of
-    all pairs in one batched test computed from the inner product's
-    definition, not from sigma (:func:`_orthogonal`), and
-    |C| * |dual| = 2^N.
+    all pairs computed from the inner product's definition, not from
+    sigma, in one batched test or, for at most 40 pairs, pair by pair
+    (:func:`_orthogonal`), and |C| * |dual| = 2^N.
     """
     _require_module(code, "dual")
     shape = code.shape

@@ -1,6 +1,7 @@
 """End-to-end command tests, run in process through main()."""
 
 import json
+import os
 import random
 import subprocess
 import sys
@@ -855,6 +856,21 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("z2zu ")
+
+
+def test_package_runs_as_a_module():
+    # python -m z2zu, from the source tree alone: the version, and
+    # analyze's pinned text byte for byte
+    root = Path(__file__).resolve().parent.parent
+    pinned = json.loads((root / "tests" / "data_file_outputs.json").read_text())
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    for argv, out in (
+        (["--version"], f"z2zu {z2zu.__version__}\n"),
+        (["--json", "analyze", "data/ex5_6.txt"], pinned["ex5_6.txt"]["analyze"]),
+    ):
+        proc = subprocess.run([sys.executable, "-m", "z2zu", *argv], cwd=root,
+                              env=env, capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, out, "")
 
 
 def test_help_mentions_exit_codes(capsys):

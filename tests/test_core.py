@@ -7,6 +7,7 @@ import pytest
 
 import z2zu.core
 from z2zu.core import (
+    _ORTHOGONAL_INT_PAIRS,
     AdditiveCode,
     AmbientShape,
     MixedVector,
@@ -389,6 +390,15 @@ def test_dual_checks_orthogonality(monkeypatch):
         dual(preset_code("3.6"))
 
 
+def ring_inner(v, w):
+    """v . w from the coordinates, in RingElem arithmetic: u times the
+    binary dot product plus the sum of the ring products."""
+    total = U * (sum(a & b for a, b in zip(v.bin_bits, w.bin_bits)) & 1)
+    for a, b in zip(v.ring_elems, w.ring_elems):
+        total += a * b
+    return total
+
+
 def test_orthogonal_matches_inner_product(rng):
     # both components, alpha = 0 and beta = 0, and N > 64 (two limbs)
     for alpha, beta in ((3, 0), (0, 3), (4, 3), (70, 3), (0, 40), (66, 0),
@@ -416,6 +426,38 @@ def test_orthogonal_matches_inner_product(rng):
                 _inner_packed(shape, x, y) for x in flipped for y in ys))
     shape = AmbientShape(2, 2)
     assert _orthogonal(shape, [], [5]) and _orthogonal(shape, [5], [])
+    # batches on both sides of the pair bound, against the inner product
+    # in ring arithmetic (_inner_packed is the small route itself): part
+    # of a dual basis against its code, just within the bound and just
+    # past it, then with one bit flipped, every bit of the last row
+    sizes = set()
+    for alpha, beta in ((3, 2), (6, 4), (10, 4), (8, 8), (70, 3)):
+        shape = AmbientShape(alpha, beta)
+        for n_rows in (1, 2, 3):
+            rows = [MixedVector.from_packed(
+                        shape, rng.randrange(1, shape.ambient_size))
+                    for _ in range(n_rows)]
+            code = span(shape, rows)
+            ys = code.basis
+            vs = [MixedVector.from_packed(shape, y) for y in ys]
+            for m in {len(ys), _ORTHOGONAL_INT_PAIRS // len(ys),
+                      _ORTHOGONAL_INT_PAIRS // len(ys) + 1}:
+                xs = list(dual(code).basis)[:m]
+                sizes.add(len(xs) * len(ys))
+                assert not any(ring_inner(MixedVector.from_packed(shape, x), v)
+                               for x in xs for v in vs)
+                assert _orthogonal(shape, xs, ys)
+                flips = [(len(xs) - 1, t) for t in range(shape.big_n)]
+                flips += [(rng.randrange(len(xs)), rng.randrange(shape.big_n))
+                          for _ in range(5)]
+                for i, t in flips:
+                    flipped = list(xs)
+                    flipped[i] ^= 1 << t
+                    x = MixedVector.from_packed(shape, flipped[i])
+                    assert _orthogonal(shape, flipped, ys) == (
+                        not any(ring_inner(x, v) for v in vs))
+    assert {_ORTHOGONAL_INT_PAIRS, _ORTHOGONAL_INT_PAIRS + 1} & sizes
+    assert min(sizes) <= _ORTHOGONAL_INT_PAIRS < max(sizes)
 
 
 def test_dual_catches_a_flipped_bit(monkeypatch):

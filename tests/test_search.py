@@ -2,6 +2,7 @@
 
 import functools
 import random
+import sys
 import tracemalloc
 from dataclasses import replace
 
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 import z2zu.cli
+import z2zu.core
 import z2zu.search
 from z2zu.core import (
     AdditiveCode,
@@ -1236,6 +1238,26 @@ def test_two_weight_projective_search_binary_ambient():
     for hit in hits:
         assert hit.report.projective
         assert hit.report.two_lee_weight
+
+
+def test_small_codes_build_no_limb_array(monkeypatch):
+    # every Lee count and orthogonality test of the survey's kept codes
+    # and their duals, and of a random search's candidates and hits,
+    # runs in Python ints: the only limb array packed is each shape's
+    # ring_a_mask, once per shape object
+    to_limbs, callers = z2zu.core._to_limbs, []
+
+    def counted(shape, xs):
+        callers.append((sys._getframe(1).f_code.co_name, shape))
+        return to_limbs(shape, xs)
+
+    monkeypatch.setattr(z2zu.core, "_to_limbs", counted)
+    assert verify_fsd_classification(4, 2, 3).matches
+    space = SearchSpace(alpha=(2, 6), beta=(1, 4), max_rows=3, mode="random",
+                        budget=10000, seed=7, target="one_weight")
+    assert search_with_pruning(space)
+    assert {name for name, _ in callers} == {"ring_a_limbs"}
+    assert len({id(shape) for _, shape in callers}) == len(callers)
 
 
 # ------------------------------------------------------------------ screen

@@ -5,9 +5,11 @@ from collections import Counter
 
 import pytest
 
+import z2zu.core
 import z2zu.weights
 from z2zu.core import (
     _LEE_BLOCK_BITS,
+    _LEE_INT_BITS,
     MAX_CODE_WORD_BITS,
     AmbientShape,
     MixedVector,
@@ -568,6 +570,49 @@ def test_lee_count_either_side_of_pairing(rng, alpha):
     for generators in (code.basis, ones_second(rows)):
         assert _lee_counts(shape, generators).tolist() == [
             expected.count(w) for w in range(n + 1)]
+
+
+def rank_k_span(rng, shape, k, rows):
+    """The given rows plus random ones whose u-closed span has exactly
+    2^k words.  Half the drawn rows have ring digits in {0, u} only, so
+    u kills them and they add one to the rank, not two."""
+    rows = list(rows)
+    while span(shape, rows).cardinality < 2 ** k:
+        ring = rng.getrandbits(2 * shape.beta)
+        if rng.getrandbits(1):
+            ring &= 2 * shape.ring_a_mask
+        row = MixedVector(shape, rng.getrandbits(shape.alpha), ring)
+        if span(shape, rows + [row]).cardinality <= 2 ** k:
+            rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize("alpha, beta", ((1, 0), (4, 3), (32, 16), (33, 16),
+                                         (70, 30)))
+def test_lee_count_either_side_of_the_int_route(rng, monkeypatch, alpha,
+                                                beta):
+    # N = 1, 10, 64, 65 and 130: a basis of at most _LEE_INT_BITS rows is
+    # counted in Python ints, a longer one by numpy, which packs the
+    # basis into limbs; every rank up to one past that bound, on
+    # u-closed spans and bare subgroups, each holding the all-ones Gray
+    # word (binary ones, ring digits u) of weight N
+    shape = AmbientShape(alpha, beta)
+    n = shape.big_n
+    ones = MixedVector(shape, (1 << alpha) - 1, 2 * shape.ring_a_mask)
+    to_limbs, packed = z2zu.core._to_limbs, []
+    monkeypatch.setattr(z2zu.core, "_to_limbs",
+                        lambda s, xs: packed.append(xs) or to_limbs(s, xs))
+    for k in range(min(n, _LEE_INT_BITS + 1) + 1):
+        for code in (span(shape, rank_k_span(rng, shape, k, [ones][:k])),
+                     additive_span(shape, rank_k_rows(rng, shape, k,
+                                                      [ones][:k]))):
+            expected = hamming_enumerator(gray_image(code))
+            assert expected.count(n) == (k > 0)
+            packed.clear()
+            counts = _lee_counts(shape, code.basis)
+            assert bool(packed) == (k > _LEE_INT_BITS)
+            assert counts.shape == (n + 1,)
+            assert counts.tolist() == [expected.count(w) for w in range(n + 1)]
 
 
 def test_lee_count_memory_is_a_block(rng):
